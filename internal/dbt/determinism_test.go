@@ -25,6 +25,14 @@ type naiveEngine struct {
 	cache *cfgcache.Cache
 	ctrl  *core.Controller
 
+	// health (Options.Health) masks the mapper and the controller's
+	// placement. unplaceable mirrors the real engine's memo of
+	// configurations with no live placement: it spares allocator proposals,
+	// so it is modelled behaviour, not a simulator shortcut.
+	health         *fabric.Health
+	unplaceable    map[uint32]bool
+	unplaceableVer uint64
+
 	trace []mapper.TraceEntry
 
 	residentPC  uint32
@@ -43,10 +51,14 @@ func newNaiveEngine(opts Options) (*naiveEngine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.Health != nil {
+		ctrl.SetHealth(opts.Health)
+	}
 	return &naiveEngine{
-		opts:  opts,
-		cache: cfgcache.New(opts.CacheCapacity, opts.CachePolicy),
-		ctrl:  ctrl,
+		opts:   opts,
+		cache:  cfgcache.New(opts.CacheCapacity, opts.CachePolicy),
+		ctrl:   ctrl,
+		health: opts.Health,
 	}, nil
 }
 
@@ -62,13 +74,10 @@ func (e *naiveEngine) run(c *gpp.Core, limit uint64) (*Report, error) {
 			}
 			continue
 		}
-		r, err := c.Step()
+		r, err := e.stepGPP(c)
 		if err != nil {
 			return nil, err
 		}
-		e.rep.GPPCycles += e.opts.Timing.CyclesFor(r.Inst, r.Taken)
-		e.rep.GPPInstrs++
-		e.rep.GPPClasses[r.Inst.Op.Class()]++
 		e.observe(r)
 	}
 	e.finalizeTrace()
@@ -88,8 +97,36 @@ type limitError struct{}
 
 func (*limitError) Error() string { return "naive: instruction limit reached" }
 
+func (e *naiveEngine) stepGPP(c *gpp.Core) (gpp.Retire, error) {
+	r, err := c.Step()
+	if err != nil {
+		return r, err
+	}
+	e.rep.GPPCycles += e.opts.Timing.CyclesFor(r.Inst, r.Taken)
+	e.rep.GPPInstrs++
+	e.rep.GPPClasses[r.Inst.Op.Class()]++
+	return r, nil
+}
+
 func (e *naiveEngine) offload(c *gpp.Core, cfg *fabric.Config) error {
-	off, _ := e.ctrl.Place(cfg)
+	if e.health != nil && e.unplaceableVer != e.health.Version() {
+		e.unplaceable, e.unplaceableVer = nil, e.health.Version()
+	}
+	off, ok := fabric.Offset{}, !e.unplaceable[cfg.StartPC]
+	if ok {
+		off, ok = e.ctrl.Place(cfg)
+	}
+	if !ok {
+		// No live placement: the step retires on the GPP without
+		// re-engaging the trace builder (the region is translated).
+		if e.unplaceable == nil {
+			e.unplaceable = make(map[uint32]bool)
+		}
+		e.unplaceable[cfg.StartPC] = true
+		e.rep.GPPFallbacks++
+		_, err := e.stepGPP(c)
+		return err
+	}
 
 	exitSeq := cfg.Ops[0].Seq
 	early := false
@@ -155,9 +192,14 @@ func (e *naiveEngine) finalizeTrace() {
 		e.trace = e.trace[:0]
 		return
 	}
+	var disabled func(fabric.Cell) bool
+	if e.health != nil {
+		disabled = e.health.Dead
+	}
 	cfg, consumed := mapper.Map(e.trace, mapper.Options{
-		Geom: e.opts.Geom,
-		Lat:  e.opts.Lat,
+		Geom:     e.opts.Geom,
+		Lat:      e.opts.Lat,
+		Disabled: disabled,
 	})
 	e.trace = e.trace[:0]
 	if cfg == nil || consumed < e.opts.MinOps {
@@ -178,10 +220,12 @@ func (e *naiveEngine) finalizeTrace() {
 
 // TestEngineMatchesNaiveReference asserts that the optimized Engine (dense
 // translation table, guided replay, batched prefix accounting, precomputed
-// timing tables) produces a Report identical in every field — cycle and
-// instruction counters, class vectors, cache statistics and the
-// utilization map — to the naive reference implementation, across
-// workloads and allocators.
+// timing tables, the refused-translation memo) produces a Report identical
+// in every field — cycle and instruction counters, class vectors, cache
+// statistics and the utilization map — to the naive reference
+// implementation, across workloads, allocators and degraded fabrics. The
+// reference re-maps every captured trace, so the degraded cases (where
+// traces get refused) pin the memo to the behaviour it replaces.
 func TestEngineMatchesNaiveReference(t *testing.T) {
 	workloads := []string{"crc32", "bitcount", "stringsearch"}
 	allocators := []struct {
@@ -192,6 +236,8 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 		{"utilization-aware", func(g fabric.Geometry) alloc.Allocator { return alloc.NewUtilizationAware(g) }},
 	}
 	geom := fabric.NewGeometry(2, 16)
+	// The healthy case keeps the bare workload/allocator subtest name.
+	patterns := []string{"", "column:5", "columns:0+8"}
 
 	for _, name := range workloads {
 		b, ok := prog.ByName(name)
@@ -199,40 +245,59 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 			t.Fatalf("unknown benchmark %q", name)
 		}
 		for _, al := range allocators {
-			t.Run(name+"/"+al.name, func(t *testing.T) {
-				cNaive, err := b.NewCore(prog.Tiny)
-				if err != nil {
-					t.Fatal(err)
+			for _, pattern := range patterns {
+				sub := name + "/" + al.name
+				if pattern != "" {
+					sub += "@" + pattern
 				}
-				ref, err := newNaiveEngine(Options{Geom: geom, Allocator: al.factory(geom)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.run(cNaive, b.MaxInstructions)
-				if err != nil {
-					t.Fatal(err)
-				}
+				t.Run(sub, func(t *testing.T) {
+					options := func() Options {
+						o := Options{Geom: geom, Allocator: al.factory(geom)}
+						if pattern != "" {
+							cells, err := fabric.PatternCells(pattern, geom)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if o.Health, err = fabric.NewHealthWithDead(geom, cells); err != nil {
+								t.Fatal(err)
+							}
+						}
+						return o
+					}
+					cNaive, err := b.NewCore(prog.Tiny)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := newNaiveEngine(options())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.run(cNaive, b.MaxInstructions)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-				cOpt, err := b.NewCore(prog.Tiny)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := NewEngine(Options{Geom: geom, Allocator: al.factory(geom)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Run(cOpt, b.MaxInstructions)
-				if err != nil {
-					t.Fatal(err)
-				}
+					cOpt, err := b.NewCore(prog.Tiny)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng, err := NewEngine(options())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := eng.Run(cOpt, b.MaxInstructions)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("optimized report diverges from naive reference\nnaive: %+v\n  opt: %+v", want, got)
-				}
-				if cNaive.Regs != cOpt.Regs {
-					t.Errorf("architectural register state diverges")
-				}
-			})
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("optimized report diverges from naive reference\nnaive: %+v\n  opt: %+v", want, got)
+					}
+					if cNaive.Regs != cOpt.Regs {
+						t.Errorf("architectural register state diverges")
+					}
+				})
+			}
 		}
 	}
 }

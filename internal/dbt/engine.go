@@ -13,6 +13,7 @@
 package dbt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 
@@ -101,7 +102,7 @@ type Options struct {
 	// (StartPC, Offset) identity and accounts a reconfiguration event,
 	// exactly as it does when a kill forces the placement off a dead cell.
 	// Wear never affects placeability — a worn FU still computes — so the
-	// unplaceable memo below stays keyed on health alone.
+	// unplaceable and refused memos below stay keyed on health alone.
 	Wear *fabric.Wear
 	// ShapeTranslations enables translation-time shape search: instead of
 	// mapping every hot trace at the identity full-fabric shape, the DBT
@@ -268,11 +269,16 @@ type Engine struct {
 	search       searchcost.Counts
 	stateFlushed bool
 
-	// unplaceable memoizes configurations the controller found no live
-	// placement for, keyed by StartPC and invalidated whenever the health
-	// map changes.
-	unplaceable    map[uint32]bool
-	unplaceableVer uint64
+	// Health-keyed memos, both dropped whenever memoVer moves (syncMemos).
+	// unplaceable holds configurations the controller found no live
+	// placement for, keyed by StartPC. refused holds captured traces the
+	// translator rejected — nothing mapped, too few ops consumed, or
+	// unprofitable — keyed by the trace's (PC, taken) bytes (built into
+	// refusedKey) and valued by the ladder probes the refused scan counted.
+	unplaceable map[uint32]bool
+	refused     map[string]uint64
+	refusedKey  []byte
+	memoVer     uint64
 
 	// Trace capture state.
 	trace []mapper.TraceEntry
@@ -299,6 +305,9 @@ func (e *Engine) ensureTables(p *isa.Program) {
 		return
 	}
 	e.tabProg = p
+	// Refused-trace keys name PCs, not instructions: they hold for one
+	// program only.
+	clear(e.refused)
 	e.cycNT = make([]uint64, len(p.Text))
 	e.cyc = make([]uint64, len(p.Text))
 	e.class = make([]isa.Class, len(p.Text))
@@ -485,14 +494,11 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 			return nil
 		}
 	}
-	if h := e.ctrl.Health(); h != nil && e.unplaceable != nil {
-		if e.unplaceableVer != h.Version() {
-			e.unplaceable, e.unplaceableVer = nil, h.Version()
-		} else if e.unplaceable[cfg.StartPC] {
-			e.rep.GPPFallbacks++
-			_, err := e.stepOnGPP(c)
-			return err
-		}
+	e.syncMemos()
+	if e.unplaceable[cfg.StartPC] {
+		e.rep.GPPFallbacks++
+		_, err := e.stepOnGPP(c)
+		return err
 	}
 	// PlaceOrRemap returns cfg itself on the ordinary path; when clustered
 	// failures block every pivot of the original rectangle, a shape-adaptive
@@ -509,7 +515,6 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 		// so the trace builder is not re-engaged.
 		if e.unplaceable == nil {
 			e.unplaceable = make(map[uint32]bool)
-			e.unplaceableVer = e.ctrl.Health().Version()
 		}
 		e.unplaceable[cfg.StartPC] = true
 		e.rep.GPPFallbacks++
@@ -649,6 +654,27 @@ func (e *Engine) stateVersions() (healthVer, wearVer uint64) {
 	return healthVer, wearVer
 }
 
+// syncMemos drops the unplaceable and refused memos when the health they
+// were decided under moved: the mapper's mask or the controller's placement
+// map (one map wherever the controller is engine-owned or attached by the
+// lifetime simulator; versions only grow, so their sum moves with either).
+// Wear is deliberately not observed: it only orders ladder rungs already
+// tied on consumed ops and ExecCycles, the two values a refusal reads.
+func (e *Engine) syncMemos() {
+	var v uint64
+	if e.health != nil {
+		v = e.health.Version()
+	}
+	if h := e.ctrl.Health(); h != nil && h != e.health {
+		v += h.Version()
+	}
+	if v != e.memoVer {
+		clear(e.unplaceable)
+		clear(e.refused)
+		e.memoVer = v
+	}
+}
+
 // stepOnGPP retires one instruction on the GPP and attributes its cycles,
 // instruction count and class: the shared accounting of the normal GPP path
 // and the unplaceable-configuration fallback (which skips the trace
@@ -689,13 +715,17 @@ func (e *Engine) observe(r gpp.Retire) {
 // is big enough and projected profitable. Under ShapeTranslations the
 // mapping is a search over the candidate shape ladder instead of a single
 // identity-shape placement.
+//
+// A trace the translator already refused under the current health is not
+// mapped again (the refused memo): the outcome is a pure function of the
+// trace and the health mask. The modelled DBT keeps no negative cache — it
+// re-runs the scan and refuses again — so a memo hit re-adds the scan's
+// search counts and the Report is the one a re-mapping engine produces.
 func (e *Engine) finalizeTrace() {
+	defer func() { e.trace = e.trace[:0] }()
 	if len(e.trace) < e.opts.MinOps {
-		e.trace = e.trace[:0]
 		return
 	}
-	var cfg *fabric.Config
-	var consumed int
 	if e.shapes != nil {
 		// Key the insert on the state the shape decision is about to be
 		// taken under: if the versions moved since the resident entries
@@ -707,6 +737,30 @@ func (e *Engine) finalizeTrace() {
 		if e.cache.SyncState(e.stateVersions()) {
 			e.stateFlushed = true
 		}
+	}
+	key := e.refusedKey[:0]
+	for _, t := range e.trace {
+		key = binary.LittleEndian.AppendUint32(key, t.PC)
+		if t.Taken {
+			key = append(key, 1)
+		} else {
+			key = append(key, 0)
+		}
+	}
+	e.refusedKey = key
+	e.syncMemos()
+	if probes, ok := e.refused[string(key)]; ok {
+		if e.shapes != nil {
+			e.search.LadderScans++
+			e.search.LadderCandidates += uint64(len(e.shapes))
+			e.search.LadderProbes += probes
+		}
+		return
+	}
+	var cfg *fabric.Config
+	var consumed int
+	probesBefore := e.search.LadderProbes
+	if e.shapes != nil {
 		cfg, consumed = e.translateShapes()
 	} else {
 		cfg, consumed = mapper.Map(e.trace, mapper.Options{
@@ -715,11 +769,11 @@ func (e *Engine) finalizeTrace() {
 			Disabled: e.disabled,
 		})
 	}
-	e.trace = e.trace[:0]
-	if cfg == nil || consumed < e.opts.MinOps {
-		return
-	}
-	if !e.opts.NoProfitGate && !e.profitable(cfg) {
+	if cfg == nil || consumed < e.opts.MinOps || (!e.opts.NoProfitGate && !e.profitable(cfg)) {
+		if e.refused == nil {
+			e.refused = make(map[string]uint64)
+		}
+		e.refused[string(key)] = e.search.LadderProbes - probesBefore
 		return
 	}
 	e.cache.Insert(cfg)
