@@ -116,12 +116,15 @@ func main() {
 		// reference co-simulation is computed once for all of them (and for
 		// the warm-up), not once per allocator. The shapedbt scenario is the
 		// translation-time shape search on the remap allocator — the
-		// translation hot path with the ladder scan on the clock.
+		// translation hot path with the ladder scan on the clock. The
+		// dead-column snake entry starts with a failed column, so the
+		// controller's dead-pivot skip walk runs from the first epoch.
 		for _, lc := range []struct {
 			cfg   agingcgra.LifetimeConfig
 			label string
 		}{
 			{agingcgra.LifetimeConfig{Allocator: "utilization-aware"}, "Lifetime/BE-snake-crc32-20y"},
+			{agingcgra.LifetimeConfig{Allocator: "utilization-aware", DeadPattern: "column:5"}, "Lifetime/BE-snake-deadcol-crc32-20y"},
 			{agingcgra.LifetimeConfig{Allocator: "explore"}, "Lifetime/BE-explore-crc32-20y"},
 			{agingcgra.LifetimeConfig{Allocator: "remap"}, "Lifetime/BE-remap-crc32-20y"},
 			{agingcgra.LifetimeConfig{Allocator: "remap", ShapeTranslations: true}, "Lifetime/BE-shapedbt-crc32-20y"},
@@ -218,7 +221,7 @@ func compareReports(base, cur Report, threshold float64) (failed bool) {
 	for _, r := range cur.Results {
 		byName[r.Name] = r
 	}
-	fmt.Fprintf(os.Stderr, "%-34s %-14s %14s %14s %9s\n",
+	fmt.Fprintf(os.Stderr, "%-36s %-14s %14s %14s %9s\n",
 		"benchmark", "metric", "baseline", "current", "delta")
 	for _, b := range base.Results {
 		var metric string
@@ -236,7 +239,7 @@ func compareReports(base, cur Report, threshold float64) (failed bool) {
 			continue // un-gated family (sweep wall clock)
 		}
 		if !ok {
-			fmt.Fprintf(os.Stderr, "%-34s %-14s %14.1f %14s %9s\n",
+			fmt.Fprintf(os.Stderr, "%-36s %-14s %14.1f %14s %9s\n",
 				b.Name, metric, baseVal, "missing", "FAIL")
 			failed = true
 			continue
@@ -245,7 +248,7 @@ func compareReports(base, cur Report, threshold float64) (failed bool) {
 		// or a schema drift, not a 100% improvement; like a missing entry,
 		// it must not disarm the gate.
 		if baseVal <= 0 || curVal <= 0 {
-			fmt.Fprintf(os.Stderr, "%-34s %-14s %14.1f %14.1f %9s\n",
+			fmt.Fprintf(os.Stderr, "%-36s %-14s %14.1f %14.1f %9s\n",
 				b.Name, metric, baseVal, curVal, "zero FAIL")
 			failed = true
 			continue
@@ -262,7 +265,7 @@ func compareReports(base, cur Report, threshold float64) (failed bool) {
 			verdict += " FAIL"
 			failed = true
 		}
-		fmt.Fprintf(os.Stderr, "%-34s %-14s %14.1f %14.1f %9s\n",
+		fmt.Fprintf(os.Stderr, "%-36s %-14s %14.1f %14.1f %9s\n",
 			b.Name, metric, baseVal, curVal, verdict)
 	}
 	return failed

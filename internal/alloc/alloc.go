@@ -194,7 +194,11 @@ type UtilizationAware struct {
 	// instead of one global pivot.
 	perConfig bool
 
-	count    uint64
+	// pos and sub walk the global pivot: seq[pos] is the current position,
+	// already proposed sub times in its period. Stepping them avoids the two
+	// divisions of the closed form seq[(n/period)%len(seq)] per proposal.
+	pos      int
+	sub      uint64
 	perCount map[uint32]uint64
 }
 
@@ -252,15 +256,19 @@ func (u *UtilizationAware) Name() string {
 
 // Next implements Allocator.
 func (u *UtilizationAware) Next(cfg *fabric.Config) fabric.Offset {
-	var n uint64
 	if u.perConfig && cfg != nil {
-		n = u.perCount[cfg.StartPC]
+		n := u.perCount[cfg.StartPC]
 		u.perCount[cfg.StartPC] = n + 1
-	} else {
-		n = u.count
-		u.count++
+		return u.seq[(n/u.period)%uint64(len(u.seq))]
 	}
-	return u.seq[(n/u.period)%uint64(len(u.seq))]
+	off := u.seq[u.pos]
+	if u.sub++; u.sub == u.period {
+		u.sub = 0
+		if u.pos++; u.pos == len(u.seq) {
+			u.pos = 0
+		}
+	}
+	return off
 }
 
 // Pattern returns the movement pattern in use.

@@ -213,14 +213,23 @@ func (c *Controller) Wear() *fabric.Wear { return c.wear }
 // full sweep of proposals finds no live placement, ok is false and the caller
 // must fall back to the GPP. The caller must follow up with Commit once the
 // residency duration is known (it depends on early exits).
+//
+// Every proposal still goes through the allocator's Next, one call each,
+// because allocator state advances per proposal; only the liveness test is
+// a lookup into the configuration's memoized live-pivot mask.
 func (c *Controller) Place(cfg *fabric.Config) (off fabric.Offset, ok bool) {
 	if c.health == nil || c.health.DeadCount() == 0 {
 		return c.alloc.Next(cfg), true
 	}
-	cells := cfg.Cells()
+	live := cfg.LivePivots(c.health)
+	g := c.health.Geometry()
 	for i := 0; i < c.geom.NumFUs(); i++ {
 		off := c.alloc.Next(cfg)
-		if c.health.PlacementOK(cells, off) {
+		r, col := off.Row, off.Col
+		if uint(r) >= uint(g.Rows) || uint(col) >= uint(g.Cols) {
+			r, col = r%g.Rows, col%g.Cols // Offset.Apply's wrap-around
+		}
+		if live[r*g.Cols+col] {
 			return off, true
 		}
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"agingcgra/internal/alloc"
+	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
 )
 
@@ -295,5 +297,93 @@ func TestPlaceOrRemap(t *testing.T) {
 	plain.SetHealth(h)
 	if _, _, ok := plain.PlaceOrRemap(cfg); ok {
 		t.Fatal("baseline PlaceOrRemap succeeded on a dead pivot")
+	}
+}
+
+// referencePlace is the skip-scan Place replaced: up to NumFUs proposals,
+// each checked with Health.PlacementOK over every cell.
+func referencePlace(a alloc.Allocator, h *fabric.Health, g fabric.Geometry, cfg *fabric.Config) (fabric.Offset, bool) {
+	if h == nil || h.DeadCount() == 0 {
+		return a.Next(cfg), true
+	}
+	for i := 0; i < g.NumFUs(); i++ {
+		off := a.Next(cfg)
+		if h.PlacementOK(cfg.Cells(), off) {
+			return off, true
+		}
+	}
+	return fabric.Offset{}, false
+}
+
+// TestPlaceMatchesReferenceWalk replays random Kill/Revive interleavings
+// through a controller and through the reference walk, each over its own
+// instance of the same allocator and the same health map. Offsets, ok
+// flags and the allocators' later proposals must agree step for step.
+func TestPlaceMatchesReferenceWalk(t *testing.T) {
+	g := fabric.NewGeometry(4, 8)
+	allocators := map[string]func() alloc.Allocator{
+		"snake":            func() alloc.Allocator { return alloc.NewUtilizationAware(g) },
+		"snake/period=3":   func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPeriod(3)) },
+		"snake/per-config": func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPerConfigPivot()) },
+		"health-aware":     func() alloc.Allocator { return alloc.NewHealthAware(g, 4) },
+		"explore":          func() alloc.Allocator { return explore.New(g, explore.WithWorkers(1)) },
+	}
+	// Footprints of different sizes, one from a smaller remap shape, with
+	// distinct StartPCs so the per-config walks diverge.
+	cfgs := []*fabric.Config{
+		{StartPC: 0x1000, Geom: g, UsedCols: 2, Ops: []fabric.PlacedOp{
+			{Seq: 0, Row: 0, Col: 0, Width: 1}, {Seq: 1, Row: 0, Col: 1, Width: 1}}},
+		{StartPC: 0x2000, Geom: g, UsedCols: 6, Ops: []fabric.PlacedOp{
+			{Seq: 0, Row: 0, Col: 0, Width: 4}, {Seq: 1, Row: 1, Col: 4, Width: 2}, {Seq: 2, Row: 3, Col: 1, Width: 1}}},
+		{StartPC: 0x3000, Geom: fabric.NewGeometry(2, 4), UsedCols: 3, Ops: []fabric.PlacedOp{
+			{Seq: 0, Row: 1, Col: 0, Width: 2}, {Seq: 1, Width: 0}, {Seq: 2, Row: 0, Col: 2, Width: 1}}},
+	}
+	for name, mk := range allocators {
+		for seed := int64(1); seed <= 4; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			h := fabric.NewHealth(g)
+			ctrl, err := NewController(g, mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl.SetHealth(h)
+			ref := mk()
+			if hs, ok := ref.(alloc.HealthSetter); ok {
+				hs.SetHealth(h)
+			}
+			// Kills outpace revives until a third of the fabric is dead, so
+			// placements mix first-proposal hits, long skip walks and GPP
+			// fallbacks (about 7% of the placements).
+			for step := 0; step < 600; step++ {
+				switch p := r.Intn(20); {
+				case p < 3:
+					h.Kill(fabric.Cell{Row: r.Intn(g.Rows), Col: r.Intn(g.Cols)})
+				case p == 3 || h.DeadCount() > g.NumFUs()/3:
+					if dead := h.DeadCells(); len(dead) > 0 {
+						h.Revive(dead[r.Intn(len(dead))])
+					}
+				default:
+					cfg := cfgs[r.Intn(len(cfgs))]
+					off, ok := ctrl.Place(cfg)
+					wantOff, wantOK := referencePlace(ref, h, g, cfg)
+					if off != wantOff || ok != wantOK {
+						t.Fatalf("%s seed %d step %d (dead %v): Place = (%v, %v), reference (%v, %v)",
+							name, seed, step, h.DeadCells(), off, ok, wantOff, wantOK)
+					}
+					if ok {
+						cycles := uint64(1 + r.Intn(9))
+						ctrl.Commit(cfg, off, cycles)
+						if so, isObs := ref.(alloc.StressObserver); isObs {
+							so.ObserveStress(cfg.Cells(), off, cycles)
+						}
+					}
+				}
+			}
+			for i, cfg := range cfgs {
+				if got, want := ctrl.Allocator().Next(cfg), ref.Next(cfg); got != want {
+					t.Errorf("%s seed %d: next proposal for config %d = %v, reference %v", name, seed, i, got, want)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"agingcgra/internal/isa"
 )
@@ -46,6 +47,12 @@ type Config struct {
 
 	cells []Cell // cached occupied cells
 
+	// live is the pivot mask LivePivots last built, valid while liveHealth
+	// stays at version liveVer.
+	live       []bool
+	liveHealth *Health
+	liveVer    uint64
+
 	// Replay accelerator tables, computed once on first use: the engine
 	// replays hot configurations millions of times and batches its per-op
 	// accounting through these prefix sums instead of re-deriving it per
@@ -66,19 +73,40 @@ func (c *Config) Cells() []Cell {
 	if c.cells != nil {
 		return c.cells
 	}
-	seen := make(map[Cell]bool)
+	n := 0
+	for _, op := range c.Ops {
+		n += op.Width
+	}
+	cells := make([]Cell, 0, n)
 	for _, op := range c.Ops {
 		for w := 0; w < op.Width; w++ {
-			cell := Cell{Row: op.Row, Col: op.Col + w}
-			if !seen[cell] {
-				seen[cell] = true
-				c.cells = append(c.cells, cell)
-			}
+			cells = append(cells, Cell{Row: op.Row, Col: op.Col + w})
 		}
 	}
-	// Stable order: row-major.
-	sortCells(c.cells)
+	// Stable order: row-major. Sorting makes the cells of overlapping ops
+	// (which Validate rejects) adjacent, so one pass drops them.
+	sortCells(cells)
+	c.cells = slices.Compact(cells)
 	return c.cells
+}
+
+// LivePivots returns the configuration's live-pivot mask under h: entry
+// r*Cols+c (h's geometry) reports whether loading the configuration at
+// Offset{r, c} keeps every op on a live FU, exactly as
+// h.PlacementOK(Cells(), Offset{r, c}). The mask is memoized for the health
+// map and version it was built for and rebuilt when either moves. The
+// returned slice must not be modified, and is only valid until the next
+// LivePivots call.
+func (c *Config) LivePivots(h *Health) []bool {
+	if c.liveHealth == h && c.liveVer == h.Version() {
+		return c.live
+	}
+	if n := h.geom.NumFUs(); len(c.live) != n {
+		c.live = make([]bool, n)
+	}
+	h.LivePivots(c.Cells(), c.live)
+	c.liveHealth, c.liveVer = h, h.Version()
+	return c.live
 }
 
 func sortCells(cells []Cell) {

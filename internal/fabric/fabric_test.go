@@ -194,6 +194,63 @@ func TestConfigCells(t *testing.T) {
 	}
 }
 
+// mapCells is the set-based form Cells replaced: dedupe through a map, then
+// sort row-major.
+func mapCells(c *Config) []Cell {
+	var out []Cell
+	seen := make(map[Cell]bool)
+	for _, op := range c.Ops {
+		for w := 0; w < op.Width; w++ {
+			cell := Cell{Row: op.Row, Col: op.Col + w}
+			if !seen[cell] {
+				seen[cell] = true
+				out = append(out, cell)
+			}
+		}
+	}
+	sortCells(out)
+	return out
+}
+
+// TestConfigCellsDedupes pins Cells on inputs Validate rejects or that
+// occupy nothing: overlapping ops list each shared cell once, zero-width
+// jumps contribute no cell, and both match the map-based result.
+func TestConfigCellsDedupes(t *testing.T) {
+	g := NewGeometry(2, 16)
+	cases := map[string]*Config{
+		"overlapping": {Geom: g, UsedCols: 6, Ops: []PlacedOp{
+			{Seq: 0, Row: 1, Col: 2, Width: 4},
+			{Seq: 1, Row: 1, Col: 0, Width: 4},
+			{Seq: 2, Row: 0, Col: 3, Width: 1},
+			{Seq: 3, Row: 1, Col: 3, Width: 1},
+			{Seq: 4, Row: 0, Col: 3, Width: 2},
+		}},
+		"zero-width jumps": {Geom: g, UsedCols: 2, Ops: []PlacedOp{
+			{Seq: 0, Row: 0, Col: 1, Width: 1},
+			{Seq: 1, Width: 0},
+			{Seq: 2, Row: 1, Col: 0, Width: 1},
+			{Seq: 3, Row: 1, Col: 7, Width: 0},
+		}},
+		"only jumps": {Geom: g, Ops: []PlacedOp{{Seq: 0, Width: 0}, {Seq: 1, Width: 0}}},
+	}
+	for name, c := range cases {
+		got, want := c.Cells(), mapCells(c)
+		if len(got) != len(want) {
+			t.Errorf("%s: Cells = %v, want %v", name, got, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: Cells = %v, want %v", name, got, want)
+				break
+			}
+		}
+	}
+	if err := cases["overlapping"].Validate(); err == nil {
+		t.Error("overlapping case passes Validate; it no longer exercises the dedupe")
+	}
+}
+
 func TestConfigExecCycles(t *testing.T) {
 	c := testConfig()
 	if got := c.ExecCycles(); got != 3 {

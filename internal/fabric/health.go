@@ -135,3 +135,29 @@ func (h *Health) PlacementOK(cells []Cell, off Offset) bool {
 	}
 	return true
 }
+
+// LivePivots answers PlacementOK for every pivot at once: dst[r*Cols+c]
+// becomes PlacementOK(cells, Offset{r, c}). dst must hold NumFUs entries.
+// Rather than testing every pivot against every cell, it clears the pivot
+// each (dead cell, occupied cell) pair rules out, (dead − occupied) mod the
+// geometry, so the cost is dead cells × cells instead of pivots × cells.
+func (h *Health) LivePivots(cells []Cell, dst []bool) {
+	for i := range dst {
+		dst[i] = true
+	}
+	if h.deadCount == 0 {
+		return
+	}
+	rows, cols := h.geom.Rows, h.geom.Cols
+	for i, dead := range h.dead {
+		if !dead {
+			continue
+		}
+		dr, dc := i/cols, i%cols
+		for _, c := range cells {
+			r := (dr - c.Row%rows + rows) % rows
+			col := (dc - c.Col%cols + cols) % cols
+			dst[r*cols+col] = false
+		}
+	}
+}

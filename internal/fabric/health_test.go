@@ -1,6 +1,10 @@
 package fabric
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func TestHealthKillAndQueries(t *testing.T) {
 	g := NewGeometry(2, 4)
@@ -106,5 +110,86 @@ func TestHealthRevive(t *testing.T) {
 	}
 	if h.Revive(Cell{Row: 5, Col: 0}) {
 		t.Error("out-of-range revive should be rejected")
+	}
+}
+
+// randomConfig builds a configuration on geometry g with up to maxOps ops of width 0–4 at random positions. Ops may overlap:
+// Validate would reject that, but Cells and the pivot masks must not care.
+func randomConfig(r *rand.Rand, g Geometry, maxOps int) *Config {
+	cfg := &Config{StartPC: 0x1000, Geom: g}
+	for i, n := 0, 1+r.Intn(maxOps); i < n; i++ {
+		op := PlacedOp{Seq: i, Row: r.Intn(g.Rows), Col: r.Intn(g.Cols), Width: r.Intn(5)}
+		if op.EndCol() > g.Cols {
+			op.Width = g.Cols - op.Col
+		}
+		cfg.Ops = append(cfg.Ops, op)
+	}
+	return cfg
+}
+
+// checkLivePivots compares every entry of cfg's mask under h with
+// PlacementOK for the same pivot.
+func checkLivePivots(t *testing.T, label string, cfg *Config, h *Health) {
+	t.Helper()
+	g := h.Geometry()
+	live := cfg.LivePivots(h)
+	if len(live) != g.NumFUs() {
+		t.Fatalf("%s: mask has %d entries, want %d", label, len(live), g.NumFUs())
+	}
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			off := Offset{Row: r, Col: c}
+			if got, want := live[r*g.Cols+c], h.PlacementOK(cfg.Cells(), off); got != want {
+				t.Fatalf("%s: pivot %v live = %v, PlacementOK = %v (cells %v, dead %v)",
+					label, off, got, want, cfg.Cells(), h.DeadCells())
+			}
+		}
+	}
+}
+
+// TestLivePivotsMatchesPlacementOK is the mask's defining property: for
+// random geometries, dead sets and configurations — including smaller
+// remap shapes placed on the full fabric — every entry equals PlacementOK.
+func TestLivePivotsMatchesPlacementOK(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, gg := range []struct{ rows, cols int }{{1, 1}, {2, 16}, {4, 8}, {8, 32}} {
+		g := NewGeometry(gg.rows, gg.cols)
+		for trial := 0; trial < 200; trial++ {
+			h := NewHealth(g)
+			for i, n := 0, r.Intn(g.NumFUs()/4+2); i < n; i++ {
+				h.Kill(Cell{Row: r.Intn(g.Rows), Col: r.Intn(g.Cols)})
+			}
+			shape := g
+			if trial%2 == 1 {
+				shape = NewGeometry(1+r.Intn(g.Rows), 1+r.Intn(g.Cols))
+			}
+			cfg := randomConfig(r, shape, 8)
+			checkLivePivots(t, fmt.Sprintf("%v trial %d (shape %v)", g, trial, shape), cfg, h)
+		}
+	}
+}
+
+// TestLivePivotsInvalidation pins the memo key: a Kill or Revive moves the
+// health version and forces a rebuild, and so does switching to another
+// health map, even one whose version number is the same.
+func TestLivePivotsInvalidation(t *testing.T) {
+	g := NewGeometry(2, 4)
+	cfg := &Config{Geom: g, Ops: []PlacedOp{{Seq: 0, Row: 0, Col: 0, Width: 2}}, UsedCols: 2}
+	h := NewHealth(g)
+	checkLivePivots(t, "pristine", cfg, h)
+	h.Kill(Cell{Row: 0, Col: 1})
+	checkLivePivots(t, "after Kill", cfg, h)
+	h.Revive(Cell{Row: 0, Col: 1})
+	checkLivePivots(t, "after Revive", cfg, h)
+
+	a, b := NewHealth(g), NewHealth(g)
+	a.Kill(Cell{Row: 0, Col: 0})
+	b.Kill(Cell{Row: 1, Col: 3})
+	if a.Version() != b.Version() {
+		t.Fatalf("versions %d and %d: the case needs equal versions", a.Version(), b.Version())
+	}
+	for i := 0; i < 3; i++ {
+		checkLivePivots(t, "map a", cfg, a)
+		checkLivePivots(t, "map b", cfg, b)
 	}
 }
