@@ -454,7 +454,7 @@ func RunLifetime(c LifetimeConfig) (*LifetimeResult, error) {
 }
 
 // RunLifetimes simulates a batch of scenarios over a worker pool (workers
-// <= 0 selects all CPUs, 1 forces the serial path). Results are ordered by
+// <= 0 selects runtime.GOMAXPROCS, 1 forces the serial path). Results are ordered by
 // scenario index and byte-identical between serial and parallel runs.
 func RunLifetimes(cs []LifetimeConfig, workers int) ([]*LifetimeResult, error) {
 	scs := make([]lifetime.Scenario, len(cs))

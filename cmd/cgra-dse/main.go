@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	sizeName := fs.String("size", "small", "input size: tiny, small, large")
 	csvPath := fs.String("csv", "", "also write the points as CSV to this file")
-	workers := fs.Int("workers", 0, "parallel design points (0 = all CPUs, 1 = serial)")
+	workers := fs.Int("workers", 0, "parallel design points (0 = GOMAXPROCS, 1 = serial)")
 	allocator := fs.String("allocator", "baseline",
 		"allocation strategy to sweep with (baseline, utilization-aware, explore, remap, ...)")
 	explorerSweep := fs.Bool("explorer-sweep", false,

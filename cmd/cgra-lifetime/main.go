@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	probation := fs.Int("probation", 0, "consecutive clean probes to reinstate a quarantined cell (0: default 8)")
 	failStop := fs.Bool("fail-stop", false,
 		"no-recovery baseline: first detected fault routes every later offload to the GPP forever")
-	workers := fs.Int("workers", 0, "scenario parallelism (0: all CPUs, 1: serial)")
+	workers := fs.Int("workers", 0, "scenario parallelism (0: GOMAXPROCS, 1: serial)")
 	traceOut := fs.String("trace", "",
 		"write observability artifacts under this path prefix: PREFIX.events.csv (epoch/death/fault/quarantine/remap/fallback events), PREFIX.snapshots.csv (per-FU duty/wear per epoch) and PREFIX.html (standalone heatmap + timeline report)")
 	out := fs.String("o", "-", "JSON output path ('-' for stdout)")

@@ -29,7 +29,7 @@ var paperImprovements = map[string]float64{"BE": 2.29, "BP": 4.37, "BU": 7.97}
 func main() {
 	sizeName := flag.String("size", "small", "input size: tiny, small, large")
 	exp := flag.String("exp", "all", "experiment: fig1, fig6, fig7, fig8, table1, table2 or all")
-	workers := flag.Int("workers", 0, "parallel design points (0 = all CPUs, 1 = serial)")
+	workers := flag.Int("workers", 0, "parallel design points (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	size, err := parseSize(*sizeName)

@@ -20,8 +20,8 @@ type ExperimentOptions struct {
 	Size Size
 	// Benchmarks restricts the suite (default: all ten).
 	Benchmarks []string
-	// Workers bounds design-point parallelism: 0 selects runtime.NumCPU,
-	// 1 forces the serial path. Outputs are identical either way.
+	// Workers bounds design-point parallelism: 0 selects
+	// runtime.GOMAXPROCS, 1 forces the serial path. Outputs are identical either way.
 	Workers int
 	// Allocator names the allocation strategy Fig6 sweeps with (default
 	// "baseline", the paper's setting; "explore" sweeps the wear-aware

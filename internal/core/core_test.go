@@ -326,7 +326,7 @@ func TestPlaceMatchesReferenceWalk(t *testing.T) {
 		"snake/period=3":   func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPeriod(3)) },
 		"snake/per-config": func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPerConfigPivot()) },
 		"health-aware":     func() alloc.Allocator { return alloc.NewHealthAware(g, 4) },
-		"explore":          func() alloc.Allocator { return explore.New(g, explore.WithWorkers(1)) },
+		"explore":          func() alloc.Allocator { return explore.New(g) },
 	}
 	// Footprints of different sizes, one from a smaller remap shape, with
 	// distinct StartPCs so the per-config walks diverge.

@@ -15,7 +15,6 @@ package dbt
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/cfgcache"
@@ -24,7 +23,6 @@ import (
 	"agingcgra/internal/gpp"
 	"agingcgra/internal/isa"
 	"agingcgra/internal/mapper"
-	"agingcgra/internal/pscan"
 	recov "agingcgra/internal/recover"
 	"agingcgra/internal/searchcost"
 )
@@ -124,14 +122,6 @@ type Options struct {
 	// shape-adaptive remapper searches). Only consulted when
 	// ShapeTranslations is set.
 	Ladder fabric.ShapeLadder
-	// SearchWorkers bounds the goroutine pool the translation-time ladder
-	// scan fans its rungs out over (<= 0 selects GOMAXPROCS; 1 forces the
-	// serial scan). Any worker count yields byte-identical translations
-	// and searchcost counters: every rung is mapped and counted, and the
-	// reduction picks the winner by (consumed desc, ExecCycles asc, wear
-	// asc, ladder order) in stripe order. Only consulted when
-	// ShapeTranslations is set.
-	SearchWorkers int
 	// Recovery attaches the fault-injection and detection/recovery monitor
 	// (internal/recover). When set, every offload draws fault
 	// manifestations from the monitor's truth maps, sampled offloads are
@@ -780,17 +770,6 @@ func (e *Engine) finalizeTrace() {
 	e.rep.Translations++
 }
 
-// ladderStripe is one stripe's share of the translation-time ladder scan:
-// the stripe-local winner plus the order-invariant probe counter.
-type ladderStripe struct {
-	idx      int // winning rung index, -1 when the stripe holds none
-	cfg      *fabric.Config
-	consumed int
-	cycles   uint64
-	wearY    float64
-	probes   uint64
-}
-
 // translateShapes is the translation-time shape search: the captured trace
 // is mapped once per rung of the shape ladder against the current health
 // mask (identity frame — the allocation layer still chooses the pivot),
@@ -801,69 +780,27 @@ type ladderStripe struct {
 // chooses the actual pivot wear-aware, this tie-break only prefers, among
 // equally fast shapes, one whose home footprint shows the allocator a
 // fresher starting window — then ladder order for determinism. One mapper
-// run per rung keeps this a
-// pure ladder scan — an order of magnitude cheaper than the remap rescue's
-// (shape × anchor) scan, which remains the backstop for placements the
-// identity-frame mask cannot serve. The scan is counted for the derived
-// search-cost model.
-//
-// Rungs fan out over a bounded goroutine pool (Options.SearchWorkers):
-// every rung is mapped against shared read-only state and classified
-// regardless of evaluation order, per-stripe probe counters are summed in
-// stripe order, and the winner is the lexicographic minimum over
-// (consumed desc, cycles asc, wear asc, rung index) — so translations and
-// counters are byte-identical for every worker count.
+// run per rung keeps this a pure ladder scan — an order of magnitude
+// cheaper than the remap rescue's (shape × anchor) scan, which remains the
+// backstop for placements the identity-frame mask cannot serve. The scan
+// is counted for the derived search-cost model: every rung is mapped and
+// its probes counted, with no running-best gate.
 func (e *Engine) translateShapes() (*fabric.Config, int) {
 	e.search.LadderScans++
 	e.search.LadderCandidates += uint64(len(e.shapes))
 	wear := e.ctrl.Wear()
-	n := len(e.shapes)
-	if n == 0 {
-		return nil, 0
-	}
-	workers := e.opts.SearchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if pscan.Count(n, workers) == 1 {
-		// Serial fast path: no stripe slice or closure per translation.
-		sr := e.scanLadder(wear, 0, n)
-		e.search.LadderProbes += sr.probes
-		return sr.cfg, sr.consumed
-	}
-	stripes := make([]ladderStripe, pscan.Count(n, workers))
-	pscan.Run(n, workers, func(s, lo, hi int) {
-		stripes[s] = e.scanLadder(wear, lo, hi)
-	})
-	best := ladderStripe{idx: -1}
-	for _, sr := range stripes {
-		e.search.LadderProbes += sr.probes
-		if sr.idx < 0 {
-			continue
-		}
-		if best.idx < 0 || sr.consumed > best.consumed ||
-			(sr.consumed == best.consumed && (sr.cycles < best.cycles ||
-				(sr.cycles == best.cycles && (sr.wearY < best.wearY ||
-					(sr.wearY == best.wearY && sr.idx < best.idx))))) {
-			best = sr
-		}
-	}
-	return best.cfg, best.consumed
-}
-
-// scanLadder maps the trace at ladder rungs [lo, hi) and returns the
-// stripe-local winner by (consumed desc, ExecCycles asc, wear asc, rung
-// order). Cycles and wear are evaluated for every mapped rung — there is
-// no running-best gate — so the stripe outcome is a pure function of the
-// rung range and the shared read-only state.
-func (e *Engine) scanLadder(wear *fabric.Wear, lo, hi int) ladderStripe {
-	sr := ladderStripe{idx: -1}
-	for i := lo; i < hi; i++ {
+	var (
+		best         *fabric.Config
+		bestConsumed int
+		bestCycles   uint64
+		bestWear     float64
+	)
+	for _, shape := range e.shapes {
 		cfg, consumed := mapper.Map(e.trace, mapper.Options{
-			Geom:     e.shapes[i],
+			Geom:     shape,
 			Lat:      e.opts.Lat,
 			Disabled: e.disabled,
-			Probes:   &sr.probes,
+			Probes:   &e.search.LadderProbes,
 		})
 		if cfg == nil {
 			continue
@@ -877,13 +814,13 @@ func (e *Engine) scanLadder(wear *fabric.Wear, lo, hi int) ladderStripe {
 				}
 			}
 		}
-		if sr.idx < 0 || consumed > sr.consumed ||
-			(consumed == sr.consumed && (cycles < sr.cycles ||
-				(cycles == sr.cycles && wearYears < sr.wearY))) {
-			sr.idx, sr.cfg, sr.consumed, sr.cycles, sr.wearY = i, cfg, consumed, cycles, wearYears
+		if best == nil || consumed > bestConsumed ||
+			(consumed == bestConsumed && (cycles < bestCycles ||
+				(cycles == bestCycles && wearYears < bestWear))) {
+			best, bestConsumed, bestCycles, bestWear = cfg, consumed, cycles, wearYears
 		}
 	}
-	return sr
+	return best, bestConsumed
 }
 
 // profitable projects whether executing cfg on the CGRA beats the GPP.

@@ -1,7 +1,6 @@
 package dbt
 
 import (
-	"reflect"
 	"testing"
 
 	"agingcgra/internal/fabric"
@@ -232,37 +231,5 @@ func TestShapeTranslationsRejectEmptyLadder(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("ladder with no row fractions accepted")
-	}
-}
-
-// TestShapeSearchWorkerCountInvariance pins the SearchWorkers determinism
-// contract: the translation-time ladder scan striped over four workers
-// produces a byte-identical report — same offloads, same translations,
-// same searchcost counters — and the same architectural result as the
-// forced-serial scan.
-func TestShapeSearchWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) (*Report, uint32) {
-		c := loopCore(t)
-		e, err := NewEngine(Options{
-			Geom:              fabric.NewGeometry(2, 16),
-			ShapeTranslations: true,
-			SearchWorkers:     workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run(c, 1_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, c.Regs[isa.A0]
-	}
-	repS, a0S := run(1)
-	repP, a0P := run(4)
-	if a0S != a0P {
-		t.Fatalf("architectural result diverges: serial %d, parallel %d", a0S, a0P)
-	}
-	if !reflect.DeepEqual(repS, repP) {
-		t.Fatalf("reports diverge:\nserial:   %+v\nparallel: %+v", repS, repP)
 	}
 }

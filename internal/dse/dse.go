@@ -127,8 +127,8 @@ type Options struct {
 	Model *energy.Model
 	// Engine propagates engine options other than Geom/Allocator/Controller.
 	Engine dbt.Options
-	// Workers bounds sweep parallelism: 0 selects runtime.NumCPU, 1 forces
-	// the serial path. Individual suite runs are always sequential (the
+	// Workers bounds sweep parallelism: 0 selects runtime.GOMAXPROCS, 1
+	// forces the serial path. Individual suite runs are always sequential (the
 	// benchmarks accumulate stress on one shared fabric); parallelism is
 	// across design points.
 	Workers int
@@ -244,7 +244,7 @@ func Grid() []GridPoint {
 }
 
 // Sweep runs the suite over every grid point, fanning the points out over
-// opt.Workers goroutines (0 selects runtime.NumCPU). Results are in point
+// opt.Workers goroutines (0 selects runtime.GOMAXPROCS). Results are in point
 // order and identical to a serial sweep.
 func Sweep(points []GridPoint, factory AllocatorFactory, opt Options) ([]*SuiteResult, error) {
 	if len(points) == 0 {

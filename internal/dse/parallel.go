@@ -6,18 +6,18 @@
 // regardless of completion order, and the stand-alone GPP reference — a
 // pure function of (benchmark, size, timing) that the serial path
 // recomputed for every point — is memoized in a RefCache shared across the
-// pool. ForEach spins up a throwaway pool per call (the sweep-command
-// shape); Pool (queue.go) is the persistent, bounded-queue variant the
-// lifetime service keeps across requests, with context cancellation and
-// graceful drain. Both honor the same contract: indexed results, the
-// lowest-indexed error, and panics recovered into that index's error.
+// pool. Pool (queue.go) is the one batch primitive: a bounded work queue
+// with indexed results, the lowest-indexed error, panics recovered into
+// that index's error, per-request cancellation and graceful drain. The
+// lifetime service keeps one across requests; ForEach wraps a transient
+// pool around a single batch (the sweep-command shape).
 package dse
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/fabric"
@@ -90,70 +90,42 @@ type Point struct {
 	Factory AllocatorFactory
 }
 
-// ForEach runs fn(i) for every index in [0, n), fanned out over a worker
-// pool (workers <= 0 selects the runnable-CPU bound, runtime.GOMAXPROCS;
-// 1 forces the serial path, which short-circuits on the first error).
-// Resolving the default against GOMAXPROCS rather than NumCPU matters on
-// constrained boxes: a GOMAXPROCS=1 process gains nothing from extra
-// goroutines, so the default collapses to the serial path instead of
-// paying channel and scheduling overhead for zero parallelism (the
-// historical Fig6Sweep "parallel slower than serial" artifact on 1-CPU
-// runners). On failure the error of the
-// lowest-indexed failing call is returned, matching the serial path, and
-// every started call is still driven to completion. A panicking work item
-// does not take down the pool (or, on the parallel path, the whole
-// process): the panic is recovered and surfaces as that index's error, so
-// one malformed design point fails its sweep cleanly instead of crashing a
-// batch of unrelated points. It is the shared sweep primitive behind
-// RunPoints and the lifetime scenario batches; fn must be safe to call from
-// multiple goroutines for distinct indices.
+// ForEach runs fn(i) for every index in [0, n) on a transient Pool of
+// workers goroutines (workers <= 0 selects the runnable-CPU bound,
+// runtime.GOMAXPROCS; the count is clamped to n) and tears the pool down
+// when the batch is done. Resolving the default against GOMAXPROCS rather
+// than NumCPU matters on constrained boxes: a GOMAXPROCS=1 process gains
+// nothing from extra goroutines, so the default collapses to a single
+// worker (the historical Fig6Sweep "parallel slower than serial" artifact
+// on 1-CPU runners). The contract is Pool.ForEach's: on failure the error
+// of the lowest-indexed failing call is returned, and every item still
+// runs — with workers == 1 too, so a serial batch runs its remaining
+// items after a failure before returning that error. A panicking work
+// item does not take down the pool or the process: the panic is recovered
+// and surfaces as that index's error, so one malformed design point fails
+// its sweep cleanly instead of crashing a batch of unrelated points. It is
+// the shared sweep primitive behind RunPoints and the lifetime scenario
+// batches; fn must be safe to call from multiple goroutines for distinct
+// indices.
 func ForEach(n, workers int, fn func(i int) error) error {
-	call := func(i int) error { return protect(i, fn) }
+	if n <= 0 {
+		return nil
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := call(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				errs[i] = call(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	p := NewPool(workers, 0)
+	defer p.Close()
+	return p.ForEach(context.Background(), n, fn)
 }
 
 // protect runs fn(i) and converts a panic into that index's error — the
-// recovery contract shared by ForEach and Pool.ForEach: one malformed work
-// item fails its batch cleanly instead of crashing the process (or, on the
-// persistent pool, killing a worker goroutine every other request depends
-// on).
+// recovery contract of Pool.ForEach: one malformed work item fails its
+// batch cleanly instead of crashing the process or killing a worker
+// goroutine every other request depends on.
 func protect(i int, fn func(i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

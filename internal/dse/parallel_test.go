@@ -106,8 +106,9 @@ func TestRefCacheMatchesDirect(t *testing.T) {
 }
 
 // TestForEachRecoversPanics pins the sweep primitive's panic safety: a
-// panicking work item becomes that index's error on the serial and the
-// parallel path alike — one malformed design point must not crash a batch.
+// panicking work item becomes that index's error with one worker and with
+// several alike, and every other item still runs — one malformed design
+// point must not crash or cut short a batch.
 func TestForEachRecoversPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
@@ -127,12 +128,9 @@ func TestForEachRecoversPanics(t *testing.T) {
 		if !strings.Contains(err.Error(), "work item 3 panicked") {
 			t.Errorf("workers=%d: error should name the panicking index, got: %v", workers, err)
 		}
-		if workers > 1 {
-			// Parallel path drives every other item to completion.
-			for i := 0; i < 8; i++ {
-				if i != 3 && !done[i] {
-					t.Errorf("workers=%d: item %d not driven to completion", workers, i)
-				}
+		for i := 0; i < 8; i++ {
+			if i != 3 && !done[i] {
+				t.Errorf("workers=%d: item %d not driven to completion", workers, i)
 			}
 		}
 	}
@@ -140,15 +138,16 @@ func TestForEachRecoversPanics(t *testing.T) {
 
 // TestForEachDefaultWorkersFollowsGOMAXPROCS pins the Workers=0 default to
 // runtime.GOMAXPROCS(0), not NumCPU: on a single-slot schedule the default
-// must take the serial loop — in-order, on the caller's goroutine — rather
-// than spawn NumCPU goroutines that time-slice one core and lose to the
-// serial sweep (the Fig6Sweep parallel-slower artifact).
+// must run the batch in order on the pool's single worker rather than spawn
+// NumCPU goroutines that time-slice one core and lose to the serial sweep
+// (the Fig6Sweep parallel-slower artifact).
 func TestForEachDefaultWorkersFollowsGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 
-	// Deliberately unsynchronized: legal only if ForEach stays serial.
-	// Under `go test -race` this doubles as a no-goroutines proof.
+	// Deliberately unsynchronized: legal only if one worker runs every
+	// item, and the caller reads order only after the pool's wait. Under
+	// `go test -race` this doubles as a single-worker proof.
 	var order []int
 	if err := ForEach(64, 0, func(i int) error {
 		order = append(order, i)

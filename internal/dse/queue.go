@@ -1,11 +1,10 @@
-// Persistent work queue: the service generalization of ForEach. ForEach
-// builds a run-scoped pool, fans one batch out, and tears the goroutines
-// down; a long-running server wants the inverse — one persistent worker
-// pool that every request shards its items over, with a bounded queue for
-// backpressure, per-request cancellation, and a graceful drain on
-// shutdown. Pool is that primitive; the determinism contract is ForEach's:
-// results land at their item's index, so any worker count (including one)
-// produces identical output, and the lowest-indexed error wins.
+// Persistent work queue: the package's one batch primitive. A long-running
+// server keeps one Pool that every request shards its items over, with a
+// bounded queue for backpressure, per-request cancellation, and a graceful
+// drain on shutdown; ForEach (parallel.go) builds a transient Pool for a
+// single batch. The determinism contract: results land at their item's
+// index, so any worker count (including one) produces identical output,
+// and the lowest-indexed error wins.
 
 package dse
 
@@ -39,7 +38,7 @@ type Pool struct {
 }
 
 // NewPool starts a pool of workers goroutines (<= 0 selects
-// runtime.GOMAXPROCS(0), matching ForEach) over a job queue of the given
+// runtime.GOMAXPROCS(0)) over a job queue of the given
 // depth (<= 0 selects an unbuffered queue: every submission rendezvouses
 // with an idle worker).
 func NewPool(workers, depth int) *Pool {
@@ -97,10 +96,10 @@ func (p *Pool) submit(ctx context.Context, job func()) error {
 }
 
 // ForEach runs fn(i) for every index in [0, n) on the pool's workers and
-// waits for the batch to finish. The contract matches the package-level
-// ForEach: results must land at their index inside fn, the lowest-indexed
-// error is returned, and a panicking item surfaces as that index's error
-// instead of killing a worker. Cancellation is per request: once ctx is
+// waits for the batch to finish. Results must land at their index inside
+// fn, the lowest-indexed error is returned, and a panicking item surfaces
+// as that index's error instead of killing a worker. A failing item does
+// not stop the others. Cancellation is per request: once ctx is
 // done, items not yet started return ctx.Err() without running (queued
 // items drain cheaply), while already-running items finish — a canceled
 // request never corrupts another request's work, it only stops consuming

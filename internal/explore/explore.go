@@ -34,13 +34,13 @@
 //
 // The scan prunes: a candidate whose running maximum already exceeds the
 // best-so-far (seeded from the previously held pivot's score) cannot win
-// and its remaining cells are not scored. Pruning, parallel striping and
-// the incremental tables are simulator-side shortcuts around the *same*
-// argmin; the searchcost counters keep reporting the work the modeled
-// hardware search engine would issue — one projection-table refresh per
-// cell per scan and one score evaluation per cell of every live candidate —
-// so counted work is identical between the pruned/parallel scan and a full
-// serial rescan (the argmin-equals-full-scan property test pins both).
+// and its remaining cells are not scored. Pruning and the incremental
+// tables are simulator-side shortcuts around the *same* argmin; the
+// searchcost counters keep reporting the work the modeled hardware search
+// engine would issue — one projection-table refresh per cell per scan and
+// one score evaluation per cell of every live candidate — so counted work
+// is identical between the pruned scan and a full rescan (the
+// argmin-equals-full-scan property test pins both).
 //
 // Because an exhaustive pivot search per execution would be costly in
 // hardware, the search runs every RecomputeEvery *committed* executions and
@@ -73,20 +73,12 @@ package explore
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"agingcgra/internal/aging"
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/fabric"
-	"agingcgra/internal/pscan"
 	"agingcgra/internal/searchcost"
 )
-
-// minParallelPivots is the smallest pivot count worth fanning a scan out
-// over goroutines: below it the per-stripe bookkeeping costs more than the
-// scan. The paper's 4x8 fabric always scans serially; the wide sweep
-// geometries cross the threshold.
-const minParallelPivots = 64
 
 // Explorer is the wear-aware placement explorer. It implements
 // alloc.Allocator plus the three feedback interfaces the controller
@@ -101,10 +93,6 @@ type Explorer struct {
 	horizonYears float64
 	// recomputeEvery is the pivot re-exploration period in executions.
 	recomputeEvery uint64
-	// workers bounds the goroutine pool of large pivot scans (<= 0 selects
-	// GOMAXPROCS; 1 forces the serial scan). The scan outcome and the
-	// searchcost counters are identical for every worker count.
-	workers int
 
 	health *fabric.Health
 	wear   *fabric.Wear
@@ -204,15 +192,6 @@ func WithRecomputeEvery(n int) Option {
 			e.recomputeEvery = uint64(n)
 		}
 	}
-}
-
-// WithWorkers bounds the goroutine pool large pivot scans fan out over
-// (default 0: GOMAXPROCS; 1 forces serial scans). Any worker count yields
-// byte-identical results and searchcost counters — the reduction is an
-// index-ordered argmin and the counters are order-invariant sums — so the
-// knob trades only wall clock.
-func WithWorkers(n int) Option {
-	return func(e *Explorer) { e.workers = n }
 }
 
 // New builds a wear-aware placement explorer for the geometry.
@@ -377,15 +356,15 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 	return st.off
 }
 
-// stripeResult is one stripe's share of a pivot scan: the stripe-local
-// argmin plus the order-invariant work counter.
-type stripeResult struct {
-	idx  int // winning pivot index, -1 when the stripe holds no live pivot
+// scanResult is the outcome of one pivot scan: the argmin plus the work
+// counter.
+type scanResult struct {
+	idx  int // winning pivot index, -1 when no pivot is live
 	maxY float64
 	sumY float64
-	// cells is the stripe's live-candidate score evaluations: len(cells)
-	// for every fully-live pivot, pruned or not, exactly what a full
-	// serial rescan would count.
+	// cells is the scan's live-candidate score evaluations: len(cells)
+	// for every fully-live pivot, pruned or not, exactly what an unpruned
+	// rescan would count.
 	cells uint64
 }
 
@@ -398,13 +377,11 @@ type stripeResult struct {
 // excluded; when no live placement exists the zero offset is returned and
 // the controller's own health check rejects the offload (GPP fallback).
 //
-// The scan seeds its pruning bound with the previously held pivot's score
-// and fans out over a bounded goroutine pool on large fabrics; neither
-// changes the argmin (pruning only discards candidates whose running
-// maximum is already strictly worse, and the parallel reduction is an
-// index-ordered argmin over stripe results), and the searchcost counters
-// are order-invariant sums, so serial, pruned and parallel scans are
-// byte-identical in outcome and counted work.
+// The scan seeds its pruning bound with the previously held pivot's score.
+// That never changes the argmin (pruning only discards candidates whose
+// running maximum is already strictly worse) nor the counted work (a
+// pruned candidate still counts its full footprint), so pruned and
+// unpruned scans are byte-identical in outcome and searchcost counters.
 func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	e.syncWear()
 	cells := cfg.Cells()
@@ -433,64 +410,30 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 		}
 	}
 
-	n := e.geom.NumFUs()
-	workers := e.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	sr := e.scanPivots(cells, dead, seed)
+	e.counts.PivotCells += sr.cells
+	if sr.idx < 0 {
+		return fabric.Offset{}
 	}
-	if n < minParallelPivots {
-		workers = 1
-	}
-	if pscan.Count(n, workers) == 1 {
-		// Serial fast path: the common small-fabric case pays no stripe
-		// slice, closure or reduction — one direct scan per exploration.
-		sr := e.scanPivots(cells, dead, seed, 0, n)
-		e.counts.PivotCells += sr.cells
-		if sr.idx < 0 {
-			return fabric.Offset{}
-		}
-		return fabric.Offset{Row: sr.idx / e.geom.Cols, Col: sr.idx % e.geom.Cols}
-	}
-	stripes := make([]stripeResult, pscan.Count(n, workers))
-	pscan.Run(n, workers, func(s, lo, hi int) {
-		stripes[s] = e.scanPivots(cells, dead, seed, lo, hi)
-	})
-
-	best := fabric.Offset{}
-	bestIdx := -1
-	bestMax, bestSum := math.Inf(1), math.Inf(1)
-	for _, sr := range stripes {
-		e.counts.PivotCells += sr.cells
-		if sr.idx < 0 {
-			continue
-		}
-		if bestIdx < 0 || sr.maxY < bestMax ||
-			(sr.maxY == bestMax && (sr.sumY < bestSum ||
-				(sr.sumY == bestSum && sr.idx < bestIdx))) {
-			bestIdx, bestMax, bestSum = sr.idx, sr.maxY, sr.sumY
-		}
-	}
-	if bestIdx >= 0 {
-		best = fabric.Offset{Row: bestIdx / e.geom.Cols, Col: bestIdx % e.geom.Cols}
-	}
-	return best
+	return fabric.Offset{Row: sr.idx / e.geom.Cols, Col: sr.idx % e.geom.Cols}
 }
 
-// scanPivots evaluates the pivot index range [lo, hi) and returns the
-// stripe-local argmin by (max projected years, total projected years,
-// row-major order). seed bounds the pruning from the start; the bound then
-// tightens to the stripe's own best. A pruned candidate still completes
-// its liveness walk so the counted work stays that of the full rescan.
-func (e *Explorer) scanPivots(cells []fabric.Cell, dead []bool, seed float64, lo, hi int) stripeResult {
+// scanPivots evaluates every pivot and returns the argmin by (max
+// projected years, total projected years, row-major order). seed bounds
+// the pruning from the start; the bound then tightens to the scan's own
+// best. A pruned candidate still completes its liveness walk so the
+// counted work stays that of the full rescan.
+func (e *Explorer) scanPivots(cells []fabric.Cell, dead []bool, seed float64) scanResult {
 	if dead == nil {
-		return e.scanPivotsHealthy(cells, seed, lo, hi)
+		return e.scanPivotsHealthy(cells, seed)
 	}
-	sr := stripeResult{idx: -1, maxY: math.Inf(1), sumY: math.Inf(1)}
+	sr := scanResult{idx: -1, maxY: math.Inf(1), sumY: math.Inf(1)}
 	thr := seed
 	cols := e.geom.Cols
 	yProj := e.yProj
-	pr, pc := lo/cols, lo%cols
-	for p := lo; p < hi; p++ {
+	n := e.geom.NumFUs()
+	pr, pc := 0, 0
+	for p := 0; p < n; p++ {
 		rb := e.rowBase[pr:]
 		cm := e.colMod[pc:]
 		if pc++; pc == cols {
@@ -546,13 +489,14 @@ func (e *Explorer) scanPivots(cells []fabric.Cell, dead []bool, seed float64, lo
 // live candidate, so the dead checks, the liveness walk after a prune and
 // the per-pivot live classification all drop out of the inner loop. The
 // steady-state scan (no failures yet) spends most of the simulation here.
-func (e *Explorer) scanPivotsHealthy(cells []fabric.Cell, seed float64, lo, hi int) stripeResult {
-	sr := stripeResult{idx: -1, maxY: math.Inf(1), sumY: math.Inf(1)}
+func (e *Explorer) scanPivotsHealthy(cells []fabric.Cell, seed float64) scanResult {
+	sr := scanResult{idx: -1, maxY: math.Inf(1), sumY: math.Inf(1)}
 	thr := seed
 	cols := e.geom.Cols
 	yProj := e.yProj
-	pr, pc := lo/cols, lo%cols
-	for p := lo; p < hi; p++ {
+	n := e.geom.NumFUs()
+	pr, pc := 0, 0
+	for p := 0; p < n; p++ {
 		rb := e.rowBase[pr:]
 		cm := e.colMod[pc:]
 		if pc++; pc == cols {
@@ -583,7 +527,7 @@ func (e *Explorer) scanPivotsHealthy(cells []fabric.Cell, seed float64, lo, hi i
 			}
 		}
 	}
-	sr.cells = uint64(hi-lo) * uint64(len(cells))
+	sr.cells = uint64(n) * uint64(len(cells))
 	return sr
 }
 
@@ -642,10 +586,8 @@ func (e *Explorer) ProjectedScore(cfg *fabric.Config, off fabric.Offset) float64
 // cost model prices. The counters report the work the modeled hardware
 // search engine would issue — a full projection refresh per scan and one
 // evaluation per cell of every live candidate — invariant to the
-// simulator's pruning, memoization and parallel striping, so serial and
-// parallel runs of one scenario produce identical Counts. Explorations
-// counts full scans directly — the number the hold-period regression
-// tests pin.
+// simulator's pruning and memoization. Explorations counts full scans
+// directly — the number the hold-period regression tests pin.
 func (e *Explorer) SearchCounts() searchcost.Counts { return e.counts }
 
 // Explorations returns how many full pivot scans ran so far.

@@ -63,133 +63,92 @@ func (r *refState) score(cfg *fabric.Config, off fabric.Offset) float64 {
 // advances, and pins after every step that the incrementally maintained
 // projection scores exactly what a full per-cell recompute from the live
 // maps produces — and that Explore's argmin is never beaten by any live
-// pivot under the reference objective.
+// pivot under the reference objective. It runs on the paper's 4x8 fabric
+// with single-cell deaths and on an 8x16 fabric (128 pivots) whose deaths
+// are clustered 2x2 blobs.
 func TestIncrementalProjectionMatchesFullRecompute(t *testing.T) {
-	g := fabric.NewGeometry(4, 8)
-	cfg := testConfig(g)
-	state := uint32(0xbeef01)
-	for trial := 0; trial < 5; trial++ {
-		h := fabric.NewHealth(g)
-		w := fabric.NewWear(g)
-		e := New(g)
-		e.SetHealth(h)
-		e.SetWear(w)
-		ref := newRefState(g, w)
+	for _, tc := range []struct {
+		geom fabric.Geometry
+		blob int // side of the square cluster one hard death kills
+		seed uint32
+	}{
+		{fabric.NewGeometry(4, 8), 1, 0xbeef01},
+		{fabric.NewGeometry(8, 16), 2, 0xfeed02},
+	} {
+		g := tc.geom
+		cfg := testConfig(g)
+		state := tc.seed
+		for trial := 0; trial < 5; trial++ {
+			h := fabric.NewHealth(g)
+			w := fabric.NewWear(g)
+			e := New(g)
+			e.SetHealth(h)
+			e.SetWear(w)
+			ref := newRefState(g, w)
 
-		for step := 0; step < 300; step++ {
-			cell := fabric.Cell{
-				Row: int(xorshift(&state)) % g.Rows,
-				Col: int(xorshift(&state)) % g.Cols,
-			}
-			switch xorshift(&state) % 8 {
-			case 0, 1, 2, 3: // committed execution at a random pivot
-				off := fabric.Offset{Row: cell.Row, Col: cell.Col}
-				cycles := uint64(xorshift(&state)%500 + 1)
-				e.ObserveStress(cfg.Cells(), off, cycles)
-				ref.observe(cfg.Cells(), off, cycles)
-			case 4: // hard death
-				h.Kill(cell)
-			case 5: // probation revive (observed-health flow)
-				if dead := h.DeadCells(); len(dead) > 0 {
-					h.Revive(dead[int(xorshift(&state))%len(dead)])
+			for step := 0; step < 300; step++ {
+				cell := fabric.Cell{
+					Row: int(xorshift(&state)) % g.Rows,
+					Col: int(xorshift(&state)) % g.Cols,
 				}
-			default: // cross-epoch wear advance
-				w.Add(cell, float64(xorshift(&state)%1000)/4000.0)
-			}
-
-			// Score equality at a random pivot: incremental == recompute.
-			off := fabric.Offset{
-				Row: int(xorshift(&state)) % g.Rows,
-				Col: int(xorshift(&state)) % g.Cols,
-			}
-			got := e.Score(cfg, off)
-			want := ref.score(cfg, off)
-			if math.Abs(got-want) > 1e-15*(1+math.Abs(want)) {
-				t.Fatalf("trial %d step %d: incremental score %.18g != recompute %.18g at %v",
-					trial, step, got, want, off)
-			}
-
-			if step%25 != 0 {
-				continue
-			}
-			// Argmin optimality under the reference objective: no live
-			// pivot beats the explorer's choice.
-			chosen := e.Explore(cfg)
-			if !h.PlacementOK(cfg.Cells(), chosen) && anyLivePlacement(h, cfg, g) {
-				t.Fatalf("trial %d step %d: Explore chose dead placement %v with live pivots available",
-					trial, step, chosen)
-			}
-			if h.PlacementOK(cfg.Cells(), chosen) {
-				chosenScore := ref.score(cfg, chosen)
-				for r := 0; r < g.Rows; r++ {
-					for c := 0; c < g.Cols; c++ {
-						off := fabric.Offset{Row: r, Col: c}
-						if !h.PlacementOK(cfg.Cells(), off) {
-							continue
+				switch xorshift(&state) % 8 {
+				case 0, 1, 2, 3: // committed execution at a random pivot
+					off := fabric.Offset{Row: cell.Row, Col: cell.Col}
+					cycles := uint64(xorshift(&state)%500 + 1)
+					e.ObserveStress(cfg.Cells(), off, cycles)
+					ref.observe(cfg.Cells(), off, cycles)
+				case 4: // hard death of a blob x blob cluster
+					for dr := 0; dr < tc.blob; dr++ {
+						for dc := 0; dc < tc.blob; dc++ {
+							h.Kill(fabric.Cell{Row: (cell.Row + dr) % g.Rows, Col: (cell.Col + dc) % g.Cols})
 						}
-						if s := ref.score(cfg, off); s < chosenScore-1e-15*(1+chosenScore) {
-							t.Fatalf("trial %d step %d: pivot %v scores %.18g, beats chosen %v at %.18g",
-								trial, step, off, s, chosen, chosenScore)
+					}
+				case 5: // probation revive (observed-health flow)
+					if dead := h.DeadCells(); len(dead) > 0 {
+						h.Revive(dead[int(xorshift(&state))%len(dead)])
+					}
+				default: // cross-epoch wear advance
+					w.Add(cell, float64(xorshift(&state)%1000)/4000.0)
+				}
+
+				// Score equality at a random pivot: incremental == recompute.
+				off := fabric.Offset{
+					Row: int(xorshift(&state)) % g.Rows,
+					Col: int(xorshift(&state)) % g.Cols,
+				}
+				got := e.Score(cfg, off)
+				want := ref.score(cfg, off)
+				if math.Abs(got-want) > 1e-15*(1+math.Abs(want)) {
+					t.Fatalf("%v trial %d step %d: incremental score %.18g != recompute %.18g at %v",
+						g, trial, step, got, want, off)
+				}
+
+				if step%25 != 0 {
+					continue
+				}
+				// Argmin optimality under the reference objective: no live
+				// pivot beats the explorer's choice.
+				chosen := e.Explore(cfg)
+				if !h.PlacementOK(cfg.Cells(), chosen) && anyLivePlacement(h, cfg, g) {
+					t.Fatalf("%v trial %d step %d: Explore chose dead placement %v with live pivots available",
+						g, trial, step, chosen)
+				}
+				if h.PlacementOK(cfg.Cells(), chosen) {
+					chosenScore := ref.score(cfg, chosen)
+					for r := 0; r < g.Rows; r++ {
+						for c := 0; c < g.Cols; c++ {
+							off := fabric.Offset{Row: r, Col: c}
+							if !h.PlacementOK(cfg.Cells(), off) {
+								continue
+							}
+							if s := ref.score(cfg, off); s < chosenScore-1e-15*(1+chosenScore) {
+								t.Fatalf("%v trial %d step %d: pivot %v scores %.18g, beats chosen %v at %.18g",
+									g, trial, step, off, s, chosen, chosenScore)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestParallelScanMatchesSerial drives two explorers — one forced serial,
-// one striped over four workers — through an identical history on a fabric
-// large enough to cross the parallel threshold, with a clustered failure
-// blob in the middle, and pins that every exploration returns the same
-// pivot and that the searchcost counters match exactly: the counted work
-// models the hardware scan, so striping must not change it.
-func TestParallelScanMatchesSerial(t *testing.T) {
-	g := fabric.NewGeometry(8, 16) // 128 pivots >= minParallelPivots
-	cfg := testConfig(g)
-	mk := func(workers int) (*Explorer, *fabric.Health, *fabric.Wear) {
-		e := New(g, WithWorkers(workers))
-		h := fabric.NewHealth(g)
-		w := fabric.NewWear(g)
-		e.SetHealth(h)
-		e.SetWear(w)
-		return e, h, w
-	}
-	es, hs, ws := mk(1)
-	ep, hp, wp := mk(4)
-
-	state := uint32(0xfeed02)
-	for step := 0; step < 400; step++ {
-		cell := fabric.Cell{
-			Row: int(xorshift(&state)) % g.Rows,
-			Col: int(xorshift(&state)) % g.Cols,
-		}
-		switch xorshift(&state) % 8 {
-		case 0, 1, 2, 3, 4:
-			off := fabric.Offset{Row: cell.Row, Col: cell.Col}
-			cycles := uint64(xorshift(&state)%300 + 1)
-			es.ObserveStress(cfg.Cells(), off, cycles)
-			ep.ObserveStress(cfg.Cells(), off, cycles)
-		case 5: // clustered failure: kill a 2x2 blob
-			for dr := 0; dr < 2; dr++ {
-				for dc := 0; dc < 2; dc++ {
-					c := fabric.Cell{Row: (cell.Row + dr) % g.Rows, Col: (cell.Col + dc) % g.Cols}
-					hs.Kill(c)
-					hp.Kill(c)
-				}
-			}
-		default:
-			years := float64(xorshift(&state)%1000) / 4000.0
-			ws.Add(cell, years)
-			wp.Add(cell, years)
-		}
-		offS := es.Explore(cfg)
-		offP := ep.Explore(cfg)
-		if offS != offP {
-			t.Fatalf("step %d: serial chose %v, parallel chose %v", step, offS, offP)
-		}
-	}
-	if cs, cp := es.SearchCounts(), ep.SearchCounts(); cs != cp {
-		t.Fatalf("searchcost counts diverge:\nserial:   %+v\nparallel: %+v", cs, cp)
 	}
 }

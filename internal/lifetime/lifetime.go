@@ -963,7 +963,7 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 }
 
 // RunScenarios simulates a batch of scenarios over a worker pool (workers
-// <= 0 selects all CPUs, 1 forces the serial path). Results are ordered by
+// <= 0 selects runtime.GOMAXPROCS, 1 forces the serial path). Results are ordered by
 // scenario index and byte-identical to a serial run; the stand-alone GPP
 // references are shared across the batch.
 func RunScenarios(scs []Scenario, workers int) ([]*Result, error) {

@@ -31,43 +31,44 @@
 // scans this costs are counted and priced by the derived hardware-cost
 // model in internal/searchcost.
 //
-// The rescue scan fans out over a bounded goroutine pool (WithWorkers):
-// candidates stripe by flattened (shape, anchor) index and the reduction
-// is an index-ordered argmin, so any worker count returns the identical
-// placement. Every viable candidate is mapped, counted and scored — no
-// running-best gate short-circuits the per-candidate work — which keeps
-// the searchcost counters sums over a fixed candidate set, byte-identical
-// between serial and parallel runs.
+// The rescue scan fans out over one goroutine per runnable CPU
+// (runtime.GOMAXPROCS): candidates stripe by flattened (shape, anchor)
+// index and the reduction is an index-ordered argmin, so any worker count
+// returns the identical placement. It is the only search in the allocation
+// stack that stripes, because it is the only one where the benchmark shows
+// striping winning: each candidate runs a full mapper placement, so a
+// rescue costs enough to amortise the fan-out. Every viable candidate is
+// mapped, counted and scored — no running-best gate short-circuits the
+// per-candidate work — which keeps the searchcost counters sums over a
+// fixed candidate set, byte-identical between serial and parallel runs.
 package remap
 
 import (
 	"runtime"
+	"sync"
 
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/cfgcache"
 	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/mapper"
-	"agingcgra/internal/pscan"
 	"agingcgra/internal/searchcost"
 )
 
 // minParallelCandidates is the smallest (shape × anchor) candidate count
 // worth fanning the rescue scan out over goroutines; each candidate runs a
-// full mapper placement, so the threshold is much lower than the explorer's
-// per-pivot one.
+// full mapper placement, so a few of them already amortise the fan-out.
 const minParallelCandidates = 16
 
 // Remapper is the shape-adaptive allocator. It implements alloc.Allocator
 // (delegating the healthy-path pivot choice to the wear-aware explorer),
 // the controller feedback interfaces, and alloc.ConfigRemapper.
 type Remapper struct {
-	geom    fabric.Geometry
-	lat     fabric.LatencyTable
-	ex      *explore.Explorer
-	minOps  int
-	shapes  []fabric.Geometry
-	workers int
+	geom   fabric.Geometry
+	lat    fabric.LatencyTable
+	ex     *explore.Explorer
+	minOps int
+	shapes []fabric.Geometry
 
 	health *fabric.Health
 	wear   *fabric.Wear
@@ -125,16 +126,6 @@ func WithLadder(l fabric.ShapeLadder) Option {
 // explorer (projection horizon, recompute period, NBTI model).
 func WithExplorerOptions(opts ...explore.Option) Option {
 	return func(m *Remapper) { m.ex = explore.New(m.geom, opts...) }
-}
-
-// WithWorkers bounds the goroutine pool the rescue scan fans its
-// (shape × anchor) candidates out over (default 0: GOMAXPROCS; 1 forces
-// the serial scan). Any worker count yields byte-identical results and
-// searchcost counters: every viable candidate is mapped, counted and
-// scored regardless of evaluation order, and the reduction picks the
-// winner by (consumed desc, score asc, candidate index) in stripe order.
-func WithWorkers(n int) Option {
-	return func(m *Remapper) { m.workers = n }
 }
 
 // New builds a shape-adaptive remapper for the physical geometry.
@@ -323,12 +314,12 @@ type searchStripe struct {
 // score break by shape order then row-major anchor — the flattened
 // candidate index — so the search is deterministic.
 //
-// The scan fans out over a bounded goroutine pool: candidates are
-// partitioned into contiguous stripes, each worker maps, checks and scores
-// its own range against shared read-only state (the trace, the health map
-// and the explorer's projection, synchronised once by Reproject), and the
-// reduction picks the winner by (consumed desc, score asc, index asc) in
-// stripe order. Every viable candidate is mapped, counted and scored —
+// The scan fans out over runtime.GOMAXPROCS goroutines (serially below
+// minParallelCandidates): candidates are partitioned into contiguous
+// stripes, each worker maps, checks and scores its own range against
+// shared read-only state (the trace, the health map and the explorer's
+// projection, synchronised once by Reproject), and the reduction picks the
+// winner by (consumed desc, score asc, index asc) in stripe order. Every viable candidate is mapped, counted and scored —
 // there is no running-best gate short-circuiting the per-candidate work —
 // so the searchcost counters are sums over a fixed candidate set,
 // byte-identical for every worker count including the serial path.
@@ -358,16 +349,12 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 	m.counts.RemapCandidates += uint64(n)
 	trace := Trace(cfg)
 
-	workers := m.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if n < minParallelCandidates {
 		workers = 1
 	}
-	stripes := make([]searchStripe, pscan.Count(n, workers))
-	pscan.Run(n, workers, func(s, lo, hi int) {
-		stripes[s] = m.searchRange(trace, shapes, minOps, lo, hi)
+	stripes := scanStripes(n, workers, func(lo, hi int) searchStripe {
+		return m.searchRange(trace, shapes, minOps, lo, hi)
 	})
 
 	best := searchStripe{idx: -1}
@@ -430,6 +417,43 @@ func (m *Remapper) searchRange(trace []mapper.TraceEntry, shapes []fabric.Geomet
 		}
 	}
 	return sr
+}
+
+// scanStripes partitions [0, n) into min(n, workers) contiguous stripes,
+// ordered and sized as evenly as possible, calls fn(lo, hi) once per
+// stripe and returns the results in stripe order. A single stripe runs
+// synchronously on the caller's goroutine; several run on one goroutine
+// each. Stripe boundaries are a pure function of (n, workers) and every
+// index lands in exactly one stripe, so a caller whose per-index work is
+// independent of evaluation order and that reduces the results in stripe
+// order gets the same outcome for every worker count.
+func scanStripes[T any](n, workers int, fn func(lo, hi int) T) []T {
+	if n <= 0 {
+		return nil
+	}
+	workers = min(max(workers, 1), n)
+	out := make([]T, workers)
+	if workers == 1 {
+		out[0] = fn(0, n)
+		return out
+	}
+	var wg sync.WaitGroup
+	base, rem := n/workers, n%workers
+	lo := 0
+	for s := range out {
+		hi := lo + base
+		if s < rem {
+			hi++
+		}
+		wg.Add(1)
+		go func(s, lo, hi int) {
+			defer wg.Done()
+			out[s] = fn(lo, hi)
+		}(s, lo, hi)
+		lo = hi
+	}
+	wg.Wait()
+	return out
 }
 
 var (

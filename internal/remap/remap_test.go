@@ -2,6 +2,8 @@ package remap
 
 import (
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"agingcgra/internal/alloc"
@@ -546,15 +548,18 @@ func TestReshapeWrapAroundAnchor(t *testing.T) {
 	}
 }
 
-// TestRemapWorkerCountInvariance runs the same rescue search serial and
-// striped over four workers on a clustered-failure fabric with a skewed
-// wear map, and pins that both produce the same placement and — because
-// the counters sum over the fixed viable-candidate set, not the order the
-// running best happened to improve in — byte-identical searchcost Counts.
+// TestRemapWorkerCountInvariance runs the same rescue search serial
+// (GOMAXPROCS=1) and striped over four workers (GOMAXPROCS=4) on a
+// clustered-failure fabric with a skewed wear map, and pins that both
+// produce the same placement and — because the counters sum over the fixed
+// viable-candidate set, not the order the running best happened to improve
+// in — byte-identical searchcost Counts.
 func TestRemapWorkerCountInvariance(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	cfg := mapHealthy(t, independentALUs(8), g)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(workers int) (*fabric.Config, fabric.Offset, bool, searchcost.Counts) {
+		runtime.GOMAXPROCS(workers)
 		// Dead quadrant (row 0, columns 0-7): the healthy shape survives
 		// at some anchors, narrower shapes at more — a real multi-shape,
 		// multi-anchor scan.
@@ -566,7 +571,7 @@ func TestRemapWorkerCountInvariance(t *testing.T) {
 		for c := 0; c < 8; c++ {
 			w.Add(fabric.Cell{Row: 1, Col: c}, 2)
 		}
-		m := New(g, WithWorkers(workers))
+		m := New(g)
 		m.SetHealth(h)
 		m.SetWear(w)
 		mc, off, ok := m.RemapConfig(cfg, fabric.Offset{}, false)
@@ -590,5 +595,61 @@ func TestRemapWorkerCountInvariance(t *testing.T) {
 	}
 	if countsS != countsP {
 		t.Fatalf("searchcost counts diverge:\nserial:   %+v\nparallel: %+v", countsS, countsP)
+	}
+}
+
+// TestScanStripesCoversEveryIndexOnce is the determinism contract's
+// foundation: for any (n, workers), including n < workers and n = 0, the
+// stripes are contiguous, returned in stripe order, at most min(n, workers)
+// of them, and partition [0, n) exactly — every index evaluated once.
+func TestScanStripesCoversEveryIndexOnce(t *testing.T) {
+	type stripe struct{ lo, hi int }
+	for n := 0; n <= 33; n++ {
+		for workers := -1; workers <= 9; workers++ {
+			hits := make([]int32, n)
+			got := scanStripes(n, workers, func(lo, hi int) stripe {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+				return stripe{lo, hi}
+			})
+			want := min(max(workers, 1), n)
+			if len(got) != want {
+				t.Fatalf("n=%d workers=%d: %d stripes, want %d", n, workers, len(got), want)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d evaluated %d times", n, workers, i, h)
+				}
+			}
+			lo := 0
+			for s, st := range got {
+				if st.lo != lo || st.hi <= st.lo {
+					t.Fatalf("n=%d workers=%d: stripe %d is [%d,%d), expected non-empty from %d",
+						n, workers, s, st.lo, st.hi, lo)
+				}
+				lo = st.hi
+			}
+			if lo != n {
+				t.Fatalf("n=%d workers=%d: stripes end at %d", n, workers, lo)
+			}
+		}
+	}
+}
+
+// TestScanStripesSerialPathStaysOnCallerGoroutine pins the single-stripe
+// fast path: with one stripe the callback runs synchronously, so callers
+// may touch caller-local state without synchronization.
+func TestScanStripesSerialPathStaysOnCallerGoroutine(t *testing.T) {
+	calls := 0 // unsynchronized on purpose; -race proves the contract
+	got := scanStripes(100, 1, func(lo, hi int) int {
+		if lo != 0 || hi != 100 {
+			t.Fatalf("serial stripe = [%d, %d)", lo, hi)
+		}
+		calls++
+		return calls
+	})
+	if calls != 1 || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("serial path ran %d times, returned %v", calls, got)
 	}
 }
