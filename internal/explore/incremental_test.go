@@ -68,87 +68,90 @@ func (r *refState) score(cfg *fabric.Config, off fabric.Offset) float64 {
 // are clustered 2x2 blobs.
 func TestIncrementalProjectionMatchesFullRecompute(t *testing.T) {
 	for _, tc := range []struct {
+		name string
 		geom fabric.Geometry
 		blob int // side of the square cluster one hard death kills
 		seed uint32
 	}{
-		{fabric.NewGeometry(4, 8), 1, 0xbeef01},
-		{fabric.NewGeometry(8, 16), 2, 0xfeed02},
+		{"4x8", fabric.NewGeometry(4, 8), 1, 0xbeef01},
+		{"8x16_clustered", fabric.NewGeometry(8, 16), 2, 0xfeed02},
 	} {
-		g := tc.geom
-		cfg := testConfig(g)
-		state := tc.seed
-		for trial := 0; trial < 5; trial++ {
-			h := fabric.NewHealth(g)
-			w := fabric.NewWear(g)
-			e := New(g)
-			e.SetHealth(h)
-			e.SetWear(w)
-			ref := newRefState(g, w)
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.geom
+			cfg := testConfig(g)
+			state := tc.seed
+			for trial := 0; trial < 5; trial++ {
+				h := fabric.NewHealth(g)
+				w := fabric.NewWear(g)
+				e := New(g)
+				e.SetHealth(h)
+				e.SetWear(w)
+				ref := newRefState(g, w)
 
-			for step := 0; step < 300; step++ {
-				cell := fabric.Cell{
-					Row: int(xorshift(&state)) % g.Rows,
-					Col: int(xorshift(&state)) % g.Cols,
-				}
-				switch xorshift(&state) % 8 {
-				case 0, 1, 2, 3: // committed execution at a random pivot
-					off := fabric.Offset{Row: cell.Row, Col: cell.Col}
-					cycles := uint64(xorshift(&state)%500 + 1)
-					e.ObserveStress(cfg.Cells(), off, cycles)
-					ref.observe(cfg.Cells(), off, cycles)
-				case 4: // hard death of a blob x blob cluster
-					for dr := 0; dr < tc.blob; dr++ {
-						for dc := 0; dc < tc.blob; dc++ {
-							h.Kill(fabric.Cell{Row: (cell.Row + dr) % g.Rows, Col: (cell.Col + dc) % g.Cols})
-						}
+				for step := 0; step < 300; step++ {
+					cell := fabric.Cell{
+						Row: int(xorshift(&state)) % g.Rows,
+						Col: int(xorshift(&state)) % g.Cols,
 					}
-				case 5: // probation revive (observed-health flow)
-					if dead := h.DeadCells(); len(dead) > 0 {
-						h.Revive(dead[int(xorshift(&state))%len(dead)])
-					}
-				default: // cross-epoch wear advance
-					w.Add(cell, float64(xorshift(&state)%1000)/4000.0)
-				}
-
-				// Score equality at a random pivot: incremental == recompute.
-				off := fabric.Offset{
-					Row: int(xorshift(&state)) % g.Rows,
-					Col: int(xorshift(&state)) % g.Cols,
-				}
-				got := e.Score(cfg, off)
-				want := ref.score(cfg, off)
-				if math.Abs(got-want) > 1e-15*(1+math.Abs(want)) {
-					t.Fatalf("%v trial %d step %d: incremental score %.18g != recompute %.18g at %v",
-						g, trial, step, got, want, off)
-				}
-
-				if step%25 != 0 {
-					continue
-				}
-				// Argmin optimality under the reference objective: no live
-				// pivot beats the explorer's choice.
-				chosen := e.Explore(cfg)
-				if !h.PlacementOK(cfg.Cells(), chosen) && anyLivePlacement(h, cfg, g) {
-					t.Fatalf("%v trial %d step %d: Explore chose dead placement %v with live pivots available",
-						g, trial, step, chosen)
-				}
-				if h.PlacementOK(cfg.Cells(), chosen) {
-					chosenScore := ref.score(cfg, chosen)
-					for r := 0; r < g.Rows; r++ {
-						for c := 0; c < g.Cols; c++ {
-							off := fabric.Offset{Row: r, Col: c}
-							if !h.PlacementOK(cfg.Cells(), off) {
-								continue
+					switch xorshift(&state) % 8 {
+					case 0, 1, 2, 3: // committed execution at a random pivot
+						off := fabric.Offset{Row: cell.Row, Col: cell.Col}
+						cycles := uint64(xorshift(&state)%500 + 1)
+						e.ObserveStress(cfg.Cells(), off, cycles)
+						ref.observe(cfg.Cells(), off, cycles)
+					case 4: // hard death of a blob x blob cluster
+						for dr := 0; dr < tc.blob; dr++ {
+							for dc := 0; dc < tc.blob; dc++ {
+								h.Kill(fabric.Cell{Row: (cell.Row + dr) % g.Rows, Col: (cell.Col + dc) % g.Cols})
 							}
-							if s := ref.score(cfg, off); s < chosenScore-1e-15*(1+chosenScore) {
-								t.Fatalf("%v trial %d step %d: pivot %v scores %.18g, beats chosen %v at %.18g",
-									g, trial, step, off, s, chosen, chosenScore)
+						}
+					case 5: // probation revive (observed-health flow)
+						if dead := h.DeadCells(); len(dead) > 0 {
+							h.Revive(dead[int(xorshift(&state))%len(dead)])
+						}
+					default: // cross-epoch wear advance
+						w.Add(cell, float64(xorshift(&state)%1000)/4000.0)
+					}
+
+					// Score equality at a random pivot: incremental == recompute.
+					off := fabric.Offset{
+						Row: int(xorshift(&state)) % g.Rows,
+						Col: int(xorshift(&state)) % g.Cols,
+					}
+					got := e.Score(cfg, off)
+					want := ref.score(cfg, off)
+					if math.Abs(got-want) > 1e-15*(1+math.Abs(want)) {
+						t.Fatalf("%v trial %d step %d: incremental score %.18g != recompute %.18g at %v",
+							g, trial, step, got, want, off)
+					}
+
+					if step%25 != 0 {
+						continue
+					}
+					// Argmin optimality under the reference objective: no live
+					// pivot beats the explorer's choice.
+					chosen := e.Explore(cfg)
+					if !h.PlacementOK(cfg.Cells(), chosen) && anyLivePlacement(h, cfg, g) {
+						t.Fatalf("%v trial %d step %d: Explore chose dead placement %v with live pivots available",
+							g, trial, step, chosen)
+					}
+					if h.PlacementOK(cfg.Cells(), chosen) {
+						chosenScore := ref.score(cfg, chosen)
+						for r := 0; r < g.Rows; r++ {
+							for c := 0; c < g.Cols; c++ {
+								off := fabric.Offset{Row: r, Col: c}
+								if !h.PlacementOK(cfg.Cells(), off) {
+									continue
+								}
+								if s := ref.score(cfg, off); s < chosenScore-1e-15*(1+chosenScore) {
+									t.Fatalf("%v trial %d step %d: pivot %v scores %.18g, beats chosen %v at %.18g",
+										g, trial, step, off, s, chosen, chosenScore)
+								}
 							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 }

@@ -598,6 +598,29 @@ func TestRemapWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestScanStripesCount pins how many stripes a scan fans out to: never more
+// than the items, one for a non-positive worker count, none for an empty or
+// negative range.
+func TestScanStripesCount(t *testing.T) {
+	cases := []struct{ n, workers, want int }{
+		{0, 4, 0},
+		{-3, 4, 0},
+		{10, 0, 1},
+		{10, -1, 1},
+		{10, 1, 1},
+		{10, 4, 4},
+		{3, 8, 3}, // never more stripes than items
+		{1, 8, 1}, // single item is the serial path
+		{10, 10, 10},
+	}
+	for _, c := range cases {
+		got := scanStripes(c.n, c.workers, func(lo, hi int) int { return hi - lo })
+		if len(got) != c.want {
+			t.Errorf("scanStripes(%d, %d) made %d stripes, want %d", c.n, c.workers, len(got), c.want)
+		}
+	}
+}
+
 // TestScanStripesCoversEveryIndexOnce is the determinism contract's
 // foundation: for any (n, workers), including n < workers and n = 0, the
 // stripes are contiguous, returned in stripe order, at most min(n, workers)
