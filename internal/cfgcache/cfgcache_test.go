@@ -11,7 +11,7 @@ func cfg(pc uint32) *fabric.Config {
 }
 
 func TestLookupMissAndHit(t *testing.T) {
-	c := New(4, LRU)
+	c := New(4)
 	if _, ok := c.Lookup(0x1000); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -30,7 +30,7 @@ func TestLookupMissAndHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	c.Insert(cfg(0x1))
 	c.Insert(cfg(0x2))
 	c.Lookup(0x1) // make 0x1 most recent
@@ -46,22 +46,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFIFOEviction(t *testing.T) {
-	c := New(2, FIFO)
-	c.Insert(cfg(0x1))
-	c.Insert(cfg(0x2))
-	c.Lookup(0x1) // FIFO ignores recency
-	c.Insert(cfg(0x3))
-	if c.Contains(0x1) {
-		t.Error("0x1 should have been evicted (FIFO)")
-	}
-	if !c.Contains(0x2) || !c.Contains(0x3) {
-		t.Error("0x2 and 0x3 should be resident")
-	}
-}
-
 func TestReplaceExisting(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	c.Insert(cfg(0x1))
 	newer := cfg(0x1)
 	newer.UsedCols = 5
@@ -79,7 +65,7 @@ func TestReplaceExisting(t *testing.T) {
 }
 
 func TestRemoveAndClear(t *testing.T) {
-	c := New(4, LRU)
+	c := New(4)
 	c.Insert(cfg(0x1))
 	c.Insert(cfg(0x2))
 	c.Remove(0x1)
@@ -99,7 +85,7 @@ func TestRemoveAndClear(t *testing.T) {
 }
 
 func TestConfigsOrder(t *testing.T) {
-	c := New(4, LRU)
+	c := New(4)
 	c.Insert(cfg(0x1))
 	c.Insert(cfg(0x2))
 	c.Insert(cfg(0x3))
@@ -117,7 +103,7 @@ func TestConfigsOrder(t *testing.T) {
 }
 
 func TestCapacityFloor(t *testing.T) {
-	c := New(0, LRU)
+	c := New(0)
 	if c.Capacity() != 1 {
 		t.Errorf("capacity = %d, want 1", c.Capacity())
 	}
@@ -129,7 +115,7 @@ func TestCapacityFloor(t *testing.T) {
 }
 
 func TestNilInsert(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	c.Insert(nil)
 	if c.Len() != 0 {
 		t.Error("nil insert should be ignored")
@@ -137,7 +123,7 @@ func TestNilInsert(t *testing.T) {
 }
 
 func TestManyInsertionsStayBounded(t *testing.T) {
-	c := New(8, LRU)
+	c := New(8)
 	for pc := uint32(0); pc < 1000; pc += 4 {
 		c.Insert(cfg(pc))
 		if c.Len() > 8 {
@@ -152,15 +138,6 @@ func TestManyInsertionsStayBounded(t *testing.T) {
 		if !c.Contains(pc) {
 			t.Errorf("recent pc %#x missing", pc)
 		}
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "lru" || FIFO.String() != "fifo" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Error("unknown policy should format")
 	}
 }
 
@@ -179,7 +156,7 @@ func denseCacheEqual(t *testing.T, c *Cache, base uint32, n int) {
 
 func TestDenseTableTracksMutations(t *testing.T) {
 	const base, window = 0x1000, 64
-	c := New(4, LRU)
+	c := New(4)
 	c.Insert(cfg(base))         // resident before the table exists
 	c.EnableDense(base, window) // must index existing entries
 	denseCacheEqual(t, c, base, window)
@@ -221,8 +198,8 @@ func TestDenseTableTracksMutations(t *testing.T) {
 
 func TestDenseLookupKeepsStatsAndRecency(t *testing.T) {
 	const base = 0x1000
-	plain := New(2, LRU)
-	dense := New(2, LRU)
+	plain := New(2)
+	dense := New(2)
 	dense.EnableDense(base, 32)
 	ops := func(c *Cache) Stats {
 		c.Insert(cfg(base))
@@ -291,7 +268,7 @@ func TestRemapCacheVersionedFlush(t *testing.T) {
 // keeps every entry, and any version move flushes wholesale — dense table
 // included — and counts a flush.
 func TestSyncStateFlushesOnVersionMove(t *testing.T) {
-	c := New(8, LRU)
+	c := New(8)
 	c.EnableDense(0x1000, 16)
 	if c.SyncState(1, 0) {
 		t.Error("first SyncState flushed; it should only record the state")

@@ -27,13 +27,27 @@ import (
 	"agingcgra/internal/searchcost"
 )
 
+// Fixed parameters of the modelled TransRec hardware. Column latencies
+// come from fabric.DefaultLatencies and the smallest profitable
+// configuration is mapper.MinOps.
+const (
+	// maxTraceLen caps captured trace length: the DBT's translation
+	// window, a property of the hardware translator (its reorder-buffer
+	// depth), independent of the fabric size. Traces also terminate at
+	// backward-taken branches (superblock formation), so loop bodies
+	// become whole configurations re-executed per iteration.
+	maxTraceLen = 32
+	// offloadOverhead is the per-offload cycle cost of moving the input
+	// context in and results out (the unit is tightly coupled to the GPP
+	// register file). Configuration broadcast overlaps with it; only the
+	// excess reconfiguration time is charged.
+	offloadOverhead uint64 = 2
+)
+
 // Options configures an engine instance.
 type Options struct {
 	// Geom is the CGRA fabric geometry.
 	Geom fabric.Geometry
-	// Lat is the per-class column latency table; zero value selects
-	// fabric.DefaultLatencies.
-	Lat fabric.LatencyTable
 	// Timing is the GPP cycle model; zero value selects gpp.DefaultTiming.
 	Timing gpp.Timing
 	// Allocator decides configuration placement; nil selects the baseline.
@@ -41,25 +55,6 @@ type Options struct {
 	// CacheCapacity is the configuration cache size in entries
 	// (default 128).
 	CacheCapacity int
-	// CachePolicy is the replacement policy (default LRU).
-	CachePolicy cfgcache.Policy
-	// MinOps is the smallest profitable configuration (default 4).
-	MinOps int
-	// MaxTraceLen caps captured trace length (default 32): the DBT's
-	// translation window, a property of the hardware translator (its
-	// reorder-buffer depth), independent of the fabric size. Traces also
-	// terminate at backward-taken branches (superblock formation), so loop
-	// bodies become whole configurations re-executed per iteration.
-	MaxTraceLen int
-	// OffloadOverhead is the per-offload cycle cost of moving the input
-	// context in and results out (default 2; the unit is tightly coupled
-	// to the GPP register file). Configuration broadcast overlaps with it;
-	// only the excess reconfiguration time is charged.
-	OffloadOverhead uint64
-	// NoProfitGate disables the DBT's profitability filter. By default a
-	// translated configuration is only cached when its projected CGRA time
-	// beats its projected GPP time.
-	NoProfitGate bool
 	// ExposeReconfig disables the wavefront overlap of configuration
 	// broadcast and execution: an ablation that charges the excess of
 	// ReconfigCycles over the offload overhead whenever the resident
@@ -72,16 +67,11 @@ type Options struct {
 	// stress on one fabric, as a deployed chip would; the Allocator option
 	// is ignored in that case.
 	Controller *core.Controller
-	// DisabledCells marks failed FUs the DBT must map around (the
-	// graceful-degradation extension). Existing cached configurations are
-	// not retrofitted; pair with a fresh engine to model a post-failure
-	// restart.
-	DisabledCells []fabric.Cell
-	// Health is the first-class form of DisabledCells: a mutable fabric
-	// health map shared between the mapper (which places new translations
-	// only on live cells) and the aging-mitigation controller (which skips
-	// pivot offsets that would rotate a configuration onto a dead FU). When
-	// both Health and DisabledCells are set, Health wins.
+	// Health marks failed FUs the DBT must map around (the
+	// graceful-degradation extension): a mutable fabric health map shared
+	// between the mapper (which places new translations only on live
+	// cells) and the aging-mitigation controller (which skips pivot offsets
+	// that would rotate a configuration onto a dead FU).
 	Health *fabric.Health
 	// StaleTranslations models a DBT whose translation memory predates the
 	// failures: new translations are mapped for the pristine fabric (no
@@ -135,9 +125,6 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() {
-	if o.Lat == (fabric.LatencyTable{}) {
-		o.Lat = fabric.DefaultLatencies()
-	}
 	if o.Timing == (gpp.Timing{}) {
 		o.Timing = gpp.DefaultTiming()
 	}
@@ -146,15 +133,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 128
-	}
-	if o.MinOps == 0 {
-		o.MinOps = 4
-	}
-	if o.MaxTraceLen == 0 {
-		o.MaxTraceLen = 32
-	}
-	if o.OffloadOverhead == 0 {
-		o.OffloadOverhead = 2
 	}
 }
 
@@ -245,7 +223,6 @@ type Engine struct {
 	opts     Options
 	cache    *cfgcache.Cache
 	ctrl     *core.Controller
-	health   *fabric.Health
 	disabled func(fabric.Cell) bool
 
 	// shapes is the materialised translation-time shape ladder (nil when
@@ -314,9 +291,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err := opts.Geom.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opts.Lat.Validate(); err != nil {
-		return nil, err
-	}
 	ctrl := opts.Controller
 	if ctrl == nil {
 		var err error
@@ -328,24 +302,15 @@ func NewEngine(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("dbt: shared controller geometry %v does not match engine geometry %v",
 			ctrl.Tracker().Geometry(), opts.Geom)
 	}
-	health := opts.Health
-	if health == nil && len(opts.DisabledCells) > 0 {
-		h, err := fabric.NewHealthWithDead(opts.Geom, opts.DisabledCells)
-		if err != nil {
-			return nil, fmt.Errorf("dbt: %w", err)
-		}
-		health = h
-	}
 	if opts.ShapeTranslations && opts.StaleTranslations {
 		return nil, fmt.Errorf("dbt: ShapeTranslations and StaleTranslations are mutually exclusive: " +
 			"shape-aware translation keys the translation memory on the fabric state, stale translation predates it")
 	}
 	e := &Engine{
-		opts:   opts,
-		cache:  cfgcache.New(opts.CacheCapacity, opts.CachePolicy),
-		ctrl:   ctrl,
-		health: health,
-		trace:  make([]mapper.TraceEntry, 0, opts.MaxTraceLen),
+		opts:  opts,
+		cache: cfgcache.New(opts.CacheCapacity),
+		ctrl:  ctrl,
+		trace: make([]mapper.TraceEntry, 0, maxTraceLen),
 	}
 	if opts.ShapeTranslations {
 		ladder := opts.Ladder
@@ -361,7 +326,7 @@ func NewEngine(opts Options) (*Engine, error) {
 				ladder.Name, opts.Geom)
 		}
 	}
-	if health != nil {
+	if health := opts.Health; health != nil {
 		// StaleTranslations withholds the mask from the mapper: new
 		// translations assume a pristine fabric, so clustered failures can
 		// make them unplaceable — the case the remap layer rescues.
@@ -522,7 +487,7 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 	}
 
 	execCycles := mapped.ExecCyclesFirst(n)
-	overhead := e.opts.OffloadOverhead
+	overhead := offloadOverhead
 	var reconfig uint64
 	if !e.hasResident || e.residentPC != mapped.StartPC || e.residentOff != off {
 		// Configuration broadcast (Fig. 5a) proceeds as a wavefront ahead
@@ -635,8 +600,8 @@ func (e *Engine) gppCyclesFirst(cfg *fabric.Config, n int) uint64 {
 // stateVersions snapshots the (health, wear) versions the shape decisions
 // key on; an unattached map reads as version zero.
 func (e *Engine) stateVersions() (healthVer, wearVer uint64) {
-	if e.health != nil {
-		healthVer = e.health.Version()
+	if h := e.opts.Health; h != nil {
+		healthVer = h.Version()
 	}
 	if w := e.ctrl.Wear(); w != nil {
 		wearVer = w.Version()
@@ -652,10 +617,10 @@ func (e *Engine) stateVersions() (healthVer, wearVer uint64) {
 // tied on consumed ops and ExecCycles, the two values a refusal reads.
 func (e *Engine) syncMemos() {
 	var v uint64
-	if e.health != nil {
-		v = e.health.Version()
+	if e.opts.Health != nil {
+		v = e.opts.Health.Version()
 	}
-	if h := e.ctrl.Health(); h != nil && h != e.health {
+	if h := e.ctrl.Health(); h != nil && h != e.opts.Health {
 		v += h.Version()
 	}
 	if v != e.memoVer {
@@ -694,7 +659,7 @@ func (e *Engine) observe(r gpp.Retire) {
 	terminator := r.Inst.Op == isa.JALR ||
 		r.Inst.Op == isa.ECALL ||
 		backEdge ||
-		len(e.trace) >= e.opts.MaxTraceLen ||
+		len(e.trace) >= maxTraceLen ||
 		e.cache.Contains(r.NextPC)
 	if terminator {
 		e.finalizeTrace()
@@ -713,7 +678,7 @@ func (e *Engine) observe(r gpp.Retire) {
 // search counts and the Report is the one a re-mapping engine produces.
 func (e *Engine) finalizeTrace() {
 	defer func() { e.trace = e.trace[:0] }()
-	if len(e.trace) < e.opts.MinOps {
+	if len(e.trace) < mapper.MinOps {
 		return
 	}
 	if e.shapes != nil {
@@ -755,11 +720,11 @@ func (e *Engine) finalizeTrace() {
 	} else {
 		cfg, consumed = mapper.Map(e.trace, mapper.Options{
 			Geom:     e.opts.Geom,
-			Lat:      e.opts.Lat,
+			Lat:      fabric.DefaultLatencies(),
 			Disabled: e.disabled,
 		})
 	}
-	if cfg == nil || consumed < e.opts.MinOps || (!e.opts.NoProfitGate && !e.profitable(cfg)) {
+	if cfg == nil || consumed < mapper.MinOps || !e.profitable(cfg) {
 		if e.refused == nil {
 			e.refused = make(map[string]uint64)
 		}
@@ -798,7 +763,7 @@ func (e *Engine) translateShapes() (*fabric.Config, int) {
 	for _, shape := range e.shapes {
 		cfg, consumed := mapper.Map(e.trace, mapper.Options{
 			Geom:     shape,
-			Lat:      e.opts.Lat,
+			Lat:      fabric.DefaultLatencies(),
 			Disabled: e.disabled,
 			Probes:   &e.search.LadderProbes,
 		})
@@ -829,7 +794,7 @@ func (e *Engine) profitable(cfg *fabric.Config) bool {
 	for _, op := range cfg.Ops {
 		gppCycles += e.opts.Timing.CyclesFor(op.Inst, op.Taken)
 	}
-	cgraCycles := e.opts.OffloadOverhead + cfg.ExecCycles()
+	cgraCycles := offloadOverhead + cfg.ExecCycles()
 	return cgraCycles < gppCycles
 }
 

