@@ -21,8 +21,8 @@ type HealthAware struct {
 	// health, when set, excludes placements touching dead cells from the
 	// pivot search; a health change forces an immediate recompute (the
 	// held pivot may have gone stale).
-	health    *fabric.Health
-	healthVer uint64
+	health *fabric.Health
+	key    fabric.StateKey
 }
 
 // HealthSetter is implemented by allocators that adapt to fabric failures;
@@ -85,18 +85,14 @@ func (h *HealthAware) Name() string {
 // SetHealth implements HealthSetter.
 func (h *HealthAware) SetHealth(hm *fabric.Health) {
 	h.health = hm
-	if hm != nil {
-		h.healthVer = hm.Version()
-	}
+	h.key = fabric.KeyOf(hm, nil, nil)
 }
 
 // Next implements Allocator.
 func (h *HealthAware) Next(cfg *fabric.Config) fabric.Offset {
-	stale := h.health != nil && h.healthVer != h.health.Version()
-	if (h.count%h.recomputeEvery == 0 || stale) && cfg != nil {
-		if stale {
-			h.healthVer = h.health.Version()
-		}
+	key := fabric.KeyOf(h.health, nil, nil)
+	if (h.count%h.recomputeEvery == 0 || key != h.key) && cfg != nil {
+		h.key = key
 		h.current = h.bestOffset(cfg)
 	}
 	h.count++

@@ -10,11 +10,9 @@
 //     load, and the map remains the fallback for out-of-window PCs.
 //   - State keying: a cached artifact is a decision taken under one
 //     fabric state. Cache.SyncState flushes translations wholesale when
-//     the observed (health, wear) versions move (the shape-translating
-//     DBT's contract), and RemapCache keys rescue-search outcomes —
-//     positive and negative — on (StartPC, Health.Version, Wear.Version).
-//     Neither structure ever serves an entry recorded under a different
-//     version than the caller currently observes.
+//     the observed fabric.StateKey moves (the shape-translating DBT's
+//     contract), so the cache never serves an entry recorded under a
+//     different state than the caller currently observes.
 package cfgcache
 
 import "agingcgra/internal/fabric"
@@ -26,7 +24,7 @@ type Stats struct {
 	Insertions uint64
 	Evictions  uint64
 	// Flushes counts wholesale state invalidations (SyncState observing a
-	// moved health/wear version under shape-aware translation).
+	// moved fabric-state key under shape-aware translation).
 	Flushes uint64
 }
 
@@ -63,12 +61,10 @@ type Cache struct {
 	dense     []*entry
 	denseBase uint32
 
-	// State keying for shape-aware translation (SyncState): the (health,
-	// wear) versions the resident translations' shape decisions were taken
-	// under, mirroring RemapCache's wholesale-flush contract.
-	stateHealth uint64
-	stateWear   uint64
-	stateValid  bool
+	// State keying for shape-aware translation (SyncState): the fabric
+	// state the resident translations' shape decisions were taken under.
+	state      fabric.StateKey
+	stateValid bool
 }
 
 // New builds an LRU cache holding at most capacity configurations.
@@ -83,21 +79,20 @@ func New(capacity int) *Cache {
 }
 
 // SyncState keys the resident translations on the fabric state their shape
-// decisions were taken under, mirroring cfgcache.RemapCache: when the
-// observed (health version, wear version) pair moves past the recorded
+// decisions were taken under: when the observed key moves off the recorded
 // one, every resident translation's shape was chosen for a fabric that no
 // longer exists — a death changes which shapes place, a wear advance
 // changes which shape the wear tie-break prefers — so the cache flushes
-// wholesale (versions only grow; every entry is stale) and reports it, and
-// the engine lets the trace builder re-translate against the new state.
-// The first call only records the state. Engines translating
-// shape-unaware never call this and keep the plain PC-keyed behaviour.
-func (c *Cache) SyncState(healthVer, wearVer uint64) (flushed bool) {
-	if c.stateValid && c.stateHealth == healthVer && c.stateWear == wearVer {
+// wholesale and reports it, and the engine lets the trace builder
+// re-translate against the new state. The first call only records the
+// state. Engines translating shape-unaware never call this and keep the
+// plain PC-keyed behaviour.
+func (c *Cache) SyncState(key fabric.StateKey) (flushed bool) {
+	if c.stateValid && c.state == key {
 		return false
 	}
 	moved := c.stateValid
-	c.stateHealth, c.stateWear, c.stateValid = healthVer, wearVer, true
+	c.state, c.stateValid = key, true
 	if moved && len(c.entries) > 0 {
 		c.Clear()
 		c.stats.Flushes++

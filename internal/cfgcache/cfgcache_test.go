@@ -219,70 +219,32 @@ func TestDenseLookupKeepsStatsAndRecency(t *testing.T) {
 	}
 }
 
-// TestRemapCacheVersionedFlush pins the shape-cache contract: entries are
-// reused while the (health, wear) versions stand still, any version change
-// flushes the whole cache (every entry was searched under the old fabric
-// state), and negative outcomes are memoized like positive ones.
-func TestRemapCacheVersionedFlush(t *testing.T) {
-	rc := NewRemapCache()
-	if _, ok := rc.Lookup(0x1000, 1, 1); ok {
-		t.Fatal("empty cache reported a hit")
-	}
-	rc.Insert(0x1000, 1, 1, RemapEntry{Cfg: cfg(0x1000), Off: fabric.Offset{Row: 1}, OK: true})
-	rc.Insert(0x2000, 1, 1, RemapEntry{OK: false}) // negative result
-	if e, ok := rc.Lookup(0x1000, 1, 1); !ok || !e.OK || e.Off.Row != 1 {
-		t.Fatalf("positive entry lost: %+v ok=%v", e, ok)
-	}
-	if e, ok := rc.Lookup(0x2000, 1, 1); !ok || e.OK {
-		t.Fatalf("negative entry lost: %+v ok=%v", e, ok)
-	}
-	if rc.Len() != 2 {
-		t.Fatalf("len = %d, want 2", rc.Len())
-	}
-
-	// Health version moves: both entries are stale.
-	if _, ok := rc.Lookup(0x1000, 2, 1); ok {
-		t.Fatal("stale entry survived a health version change")
-	}
-	if rc.Len() != 0 {
-		t.Fatalf("len after flush = %d, want 0", rc.Len())
-	}
-	rc.Insert(0x1000, 2, 1, RemapEntry{OK: true})
-
-	// Wear version moves: flushed again.
-	if _, ok := rc.Lookup(0x1000, 2, 2); ok {
-		t.Fatal("stale entry survived a wear version change")
-	}
-	st := rc.Stats()
-	if st.Flushes != 2 {
-		t.Errorf("flushes = %d, want 2", st.Flushes)
-	}
-	if st.Hits != 2 || st.Misses != 3 {
-		t.Errorf("hits/misses = %d/%d, want 2/3", st.Hits, st.Misses)
-	}
-}
-
 // TestSyncStateFlushesOnVersionMove pins the translation-cache state
-// keying behind shape-aware translation, mirroring RemapCache: the first
-// SyncState only records the (health, wear) versions, an unchanged state
-// keeps every entry, and any version move flushes wholesale — dense table
-// included — and counts a flush.
+// keying behind shape-aware translation: the first SyncState only records
+// the fabric-state key, an unchanged state keeps every entry, and any
+// health or wear move flushes wholesale — dense table included — and
+// counts a flush.
 func TestSyncStateFlushesOnVersionMove(t *testing.T) {
+	g := fabric.NewGeometry(2, 4)
+	h, w := fabric.NewHealth(g), fabric.NewWear(g)
+	key := func() fabric.StateKey { return fabric.KeyOf(h, w, nil) }
 	c := New(8)
 	c.EnableDense(0x1000, 16)
-	if c.SyncState(1, 0) {
+	h.Kill(fabric.Cell{Row: 0, Col: 0})
+	if c.SyncState(key()) {
 		t.Error("first SyncState flushed; it should only record the state")
 	}
 	c.Insert(cfg(0x1000))
 	c.Insert(cfg(0x1008))
-	if c.SyncState(1, 0) {
+	if c.SyncState(key()) {
 		t.Error("unchanged state flushed")
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
 
-	if !c.SyncState(2, 0) {
+	h.Kill(fabric.Cell{Row: 1, Col: 2})
+	if !c.SyncState(key()) {
 		t.Error("health version move did not flush")
 	}
 	if c.Len() != 0 {
@@ -293,7 +255,8 @@ func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 	}
 
 	c.Insert(cfg(0x1000))
-	if !c.SyncState(2, 7) {
+	w.Add(fabric.Cell{Row: 0, Col: 1}, 0.5)
+	if !c.SyncState(key()) {
 		t.Error("wear version move did not flush")
 	}
 	if got := c.Stats().Flushes; got != 2 {
@@ -301,7 +264,8 @@ func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 	}
 
 	// An empty cache observing a move records it without counting a flush.
-	if c.SyncState(3, 7) {
+	h.Kill(fabric.Cell{Row: 1, Col: 3})
+	if c.SyncState(key()) {
 		t.Error("empty cache reported a flush")
 	}
 }

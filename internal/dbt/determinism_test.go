@@ -31,7 +31,7 @@ type naiveEngine struct {
 	// so it is modelled behaviour, not a simulator shortcut.
 	health         *fabric.Health
 	unplaceable    map[uint32]bool
-	unplaceableVer uint64
+	unplaceableKey fabric.StateKey
 
 	trace []mapper.TraceEntry
 
@@ -109,8 +109,8 @@ func (e *naiveEngine) stepGPP(c *gpp.Core) (gpp.Retire, error) {
 }
 
 func (e *naiveEngine) offload(c *gpp.Core, cfg *fabric.Config) error {
-	if e.health != nil && e.unplaceableVer != e.health.Version() {
-		e.unplaceable, e.unplaceableVer = nil, e.health.Version()
+	if k := fabric.KeyOf(e.health, nil, nil); k != e.unplaceableKey {
+		e.unplaceable, e.unplaceableKey = nil, k
 	}
 	off, ok := fabric.Offset{}, !e.unplaceable[cfg.StartPC]
 	if ok {

@@ -100,10 +100,10 @@ type Options struct {
 	// cells it would occupy — fresh translations are born shape- and
 	// health-aware instead of relying on the allocation-time remap rescue.
 	// Because the chosen shape is a decision taken under one fabric state,
-	// the translation cache is then keyed on the (health, wear) versions
-	// (cfgcache.Cache.SyncState, mirroring RemapCache): any version move
-	// flushes the translations wholesale and the trace builder re-captures
-	// against the new state. Mutually exclusive with StaleTranslations —
+	// the translation cache is then keyed on the health and wear maps'
+	// fabric.StateKey (cfgcache.Cache.SyncState): any move flushes the
+	// translations wholesale and the trace builder re-captures against the
+	// new state. Mutually exclusive with StaleTranslations —
 	// shape-aware translation is precisely the regime where the DBT's
 	// translation memory follows the fabric state instead of predating it.
 	ShapeTranslations bool
@@ -236,7 +236,7 @@ type Engine struct {
 	search       searchcost.Counts
 	stateFlushed bool
 
-	// Health-keyed memos, both dropped whenever memoVer moves (syncMemos).
+	// Health-keyed memos, both dropped whenever memoKey moves (syncMemos).
 	// unplaceable holds configurations the controller found no live
 	// placement for, keyed by StartPC. refused holds captured traces the
 	// translator rejected — nothing mapped, too few ops consumed, or
@@ -245,7 +245,7 @@ type Engine struct {
 	unplaceable map[uint32]bool
 	refused     map[string]uint64
 	refusedKey  []byte
-	memoVer     uint64
+	memoKey     [2]fabric.StateKey
 
 	// Trace capture state.
 	trace []mapper.TraceEntry
@@ -432,14 +432,14 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 	}
 	if e.opts.ShapeTranslations {
 		// The resident translations' shapes were decided under one
-		// (health, wear) state; if either version moved, every decision is
-		// stale — flush wholesale (mirroring RemapCache) and retire this
-		// instruction on the GPP with the trace builder engaged, so the
-		// region re-translates against the new state. finalizeTrace may
+		// (health, wear) state; if either map moved, every decision is
+		// stale — flush wholesale and retire this instruction on the GPP
+		// with the trace builder engaged, so the region re-translates
+		// against the new state. finalizeTrace may
 		// already have consumed the flush between this offload's cache hit
 		// and this check (stateFlushed): the looked-up configuration is
 		// stale all the same.
-		if e.cache.SyncState(e.stateVersions()) || e.stateFlushed {
+		if e.cache.SyncState(fabric.KeyOf(e.opts.Health, e.ctrl.Wear(), nil)) || e.stateFlushed {
 			e.stateFlushed = false
 			r, err := e.stepOnGPP(c)
 			if err != nil {
@@ -597,36 +597,23 @@ func (e *Engine) gppCyclesFirst(cfg *fabric.Config, n int) uint64 {
 	return cycles
 }
 
-// stateVersions snapshots the (health, wear) versions the shape decisions
-// key on; an unattached map reads as version zero.
-func (e *Engine) stateVersions() (healthVer, wearVer uint64) {
-	if h := e.opts.Health; h != nil {
-		healthVer = h.Version()
-	}
-	if w := e.ctrl.Wear(); w != nil {
-		wearVer = w.Version()
-	}
-	return healthVer, wearVer
-}
-
 // syncMemos drops the unplaceable and refused memos when the health they
 // were decided under moved: the mapper's mask or the controller's placement
 // map (one map wherever the controller is engine-owned or attached by the
-// lifetime simulator; versions only grow, so their sum moves with either).
-// Wear is deliberately not observed: it only orders ladder rungs already
-// tied on consumed ops and ExecCycles, the two values a refusal reads.
+// lifetime simulator, so the second key is then zero). Wear is deliberately
+// not observed: it only orders ladder rungs already tied on consumed ops
+// and ExecCycles, the two values a refusal reads.
 func (e *Engine) syncMemos() {
-	var v uint64
-	if e.opts.Health != nil {
-		v = e.opts.Health.Version()
+	key := [2]fabric.StateKey{fabric.KeyOf(e.opts.Health, nil, nil)}
+	if h := e.ctrl.Health(); h != e.opts.Health {
+		key[1] = fabric.KeyOf(h, nil, nil)
 	}
-	if h := e.ctrl.Health(); h != nil && h != e.opts.Health {
-		v += h.Version()
-	}
-	if v != e.memoVer {
+	// Compared per element: the compiler turns a whole-array compare into
+	// a runtime.memequal call, and this runs on every offload.
+	if key[0] != e.memoKey[0] || key[1] != e.memoKey[1] {
 		clear(e.unplaceable)
 		clear(e.refused)
-		e.memoVer = v
+		e.memoKey = key
 	}
 }
 
@@ -683,13 +670,13 @@ func (e *Engine) finalizeTrace() {
 	}
 	if e.shapes != nil {
 		// Key the insert on the state the shape decision is about to be
-		// taken under: if the versions moved since the resident entries
+		// taken under: if the state moved since the resident entries
 		// were decided, they are stale and flush here — otherwise this
 		// fresh translation would be recorded under the old state and
 		// wrongly flushed (wasting its ladder scan) at its own first
 		// offload. A configuration looked up before this flush is still
 		// stale; remember the flush so the offload path rejects it.
-		if e.cache.SyncState(e.stateVersions()) {
+		if e.cache.SyncState(fabric.KeyOf(e.opts.Health, e.ctrl.Wear(), nil)) {
 			e.stateFlushed = true
 		}
 	}

@@ -113,9 +113,9 @@ func TestShapeTranslationsFlowAroundDeadColumns(t *testing.T) {
 
 // TestShapeTranslationsRetranslateOnStateChange pins the translation-cache
 // keying: the resident translations' shape decisions are valid for exactly
-// one (health version, wear version) pair — a death or a wear advance
-// flushes them wholesale (cfgcache.Cache.SyncState, mirroring RemapCache)
-// and the re-captured traces translate against the new state.
+// one fabric.StateKey of the health and wear maps — a death or a wear
+// advance flushes them wholesale (cfgcache.Cache.SyncState) and the
+// re-captured traces translate against the new state.
 func TestShapeTranslationsRetranslateOnStateChange(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	h := fabric.NewHealth(g)

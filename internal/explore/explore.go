@@ -118,8 +118,8 @@ type Explorer struct {
 	// It is refreshed only when the wear version moves (or the map is
 	// swapped), never per scan.
 	wearY    []float64
-	wearSeen uint64
-	wearOld  bool // snapshot must resync regardless of version equality
+	wearSeen fabric.StateKey
+	wearOld  bool // snapshot must resync regardless of key equality
 	// yProj is the per-scan projection table: yProj[i] = wearY[i] +
 	// stress[i]·k, materialised once per Explore (the modeled hardware's
 	// projection refresh, PivotProjections += NumFUs) so the pivot loop
@@ -133,7 +133,7 @@ type Explorer struct {
 	count uint64
 	// pivots holds the per-configuration exploration state: the held
 	// pivot, the commit count at which it expires, and the fabric-state
-	// versions it was explored under. The key is the configuration object
+	// key it was explored under. The key is the configuration object
 	// itself, not its StartPC: one allocator serves every benchmark of a
 	// lifetime mix and the programs share a text base, so distinct
 	// kernels can collide on a PC while their footprints (and therefore
@@ -154,12 +154,11 @@ type pivotState struct {
 	off fabric.Offset
 	// nextAt is the committed-execution count at which the pivot expires.
 	nextAt uint64
-	// healthVer/wearVer are the fabric-state versions the pivot was
-	// explored under; either moving marks it stale.
-	healthVer uint64
-	wearVer   uint64
+	// key is the fabric state the pivot was explored under; its moving
+	// marks the pivot stale.
+	key fabric.StateKey
 	// noLive records that the exploration found no live placement for this
-	// footprint at healthVer: further proposals skip the (futile) rescan
+	// footprint under key: further proposals skip the (futile) rescan
 	// until the health state changes, so an unplaceable configuration
 	// costs one exploration per fabric state instead of one per proposal.
 	noLive bool
@@ -227,7 +226,7 @@ func (e *Explorer) SetHealth(h *fabric.Health) { e.health = h }
 // SetWear implements alloc.WearSetter.
 func (e *Explorer) SetWear(w *fabric.Wear) {
 	e.wear = w
-	e.wearOld = true // force a resync: a swapped map may share a version
+	e.wearOld = true // force a resync: a swapped map may share a key
 }
 
 // ObserveStress implements alloc.StressObserver. Committed executions are
@@ -262,9 +261,9 @@ func (e *Explorer) syncWear() {
 		}
 		return
 	}
-	if v := e.wear.Version(); e.wearOld || v != e.wearSeen {
+	if k := fabric.KeyOf(nil, e.wear, nil); e.wearOld || k != e.wearSeen {
 		e.wearY = e.wear.CopyYears(e.wearY)
-		e.wearSeen = v
+		e.wearSeen = k
 		e.wearOld = false
 	}
 }
@@ -276,18 +275,6 @@ func (e *Explorer) dutyScale() float64 {
 		return 0
 	}
 	return e.horizonYears / float64(e.active)
-}
-
-// versions snapshots the observable fabric-state versions (zero when a map
-// is not attached).
-func (e *Explorer) versions() (healthVer, wearVer uint64) {
-	if e.health != nil {
-		healthVer = e.health.Version()
-	}
-	if e.wear != nil {
-		wearVer = e.wear.Version()
-	}
-	return healthVer, wearVer
 }
 
 // Next implements alloc.Allocator: the configuration's held pivot,
@@ -321,8 +308,8 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 		}
 		e.lastCfg, e.lastSt = cfg, st
 	}
-	healthVer, wearVer := e.versions()
-	stale := st.healthVer != healthVer || st.wearVer != wearVer
+	key := fabric.KeyOf(e.health, e.wear, nil)
+	stale := st.key != key
 	recompute := stale || e.count >= st.nextAt
 	if !recompute && e.health != nil && e.health.DeadCount() > 0 &&
 		!e.health.PlacementOK(cfg.Cells(), st.off) {
@@ -342,7 +329,7 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 			st.nextAt = e.count + e.recomputeEvery
 			return st.off
 		}
-		st.healthVer, st.wearVer = healthVer, wearVer
+		st.key = key
 		st.off = e.Explore(cfg)
 		st.explored = true
 		st.nextAt = e.count + e.recomputeEvery

@@ -98,14 +98,14 @@ func (c *Config) Cells() []Cell {
 // returned slice must not be modified, and is only valid until the next
 // LivePivots call.
 func (c *Config) LivePivots(h *Health) []bool {
-	if c.liveHealth == h && c.liveVer == h.Version() {
+	if c.liveHealth == h && c.liveVer == h.version {
 		return c.live
 	}
 	if n := h.geom.NumFUs(); len(c.live) != n {
 		c.live = make([]bool, n)
 	}
 	h.LivePivots(c.Cells(), c.live)
-	c.liveHealth, c.liveVer = h, h.Version()
+	c.liveHealth, c.liveVer = h, h.version
 	return c.live
 }
 

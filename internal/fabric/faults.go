@@ -12,8 +12,8 @@ import "fmt"
 // map on every offload that occupies the cell.
 //
 // Like Health and Wear, a Faults map is owned by one simulated fabric
-// instance and is not safe for concurrent mutation; Version increments on
-// every state change so epoch memos and caches can key on it.
+// instance and is not safe for concurrent mutation; its version increments
+// on every state change so epoch memos and caches can key on it (KeyOf).
 type Faults struct {
 	geom    Geometry
 	prob    []float64
@@ -73,10 +73,6 @@ func (f *Faults) At(c Cell) float64 {
 // injection layer's fast path skips per-cell draws entirely on a fully
 // reliable fabric.
 func (f *Faults) Risky() bool { return f.risky > 0 }
-
-// Version increments on every state change; the lifetime epoch memo keys on
-// it exactly like Health.Version and Wear.Version.
-func (f *Faults) Version() uint64 { return f.version }
 
 // String summarises the map for debugging.
 func (f *Faults) String() string {

@@ -40,25 +40,25 @@ func TestFaultsSetClampAndAt(t *testing.T) {
 
 func TestFaultsVersionBumpsOnlyOnChange(t *testing.T) {
 	f := NewFaults(NewGeometry(2, 4))
-	v0 := f.Version()
+	v0 := f.version
 	if !f.Set(Cell{Row: 0, Col: 0}, 0.1) {
 		t.Fatal("first set should change")
 	}
-	v1 := f.Version()
+	v1 := f.version
 	if v1 == v0 {
 		t.Error("version must change when a probability changes")
 	}
 	if f.Set(Cell{Row: 0, Col: 0}, 0.1) {
 		t.Error("repeated identical set should report no change")
 	}
-	if f.Version() != v1 {
+	if f.version != v1 {
 		t.Error("version must not change on a no-op set")
 	}
 	// Clamped writes that land on the stored value are no-ops too: the
 	// epoch memo keys on this version, so a quiescent fault field must not
 	// force re-simulation.
 	f.Set(Cell{Row: 1, Col: 1}, 0)
-	if f.Version() != v1 {
+	if f.version != v1 {
 		t.Error("writing zero over zero must not move the version")
 	}
 }

@@ -113,15 +113,11 @@ func (h *Health) DeadCells() []Cell {
 	return out
 }
 
-// Version increments on every state change; callers memoizing placement
-// decisions use it to invalidate their caches.
-func (h *Health) Version() uint64 { return h.version }
-
 // DeadMask exposes the row-major liveness bitmap for read-only scanning:
 // hot placement scans index it directly instead of paying a bounds check
 // and index computation per Dead call. The slice aliases the health map's
 // state — callers must not modify it, and must not hold it across
-// mutations they cannot observe (Version guards that).
+// mutations they cannot observe (a StateKey guards that).
 func (h *Health) DeadMask() []bool { return h.dead }
 
 // PlacementOK reports whether shifting a configuration occupying the given

@@ -40,14 +40,14 @@ func TestHealthKillAndQueries(t *testing.T) {
 
 func TestHealthVersionBumpsOnChange(t *testing.T) {
 	h := NewHealth(NewGeometry(2, 4))
-	v0 := h.Version()
+	v0 := h.version
 	h.Kill(Cell{Row: 0, Col: 0})
-	if h.Version() == v0 {
+	if h.version == v0 {
 		t.Error("version must change on a kill")
 	}
-	v1 := h.Version()
+	v1 := h.version
 	h.Kill(Cell{Row: 0, Col: 0}) // idempotent
-	if h.Version() != v1 {
+	if h.version != v1 {
 		t.Error("version must not change on a no-op kill")
 	}
 }
@@ -91,21 +91,21 @@ func TestHealthRevive(t *testing.T) {
 		t.Error("reviving an alive cell should be a no-op")
 	}
 	h.Kill(c)
-	v := h.Version()
+	v := h.version
 	if !h.Revive(c) {
 		t.Fatal("reviving a dead cell should report a change")
 	}
 	if h.Dead(c) || h.DeadCount() != 0 {
 		t.Error("revived cell should read alive again")
 	}
-	if h.Version() == v {
+	if h.version == v {
 		t.Error("revive must bump the version")
 	}
-	v = h.Version()
+	v = h.version
 	if h.Revive(c) {
 		t.Error("repeated revive should be idempotent")
 	}
-	if h.Version() != v {
+	if h.version != v {
 		t.Error("no-op revive must not move the version")
 	}
 	if h.Revive(Cell{Row: 5, Col: 0}) {
@@ -185,8 +185,8 @@ func TestLivePivotsInvalidation(t *testing.T) {
 	a, b := NewHealth(g), NewHealth(g)
 	a.Kill(Cell{Row: 0, Col: 0})
 	b.Kill(Cell{Row: 1, Col: 3})
-	if a.Version() != b.Version() {
-		t.Fatalf("versions %d and %d: the case needs equal versions", a.Version(), b.Version())
+	if a.version != b.version {
+		t.Fatalf("versions %d and %d: the case needs equal versions", a.version, b.version)
 	}
 	for i := 0; i < 3; i++ {
 		checkLivePivots(t, "map a", cfg, a)

@@ -63,11 +63,6 @@ func (w *Wear) Max() (float64, Cell) {
 	return best, cell
 }
 
-// Version increments on every state change; callers memoizing placement
-// decisions (or whole epoch outcomes) use it to invalidate their caches,
-// exactly like Health.Version.
-func (w *Wear) Version() uint64 { return w.version }
-
 // CopyYears copies the per-cell stress-years (row-major) into dst, growing
 // it as needed, and returns the filled slice. Incremental scorers snapshot
 // the map through it once per version move instead of calling YearsAt per

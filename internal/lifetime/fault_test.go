@@ -26,6 +26,40 @@ func faultScenario() Scenario {
 	}
 }
 
+// TestRunScenariosLeavesSharedPolicyUnmodified pins that defaulting a
+// scenario never writes through its FaultModel and Recovery pointers: a
+// batch whose scenarios share one zero-valued fault model and policy runs
+// them concurrently, so writing defaults into the shared structs would race
+// and leak into the caller's values.
+func TestRunScenariosLeavesSharedPolicyUnmodified(t *testing.T) {
+	fm, pol := &FaultModel{}, &recov.Policy{}
+	scs := make([]Scenario, 3)
+	for i := range scs {
+		scs[i] = faultScenario()
+		scs[i].MaxYears = 1
+		scs[i].Seed = uint64(i + 1)
+		scs[i].FaultModel, scs[i].Recovery = fm, pol
+	}
+	res, err := RunScenarios(scs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *fm != (FaultModel{}) {
+		t.Errorf("caller's fault model modified: %+v", *fm)
+	}
+	if *pol != (recov.Policy{}) {
+		t.Errorf("caller's recovery policy modified: %+v", *pol)
+	}
+	for i, r := range res {
+		if r.Recovery == nil || r.Recovery.Fault == fm {
+			t.Fatalf("scenario %d: recovery report must carry its own fault model copy", i)
+		}
+		if r.Recovery.Fault.IntermittentAt != 0.6 || r.Recovery.Policy.CheckEvery != 4 {
+			t.Errorf("scenario %d: defaults not applied: fault %+v policy %+v", i, *r.Recovery.Fault, r.Recovery.Policy)
+		}
+	}
+}
+
 // TestEpochMemoKeyCoversFaultState pins the memo-key extension of PR 6: the
 // epoch memo must re-simulate while the fault field or the monitor's
 // observed state is moving and replay once they go quiescent. The fail-stop

@@ -219,11 +219,18 @@ func (sc *Scenario) applyDefaults() {
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
+	// The fault model and recovery policy are defaulted on the scenario's
+	// own copies: the caller's structs may be shared by every scenario of
+	// a concurrent batch.
 	if sc.FaultModel != nil {
-		sc.FaultModel.applyDefaults()
+		fm := *sc.FaultModel
+		fm.applyDefaults()
+		sc.FaultModel = &fm
 	}
 	if sc.Recovery != nil {
-		sc.Recovery.ApplyDefaults()
+		p := *sc.Recovery
+		p.ApplyDefaults()
+		sc.Recovery = &p
 	}
 }
 
@@ -425,20 +432,21 @@ func (r *Result) NthDeathYears(n int) float64 {
 	return r.DeathAges[n-1]
 }
 
-// stateKey is the epoch memo key: the versions of exactly the fabric state
-// the epoch's outcome is a pure function of, captured at epoch start.
-// Fields the scenario does not observe stay zero (wear for health-only
-// allocators, faults/mon without injection/recovery).
+// stateKey is the epoch memo key: exactly the fabric state the epoch's
+// outcome is a pure function of, captured at epoch start, plus the
+// recovery monitor's version. Layers the scenario does not observe stay
+// zero (wear for health-only allocators, faults/mon without
+// injection/recovery).
 type stateKey struct {
-	health, wear, faults, mon uint64
+	fabric fabric.StateKey
+	mon    uint64
 }
 
 // epochMemoKey addresses one epoch outcome in the cross-request shared
-// store: the scenario's content fingerprint plus the observed-state
-// versions. Versions are only comparable within one deterministic
-// trajectory, which is what the fingerprint pins — two scenarios with the
-// same fingerprint replay the same trajectory, so equal version tuples mean
-// equal state content.
+// store: the scenario's content fingerprint plus the observed-state key.
+// Versions are only comparable within one deterministic trajectory, which
+// is what the fingerprint pins — two scenarios with the same fingerprint
+// replay the same trajectory, so equal keys mean equal state content.
 type epochMemoKey struct {
 	fp string
 	st stateKey
@@ -541,14 +549,12 @@ func Run(sc Scenario) (*Result, error) {
 	// shifts, consecutive keys differ and epochs re-simulate; once the
 	// state goes quiescent the key repeats and epochs replay, re-using the
 	// memoized epoch's draws as the steady-state approximation.
+	var observedWear *fabric.Wear
+	if wearAware {
+		observedWear = wear
+	}
 	currentKey := func() stateKey {
-		k := stateKey{health: health.Version()}
-		if wearAware {
-			k.wear = wear.Version()
-		}
-		if faults != nil {
-			k.faults = faults.Version()
-		}
+		k := stateKey{fabric: fabric.KeyOf(health, observedWear, faults)}
 		if mon != nil {
 			k.mon = mon.Version()
 		}

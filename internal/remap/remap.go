@@ -25,11 +25,11 @@
 // then by the explorer's projected-ΔVt wear score (the placement whose
 // worst cell ages least), with deterministic shape-order and row-major
 // anchor tie-breaks. The search outcome — positive or negative — is
-// memoized in a cfgcache.RemapCache keyed by (StartPC, health version,
-// wear version): deaths change which placements exist, wear advances
-// change which the scoring prefers, and both invalidate wholesale. The
-// scans this costs are counted and priced by the derived hardware-cost
-// model in internal/searchcost.
+// memoized per StartPC under one fabric.StateKey of the health and wear
+// maps: deaths change which placements exist, wear advances change which
+// the scoring prefers, and either move clears the memo. The scans this
+// costs are counted and priced by the derived hardware-cost model in
+// internal/searchcost.
 //
 // The rescue scan fans out over one goroutine per runnable CPU
 // (runtime.GOMAXPROCS): candidates stripe by flattened (shape, anchor)
@@ -48,7 +48,6 @@ import (
 	"sync"
 
 	"agingcgra/internal/alloc"
-	"agingcgra/internal/cfgcache"
 	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/mapper"
@@ -73,10 +72,28 @@ type Remapper struct {
 
 	health *fabric.Health
 	wear   *fabric.Wear
-	cache  *cfgcache.RemapCache
+
+	// rescues memoizes RemapConfig's outcome per StartPC, valid while the
+	// health and wear maps stay at rescueKey. The search is far too
+	// expensive to repeat on every offload of a blocked configuration, and
+	// its ranking snapshots the duty observed at the region's first
+	// offload — the decision is held, like the explorer's pivot hold
+	// period, rather than re-ranked as within-run duty drifts.
+	rescues   map[uint32]rescue
+	rescueKey fabric.StateKey
 
 	// counts tallies the rescue-search work for the derived cost model.
 	counts searchcost.Counts
+}
+
+// rescue is one memoized shape-search outcome: the remapped configuration
+// and the pivot it fits at, or ok false when no shape places the sequence
+// (the region stays on the GPP without re-searching). A nil cfg with ok
+// set is the keep-the-translation marker.
+type rescue struct {
+	cfg *fabric.Config
+	off fabric.Offset
+	ok  bool
 }
 
 // Option configures the Remapper.
@@ -100,11 +117,11 @@ func WithLadder(l fabric.ShapeLadder) Option {
 // New builds a shape-adaptive remapper for the physical geometry.
 func New(g fabric.Geometry, opts ...Option) *Remapper {
 	m := &Remapper{
-		geom:   g,
-		ex:     explore.New(g),
-		minOps: mapper.MinOps,
-		shapes: CandidateShapes(g),
-		cache:  cfgcache.NewRemapCache(),
+		geom:    g,
+		ex:      explore.New(g),
+		minOps:  mapper.MinOps,
+		shapes:  CandidateShapes(g),
+		rescues: make(map[uint32]rescue),
 	}
 	for _, o := range opts {
 		o(m)
@@ -149,9 +166,6 @@ func (m *Remapper) ObserveStress(cells []fabric.Cell, off fabric.Offset, cycles 
 // Explorer exposes the underlying wear-aware explorer (tests compare its
 // scores against the remapper's choices).
 func (m *Remapper) Explorer() *explore.Explorer { return m.ex }
-
-// RemapStats exposes the shape-search cache counters.
-func (m *Remapper) RemapStats() cfgcache.RemapStats { return m.cache.Stats() }
 
 // SearchCounts implements searchcost.Instrumented: the rescue scans' own
 // work plus the embedded explorer's pivot-scan work.
@@ -214,12 +228,9 @@ func reshapeCounted(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Off
 //     superset of the explorer's, so the chosen placement never projects
 //     more worst-cell wear than the translation-only choice did.
 //
-// Search outcomes are memoized per (StartPC, health version, wear
-// version) and held until either version moves — the decision snapshots
-// the duty observed at the region's first offload, mirroring the
-// explorer's own pivot hold period, rather than re-ranking as within-run
-// duty drifts. On a pristine fabric the remapper is exactly the explorer
-// and the search never runs.
+// Search outcomes are memoized per StartPC and held until the health or
+// wear map moves. On a pristine fabric the remapper is exactly the
+// explorer and the search never runs.
 func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed bool) (*fabric.Config, fabric.Offset, bool) {
 	if cfg == nil || len(cfg.Ops) == 0 || m.health == nil || m.health.DeadCount() == 0 {
 		if !placed {
@@ -227,41 +238,40 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 		}
 		return cfg, off, true
 	}
-	healthVer := m.health.Version()
-	var wearVer uint64
-	if m.wear != nil {
-		wearVer = m.wear.Version()
+	if key := fabric.KeyOf(m.health, m.wear, nil); key != m.rescueKey {
+		clear(m.rescues)
+		m.rescueKey = key
 	}
-	// A nil Cfg with OK set is the keep-the-translation marker: the offset
-	// then follows the explorer's live pivot, not a cached one. The marker
-	// is only ever written when a pivot existed; placement success is a
-	// pure function of the health state, so a marker hit with placed false
-	// cannot happen — recompute defensively if it ever does.
-	if e, ok := m.cache.Lookup(cfg.StartPC, healthVer, wearVer); ok {
-		if e.OK && e.Cfg == nil {
+	// The keep-the-translation marker's offset follows the explorer's live
+	// pivot, not a cached one. The marker is only ever written when a pivot
+	// existed; placement success is a pure function of the health state,
+	// so a marker hit with placed false cannot happen — recompute
+	// defensively if it ever does.
+	if r, ok := m.rescues[cfg.StartPC]; ok {
+		if r.ok && r.cfg == nil {
 			if placed {
 				return cfg, off, true
 			}
 		} else {
-			return e.Cfg, e.Off, e.OK
+			return r.cfg, r.off, r.ok
 		}
 	}
-	entry := m.search(cfg)
+	r := m.search(cfg)
 	if placed {
 		// The projection is still fresh from the search pass.
-		full := entry.OK && len(entry.Cfg.Ops) == len(cfg.Ops)
+		full := r.ok && len(r.cfg.Ops) == len(cfg.Ops)
 		if full {
-			m.counts.RemapCells += uint64(len(entry.Cfg.Cells()) + len(cfg.Cells()))
+			m.counts.RemapCells += uint64(len(r.cfg.Cells()) + len(cfg.Cells()))
 		}
-		if !full || m.ex.ProjectedScore(entry.Cfg, entry.Off) >= m.ex.ProjectedScore(cfg, off) {
-			entry = cfgcache.RemapEntry{OK: true} // keep the translation
+		if !full || m.ex.ProjectedScore(r.cfg, r.off) >= m.ex.ProjectedScore(cfg, off) {
+			r = rescue{ok: true} // keep the translation
 		}
 	}
-	m.cache.Insert(cfg.StartPC, healthVer, wearVer, entry)
-	if entry.OK && entry.Cfg == nil {
+	m.rescues[cfg.StartPC] = r
+	if r.ok && r.cfg == nil {
 		return cfg, off, true
 	}
-	return entry.Cfg, entry.Off, entry.OK
+	return r.cfg, r.off, r.ok
 }
 
 // searchStripe is one stripe's share of the rescue scan: the stripe-local
@@ -291,7 +301,7 @@ type searchStripe struct {
 // there is no running-best gate short-circuiting the per-candidate work —
 // so the searchcost counters are sums over a fixed candidate set,
 // byte-identical for every worker count including the serial path.
-func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
+func (m *Remapper) search(cfg *fabric.Config) rescue {
 	minOps := m.minOps
 	if n := len(cfg.Ops); n < minOps {
 		minOps = n
@@ -329,9 +339,9 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 		}
 	}
 	if best.idx < 0 {
-		return cfgcache.RemapEntry{}
+		return rescue{}
 	}
-	return cfgcache.RemapEntry{Cfg: best.cfg, Off: best.off, OK: true}
+	return rescue{cfg: best.cfg, off: best.off, ok: true}
 }
 
 // searchRange evaluates the flattened candidate range [lo, hi): candidate i

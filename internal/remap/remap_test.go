@@ -279,10 +279,10 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemapCacheKeying pins the shape-cache invalidation contract: results
-// are reused while the (health, wear) versions stand still and re-searched
-// as soon as either moves — a death changes which placements exist, a wear
-// advance changes which one the scoring prefers.
+// TestRemapCacheKeying pins the rescue memo's invalidation contract:
+// results are reused while the health and wear maps stand still and
+// re-searched as soon as either moves — a death changes which placements
+// exist, a wear advance changes which one the scoring prefers.
 func TestRemapCacheKeying(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	cfg := mapHealthy(t, independentALUs(32), g)
@@ -294,20 +294,21 @@ func TestRemapCacheKeying(t *testing.T) {
 	m := New(g)
 	m.SetHealth(h)
 	m.SetWear(w)
+	scans := func() uint64 { return m.SearchCounts().RemapScans }
 
 	if _, _, ok := m.RemapConfig(cfg, fabric.Offset{}, false); !ok {
 		t.Fatal("remap failed on a dead column")
 	}
 	a1, _, _ := m.RemapConfig(cfg, fabric.Offset{}, false)
-	if st := m.RemapStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats after repeat = %+v, want 1 hit / 1 miss", st)
+	if n := scans(); n != 1 {
+		t.Fatalf("scans after repeat = %d, want 1", n)
 	}
 
 	// A wear advance must re-rank (possibly re-choosing the anchor).
 	w.Add(fabric.Cell{Row: 0, Col: 0}, 1.5)
 	m.RemapConfig(cfg, fabric.Offset{}, false)
-	if st := m.RemapStats(); st.Misses != 2 || st.Flushes != 1 {
-		t.Fatalf("stats after wear advance = %+v, want a flush and a re-search", st)
+	if n := scans(); n != 2 {
+		t.Fatalf("scans after wear advance = %d, want a re-search (2)", n)
 	}
 
 	// A further death must re-search against the new health.
@@ -316,11 +317,44 @@ func TestRemapCacheKeying(t *testing.T) {
 	if !ok {
 		t.Fatal("remap failed after one more death")
 	}
-	if st := m.RemapStats(); st.Misses != 3 || st.Flushes != 2 {
-		t.Fatalf("stats after kill = %+v, want another flush and re-search", st)
+	if n := scans(); n != 3 {
+		t.Fatalf("scans after kill = %d, want another re-search (3)", n)
 	}
 	if len(a2.Ops) >= len(a1.Ops) {
 		t.Errorf("prefix grew from %d to %d ops after losing a cell", len(a1.Ops), len(a2.Ops))
+	}
+}
+
+// TestRemapNegativeOutcomeMemoized pins that a failed rescue is memoized
+// like a successful one: a region no shape can place stays on the GPP
+// without re-searching on every offload until the health key moves.
+func TestRemapNegativeOutcomeMemoized(t *testing.T) {
+	g := fabric.NewGeometry(2, 16)
+	cfg := mapHealthy(t, independentALUs(32), g)
+	h := fabric.NewHealth(g)
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			h.Kill(fabric.Cell{Row: r, Col: c})
+		}
+	}
+	m := New(g)
+	m.SetHealth(h)
+	m.SetWear(fabric.NewWear(g))
+	scans := func() uint64 { return m.SearchCounts().RemapScans }
+
+	for i := 0; i < 3; i++ {
+		if mc, _, ok := m.RemapConfig(cfg, fabric.Offset{}, false); ok || mc != nil {
+			t.Fatalf("offload %d: remap placed %v on a fully dead fabric", i, mc)
+		}
+	}
+	if n := scans(); n != 1 {
+		t.Fatalf("scans after three offloads = %d, want the negative outcome reused (1)", n)
+	}
+
+	h.Revive(fabric.Cell{Row: 0, Col: 0})
+	m.RemapConfig(cfg, fabric.Offset{}, false)
+	if n := scans(); n != 2 {
+		t.Fatalf("scans after a health move = %d, want a re-search (2)", n)
 	}
 }
 
