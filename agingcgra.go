@@ -28,7 +28,6 @@ import (
 	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/gpp"
-	"agingcgra/internal/isa"
 	"agingcgra/internal/lifetime"
 	"agingcgra/internal/prog"
 	recov "agingcgra/internal/recover"
@@ -123,9 +122,9 @@ type System struct {
 	geom      Geometry
 	allocName string
 	cacheCap  int
-	// refs memoizes the stand-alone GPP reference runs: the reference is a
-	// pure function of (benchmark, size), so repeated RunBenchmark calls
-	// pay for it once.
+	// refs memoizes the stand-alone GPP reference runs and retire streams:
+	// both are pure functions of (benchmark, size), so repeated
+	// RunBenchmark calls interpret each program once.
 	refs *dse.RefCache
 }
 
@@ -176,8 +175,10 @@ func (r *RunResult) Speedup() float64 {
 	return float64(r.GPPCycles) / float64(r.Report.TotalCycles)
 }
 
-// RunBenchmark executes one named workload at the given input scale,
-// validating the architectural result against the Go reference.
+// RunBenchmark co-simulates one named workload at the given input scale.
+// The program is interpreted, and its architectural result validated
+// against the Go reference, once per (benchmark, size); every call replays
+// that recorded retire stream.
 func (s *System) RunBenchmark(name string, size Size) (*RunResult, error) {
 	b, ok := prog.ByName(name)
 	if !ok {
@@ -185,12 +186,6 @@ func (s *System) RunBenchmark(name string, size Size) (*RunResult, error) {
 	}
 
 	ref, err := s.refs.Get(b, size, gpp.DefaultTiming())
-	if err != nil {
-		return nil, err
-	}
-	gppCycles, gppClasses := ref.Cycles, ref.Classes
-
-	ct, err := b.NewCore(size)
 	if err != nil {
 		return nil, err
 	}
@@ -206,21 +201,17 @@ func (s *System) RunBenchmark(name string, size Size) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := eng.Run(ct, b.MaxInstructions)
+	rep, err := eng.RunStream(ref.Stream)
 	if err != nil {
 		return nil, err
-	}
-	checksum := ct.Regs[isa.A0]
-	if err := b.Check(ct.Mem, checksum, size); err != nil {
-		return nil, fmt.Errorf("agingcgra: %s produced a wrong result on the CGRA: %w", name, err)
 	}
 	model := energy.Calibrated()
 	return &RunResult{
 		Benchmark: name,
-		Checksum:  checksum,
-		GPPCycles: gppCycles,
+		Checksum:  ref.Checksum,
+		GPPCycles: ref.Cycles,
 		Report:    rep,
-		RelEnergy: model.Relative(rep, gppCycles, gppClasses),
+		RelEnergy: model.Relative(rep, ref.Cycles, ref.Classes),
 	}, nil
 }
 

@@ -5,11 +5,13 @@
 // itself with the aging-mitigation controller deciding where each
 // configuration lands.
 //
-// Functional execution always happens on the gpp.Core interpreter; the
-// engine attributes cycles and NBTI stress to the GPP or the CGRA according
-// to where each dynamic instruction logically executed. This trace-driven
-// split keeps architectural state trivially correct while modelling the
-// performance and aging behaviour the paper measures.
+// Functional execution happens once per program, on the gpp.Core
+// interpreter, whose recorded retire stream (gpp.Stream) the engine then
+// walks: it attributes cycles and NBTI stress to the GPP or the CGRA
+// according to where each dynamic instruction logically executed. This
+// trace-driven split keeps architectural state trivially correct while
+// modelling the performance and aging behaviour the paper measures, and
+// lets every co-simulation of a program share one recording.
 package dbt
 
 import (
@@ -250,6 +252,11 @@ type Engine struct {
 	// Trace capture state.
 	trace []mapper.TraceEntry
 
+	// stream is the retire stream RunStream walks and pos the next retire
+	// to attribute. The stream is shared and never written.
+	stream *gpp.Stream
+	pos    int
+
 	// Resident configuration identity for reconfiguration accounting.
 	residentPC  uint32
 	residentOff fabric.Offset
@@ -354,17 +361,33 @@ func (e *Engine) Controller() *core.Controller { return e.ctrl }
 // Cache exposes the configuration cache.
 func (e *Engine) Cache() *cfgcache.Cache { return e.cache }
 
-// Run executes the core to completion (or the instruction limit) on the
-// TransRec system and returns the report.
+// Run records the core's retire stream (gpp.Record, up to limit retires in
+// total) and co-simulates it with RunStream. The core is left in the
+// program's final architectural state; a program that does not halt within
+// limit retires is an error.
 func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
+	var remaining uint64
+	if n := c.RetiredCount(); n < limit {
+		remaining = limit - n
+	}
+	s, err := gpp.Record(c, remaining)
+	if err != nil {
+		return nil, fmt.Errorf("dbt: %w", err)
+	}
+	return e.RunStream(s)
+}
+
+// RunStream co-simulates a recorded retire stream on the TransRec system
+// and returns the report. It never writes to the stream, which may be
+// shared across engines and goroutines.
+func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 	// Index the configuration cache densely over the text segment so the
 	// two per-retired-instruction residency probes (Lookup below and
 	// Contains in observe) are array loads instead of map operations, and
 	// precompute the per-instruction timing/class attribution tables.
-	if p := c.Program(); p != nil {
-		e.cache.EnableDense(p.TextBase, len(p.Text))
-		e.ensureTables(p)
-	}
+	p := s.Prog
+	e.cache.EnableDense(p.TextBase, len(p.Text))
+	e.ensureTables(p)
 	// The allocator may be shared across a suite of engines (one fabric),
 	// so its search counters are attributed to this run as a delta.
 	var allocStart searchcost.Counts
@@ -378,24 +401,18 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 	if e.opts.Recovery != nil {
 		monStart = e.opts.Recovery.SearchCounts()
 	}
-	for !c.Halted() {
-		if c.RetiredCount() >= limit {
-			return nil, fmt.Errorf("dbt: instruction limit %d reached at pc %#x", limit, c.PC)
-		}
-		if cfg, ok := e.cache.Lookup(c.PC); ok {
+	e.stream, e.pos = s, 0
+	for e.pos < len(s.Retires) {
+		if cfg, ok := e.cache.Lookup(s.PC(e.pos)); ok {
 			// Step 5-7 of Fig. 2: offload to the CGRA.
 			e.finalizeTrace()
-			if err := e.offload(c, cfg); err != nil {
+			if err := e.offload(cfg); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		// Steps 1-3: execute on the GPP while the DBT captures the trace.
-		r, err := e.stepOnGPP(c)
-		if err != nil {
-			return nil, err
-		}
-		e.observe(r)
+		e.observe(e.stepOnGPP())
 	}
 	e.finalizeTrace()
 	e.rep.Geom = e.opts.Geom
@@ -415,20 +432,21 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 	return &rep, nil
 }
 
-// offload replays one configuration on the CGRA: the functional core steps
-// through the recorded sequence, exiting early if a branch diverges from
-// the captured direction. Per-op accounting is batched through the
-// config's memoized prefix tables: the loop only executes and checks for
-// divergence, and the instruction/class/cycle attribution is applied once
-// from the count of ops that ran.
-func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
+// offload replays one configuration on the CGRA: the configuration's
+// sequence is matched against the retire stream from the current
+// position, exiting early if a branch diverges from the captured
+// direction. Per-op accounting is batched through the config's memoized
+// prefix tables: the match only checks for divergence, and the
+// instruction/class/cycle attribution is applied once from the count of
+// ops that ran.
+func (e *Engine) offload(cfg *fabric.Config) error {
 	if mon := e.opts.Recovery; mon != nil && mon.FabricDistrusted() {
 		// Fail-stop: the first detected fault condemned the whole fabric and
 		// every later offload retires on the GPP (the no-recovery baseline
 		// the recovery policy is measured against). The region is already
 		// translated, so the trace builder is not re-engaged.
-		_, err := e.stepOnGPP(c)
-		return err
+		e.stepOnGPP()
+		return nil
 	}
 	if e.opts.ShapeTranslations {
 		// The resident translations' shapes were decided under one
@@ -441,19 +459,15 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 		// stale all the same.
 		if e.cache.SyncState(fabric.KeyOf(e.opts.Health, e.ctrl.Wear(), nil)) || e.stateFlushed {
 			e.stateFlushed = false
-			r, err := e.stepOnGPP(c)
-			if err != nil {
-				return err
-			}
-			e.observe(r)
+			e.observe(e.stepOnGPP())
 			return nil
 		}
 	}
 	e.syncMemos()
 	if e.unplaceable[cfg.StartPC] {
 		e.rep.GPPFallbacks++
-		_, err := e.stepOnGPP(c)
-		return err
+		e.stepOnGPP()
+		return nil
 	}
 	// PlaceOrRemap returns cfg itself on the ordinary path; when clustered
 	// failures block every pivot of the original rectangle, a shape-adaptive
@@ -473,18 +487,19 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 		}
 		e.unplaceable[cfg.StartPC] = true
 		e.rep.GPPFallbacks++
-		_, err := e.stepOnGPP(c)
-		return err
+		e.stepOnGPP()
+		return nil
 	}
 	if mapped != cfg {
 		e.rep.Remaps++
 	}
 
 	pcs, dirs := mapped.ReplayTables()
-	n, early, err := c.RunExpected(pcs, dirs)
+	n, early, err := e.stream.Match(e.pos, pcs, dirs)
 	if err != nil {
 		return err
 	}
+	e.pos += n
 
 	execCycles := mapped.ExecCyclesFirst(n)
 	overhead := offloadOverhead
@@ -524,8 +539,8 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 }
 
 // offloadWithRecovery runs the fault-manifestation and detection loop of
-// one offload. The architectural result is already computed (functional
-// execution stays on the GPP interpreter — the trace-driven split); what
+// one offload. The architectural result is already computed (the retire
+// stream was recorded on the GPP interpreter — the trace-driven split); what
 // faults corrupt is the *accounting* world: a faulty unchecked execution
 // commits as a silent escape, a detected one is retried on-fabric up to
 // MaxRetries (each retry a real execution: stress, cycles, a fresh context
@@ -617,15 +632,14 @@ func (e *Engine) syncMemos() {
 	}
 }
 
-// stepOnGPP retires one instruction on the GPP and attributes its cycles,
-// instruction count and class: the shared accounting of the normal GPP path
-// and the unplaceable-configuration fallback (which skips the trace
-// builder, since its region is already translated).
-func (e *Engine) stepOnGPP(c *gpp.Core) (gpp.Retire, error) {
-	r, err := c.Step()
-	if err != nil {
-		return r, err
-	}
+// stepOnGPP retires the instruction at the stream position on the GPP and
+// attributes its cycles, instruction count and class: the shared
+// accounting of the normal GPP path and the unplaceable-configuration
+// fallback (which skips the trace builder, since its region is already
+// translated).
+func (e *Engine) stepOnGPP() gpp.Retire {
+	r := e.stream.Retire(e.pos)
+	e.pos++
 	if r.Taken {
 		e.rep.GPPCycles += e.cyc[r.Index]
 	} else {
@@ -633,7 +647,7 @@ func (e *Engine) stepOnGPP(c *gpp.Core) (gpp.Retire, error) {
 	}
 	e.rep.GPPInstrs++
 	e.rep.GPPClasses[e.class[r.Index]]++
-	return r, nil
+	return r
 }
 
 // observe feeds one retired instruction to the DBT's trace builder. Traces

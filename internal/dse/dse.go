@@ -132,8 +132,8 @@ type Options struct {
 	// benchmarks accumulate stress on one shared fabric); parallelism is
 	// across design points.
 	Workers int
-	// Refs memoizes the stand-alone GPP reference runs across design
-	// points; nil means each RunSuite computes its own references (Sweep
+	// Refs memoizes the stand-alone GPP reference runs and retire streams
+	// across design points; nil means each RunSuite records its own (Sweep
 	// and RunPoints install a shared cache automatically).
 	Refs *RefCache
 }
@@ -154,6 +154,11 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		names = prog.Names()
 	}
 
+	refs := opt.Refs
+	if refs == nil {
+		refs = NewRefCache()
+	}
+
 	allocator := factory(geom)
 	ctrl, err := core.NewController(geom, allocator)
 	if err != nil {
@@ -172,33 +177,15 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 			return nil, fmt.Errorf("dse: unknown benchmark %q", name)
 		}
 
-		// Stand-alone GPP reference, memoized across design points when a
-		// RefCache is installed: the reference depends only on the
+		// Stand-alone GPP reference and retire stream, shared across
+		// design points through opt.Refs: both depend only on the
 		// benchmark, size and timing, never on the geometry or allocator.
-		var gppCycles uint64
-		var gppClasses dbt.ClassCounts
-		if opt.Refs != nil {
-			ref, err := opt.Refs.Get(b, size, opt.Engine.Timing)
-			if err != nil {
-				return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
-			}
-			gppCycles, gppClasses = ref.Cycles, ref.Classes
-		} else {
-			cg, err := b.NewCore(size)
-			if err != nil {
-				return nil, err
-			}
-			gppCycles, gppClasses, err = dbt.RunGPPOnly(cg, opt.Engine.Timing, b.MaxInstructions)
-			if err != nil {
-				return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
-			}
+		ref, err := refs.Get(b, size, opt.Engine.Timing)
+		if err != nil {
+			return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
 		}
 
 		// TransRec run sharing the suite controller.
-		ct, err := b.NewCore(size)
-		if err != nil {
-			return nil, err
-		}
 		eopts := opt.Engine
 		eopts.Geom = geom
 		eopts.Controller = ctrl
@@ -206,20 +193,20 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		if err != nil {
 			return nil, err
 		}
-		rep, err := eng.Run(ct, b.MaxInstructions)
+		rep, err := eng.RunStream(ref.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("dse: %s transrec: %w", name, err)
 		}
 
 		res.PerBench = append(res.PerBench, BenchResult{
 			Name:      name,
-			GPPCycles: gppCycles,
+			GPPCycles: ref.Cycles,
 			TRCycles:  rep.TotalCycles,
 			Report:    rep,
 		})
-		res.GPPCycles += gppCycles
+		res.GPPCycles += ref.Cycles
 		res.TRCycles += rep.TotalCycles
-		res.GPPEnergy += model.GPPEnergy(gppCycles, gppClasses)
+		res.GPPEnergy += model.GPPEnergy(ref.Cycles, ref.Classes)
 		res.TREnergy += model.TransRecEnergy(rep)
 		res.Offloads += rep.Offloads
 		res.EarlyExits += rep.EarlyExits

@@ -1,11 +1,11 @@
 // Parallel sweep engine: every figure and table of the paper re-runs the
 // suite across geometry × allocator design points, and the points are
-// mutually independent (each owns its controller, allocator and cores), so
-// they fan out over a worker pool. Two invariants keep the parallel path
+// mutually independent (each owns its controller, allocator and engines),
+// so they fan out over a worker pool. Two invariants keep the parallel path
 // bit-identical to the serial one: results land at their point's index
-// regardless of completion order, and the stand-alone GPP reference — a
-// pure function of (benchmark, size, timing) that the serial path
-// recomputed for every point — is memoized in a RefCache shared across the
+// regardless of completion order, and the stand-alone GPP reference with
+// the recorded retire stream every point replays — a pure function of
+// (benchmark, size, timing) — is memoized in a RefCache shared across the
 // pool. Pool (queue.go) is the one batch primitive: a bounded work queue
 // with indexed results, the lowest-indexed error, panics recovered into
 // that index's error, per-request cancellation and graceful drain. The
@@ -22,15 +22,22 @@ import (
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/gpp"
+	"agingcgra/internal/isa"
 	"agingcgra/internal/memostore"
 	"agingcgra/internal/prog"
 )
 
 // GPPRef is the stand-alone GPP outcome for one benchmark: the reference
-// every design point is normalized against.
+// every design point is normalized against, the checksum the program left
+// in a0, and the recorded retire stream every co-simulation of the
+// benchmark replays.
 type GPPRef struct {
-	Cycles  uint64
-	Classes dbt.ClassCounts
+	Cycles   uint64
+	Classes  dbt.ClassCounts
+	Checksum uint32
+	// Stream is shared by every caller of the cache and must not be
+	// written.
+	Stream *gpp.Stream
 }
 
 type refKey struct {
@@ -43,7 +50,9 @@ type refKey struct {
 // the benchmark, the input size and the timing model — not on the fabric
 // geometry or allocator — so one cache serves an entire sweep, and the
 // lifetime service holds a single process-wide instance so the references
-// are shared across requests. Safe for concurrent use; each key is computed
+// are shared across requests. Each entry holds the benchmark's retire
+// stream (4 bytes per retire: at most about 0.5 MB per benchmark at tiny
+// size, 2.7 MB at small). Safe for concurrent use; each key is computed
 // exactly once (single-flight) even when several workers ask for it
 // simultaneously. Backed by an unbounded memostore.Store, whose hit/miss
 // counters the service's /v1/stats endpoint surfaces.
@@ -57,8 +66,10 @@ func NewRefCache() *RefCache {
 }
 
 // Get returns the memoized reference for (b, size, timing), computing it on
-// first use. The zero timing normalizes to gpp.DefaultTiming, matching
-// dbt.RunGPPOnly.
+// first use: the benchmark runs once on the interpreter, its result is
+// validated with b.Check, and the reference cycles and classes are priced
+// from the recorded stream exactly as dbt.RunGPPOnly prices a run. The
+// zero timing normalizes to gpp.DefaultTiming, matching dbt.RunGPPOnly.
 func (rc *RefCache) Get(b *prog.Benchmark, size prog.Size, timing gpp.Timing) (GPPRef, error) {
 	if timing == (gpp.Timing{}) {
 		timing = gpp.DefaultTiming()
@@ -69,10 +80,21 @@ func (rc *RefCache) Get(b *prog.Benchmark, size prog.Size, timing gpp.Timing) (G
 		if err != nil {
 			return GPPRef{}, err
 		}
-		var ref GPPRef
-		ref.Cycles, ref.Classes, err = dbt.RunGPPOnly(c, timing, b.MaxInstructions)
-		c.Release()
-		return ref, err
+		defer c.Release()
+		s, err := gpp.Record(c, b.MaxInstructions)
+		if err != nil {
+			return GPPRef{}, err
+		}
+		if err := b.Check(c.Mem, c.Regs[isa.A0], size); err != nil {
+			return GPPRef{}, fmt.Errorf("dse: %s computed a wrong result: %w", b.Name, err)
+		}
+		ref := GPPRef{Checksum: c.Regs[isa.A0], Stream: s}
+		for p := range s.Retires {
+			r := s.Retire(p)
+			ref.Cycles += timing.CyclesFor(r.Inst, r.Taken)
+			ref.Classes[r.Inst.Op.Class()]++
+		}
+		return ref, nil
 	})
 	if err != nil {
 		return GPPRef{}, err

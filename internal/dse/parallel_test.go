@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"agingcgra/internal/dbt"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/gpp"
 	"agingcgra/internal/prog"
@@ -72,31 +73,38 @@ func TestRunPointsMixedFactories(t *testing.T) {
 	}
 }
 
-// TestRefCacheMatchesDirect asserts the memoized GPP reference equals a
-// direct RunSuite without a cache, and that repeated Gets are stable.
+// TestRefCacheMatchesDirect asserts the memoized GPP reference, priced
+// from the recorded retire stream, equals dbt.RunGPPOnly on a fresh core
+// for every suite benchmark, and that repeated Gets are stable and share
+// one stream.
 func TestRefCacheMatchesDirect(t *testing.T) {
-	g := fabric.NewGeometry(2, 16)
-	opt := testOptions(1)
-
-	direct, err := RunSuite(g, BaselineFactory, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Refs = NewRefCache()
-	memoized, err := RunSuite(g, BaselineFactory, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, memoized) {
-		t.Errorf("memoized suite result diverges from direct computation")
+	refs := NewRefCache()
+	for _, b := range prog.All() {
+		ref, err := refs.Get(b, prog.Tiny, gpp.Timing{})
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		c, err := b.NewCore(prog.Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles, classes, err := dbt.RunGPPOnly(c, gpp.Timing{}, b.MaxInstructions)
+		c.Release()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if ref.Cycles != cycles || ref.Classes != classes {
+			t.Errorf("%s: memoized reference %d cycles %v, direct %d cycles %v",
+				b.Name, ref.Cycles, ref.Classes, cycles, classes)
+		}
 	}
 
 	b, _ := prog.ByName("crc32")
-	r1, err := opt.Refs.Get(b, prog.Tiny, gpp.Timing{})
+	r1, err := refs.Get(b, prog.Tiny, gpp.Timing{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := opt.Refs.Get(b, prog.Tiny, gpp.DefaultTiming())
+	r2, err := refs.Get(b, prog.Tiny, gpp.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,10 @@ const (
 // Every mutation marks its 4 KiB page in a dirty bitmap, which is what
 // makes the Release/NewMemory pool cheap: a recycled memory only zeroes
 // the pages its previous life touched (program text, static data, the few
-// stack pages a kernel uses) instead of the whole image. A lifetime
-// simulation builds one core per benchmark per epoch, so without the pool
-// the 2 MiB zeroing dominated the epoch loop's allocation cost.
+// stack pages a kernel uses) instead of the whole image. Loops that
+// interpret a benchmark over and over (a harness timing dbt.RunGPPOnly or
+// dbt.Engine.Run, the suite-wide tests) build one core per run, so without
+// the pool the 2 MiB zeroing dominates their allocation cost.
 type Memory struct {
 	data  []byte
 	dirty []uint64 // 1 bit per 4 KiB page

@@ -18,10 +18,10 @@
 //     pivots that would rotate a configuration onto a failure.
 //
 // The epoch outcome is a pure function of the fabric state the allocator
-// can observe (fresh allocator, cores and caches each epoch; the GPP
-// reference is memoized), so epochs between state changes are replayed from
-// memo instead of re-simulated — multi-decade horizons cost one
-// co-simulation per distinct fabric state. For health-only allocators that
+// can observe (fresh allocator, engines and caches each epoch, replaying
+// the memoized retire stream), so epochs between state changes are
+// replayed from memo instead of re-simulated — multi-decade horizons cost
+// one co-simulation per distinct fabric state. For health-only allocators that
 // state is the Health version; wear-adaptive allocators (alloc.WearSetter)
 // also see the accumulated fabric.Wear map, so their memo key includes the
 // wear version — wear accrues every epoch, which correctly forces those
@@ -39,7 +39,6 @@ import (
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/dse"
 	"agingcgra/internal/fabric"
-	"agingcgra/internal/isa"
 	"agingcgra/internal/memostore"
 	"agingcgra/internal/prog"
 	recov "agingcgra/internal/recover"
@@ -926,10 +925,6 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 			return nil, fmt.Errorf("%s gpp-only: %w", name, err)
 		}
 
-		ct, err := b.NewCore(sc.Size)
-		if err != nil {
-			return nil, err
-		}
 		eopts := sc.Engine
 		eopts.Geom = sc.Geom
 		eopts.Controller = ctrl
@@ -939,22 +934,18 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 		if err != nil {
 			return nil, err
 		}
-		rep, err := eng.Run(ct, b.MaxInstructions)
+		// The epoch replays the benchmark's shared recorded stream, whose
+		// result dse.RefCache.Get checked once: failures, faults and
+		// placement change only where each retire is accounted, never what
+		// retires, so the report must account every retire exactly once.
+		rep, err := eng.RunStream(ref.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("%s transrec: %w", name, err)
 		}
-		// Architectural correctness must survive failures: the DBT maps
-		// and places around dead cells, never through them.
-		if err := b.Check(ct.Mem, ct.Regs[isa.A0], sc.Size); err != nil {
-			return nil, fmt.Errorf("%s wrong result on degraded fabric: %w", name, err)
+		if want := uint64(len(ref.Stream.Retires)); rep.TotalInstrs != want {
+			return nil, fmt.Errorf("%s: engine accounted %d instructions, the recorded stream retires %d",
+				name, rep.TotalInstrs, want)
 		}
-		// Recycling the core's memory through the pool is invisible to the
-		// epoch memo: the memo key is the observed fabric state (health,
-		// wear, faults, monitor versions), never anything reachable from
-		// the core, and a pooled memory is scrubbed back to zero before
-		// reuse — a memoized epoch and a re-simulated one read identical
-		// initial memory.
-		ct.Release()
 
 		run.gppCycles += ref.Cycles
 		run.trCycles += rep.TotalCycles

@@ -148,3 +148,31 @@ func TestSizeString(t *testing.T) {
 		t.Error("unknown size should still format")
 	}
 }
+
+// TestRecordMatchesReference pins the retire-stream recording every
+// co-simulation replays: for each benchmark at Tiny the stream holds
+// exactly the reference run's dynamic instruction count and the recording
+// core passes Check.
+func TestRecordMatchesReference(t *testing.T) {
+	for _, b := range All() {
+		_, dynamic, err := b.RunReference(Tiny)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		c, err := b.NewCore(Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := gpp.Record(c, b.MaxInstructions)
+		if err != nil {
+			t.Fatalf("%s: record: %v", b.Name, err)
+		}
+		if uint64(len(s.Retires)) != dynamic {
+			t.Errorf("%s: recorded %d retires, reference retired %d", b.Name, len(s.Retires), dynamic)
+		}
+		if err := b.Check(c.Mem, c.Regs[isa.A0], Tiny); err != nil {
+			t.Errorf("%s: recording core fails Check: %v", b.Name, err)
+		}
+		c.Release()
+	}
+}
