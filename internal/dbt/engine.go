@@ -251,6 +251,8 @@ type Engine struct {
 
 	// Trace capture state.
 	trace []mapper.TraceEntry
+	// memo maps captured traces (nil: map each one directly).
+	memo *mapper.Memo
 
 	// stream is the retire stream RunStream walks and pos the next retire
 	// to attribute. The stream is shared and never written.
@@ -354,6 +356,10 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// UseMemo makes translations map through m, so engines and allocators
+// sharing it map each (trace, shape, dead mask) once.
+func (e *Engine) UseMemo(m *mapper.Memo) { e.memo = m }
 
 // Controller exposes the aging-mitigation controller.
 func (e *Engine) Controller() *core.Controller { return e.ctrl }
@@ -719,7 +725,7 @@ func (e *Engine) finalizeTrace() {
 	if e.shapes != nil {
 		cfg, consumed = e.translateShapes()
 	} else {
-		cfg, consumed = mapper.Map(e.trace, mapper.Options{
+		cfg, consumed = e.memo.Map(e.memo.Key(e.trace), mapper.Options{
 			Geom:     e.opts.Geom,
 			Lat:      fabric.DefaultLatencies(),
 			Disabled: e.disabled,
@@ -750,10 +756,12 @@ func (e *Engine) finalizeTrace() {
 // cheaper than the remap rescue's (shape × anchor) scan, which remains the
 // backstop for placements the identity-frame mask cannot serve. The scan
 // is counted for the derived search-cost model: every rung is mapped and
-// its probes counted, with no running-best gate.
+// its probes counted, with no running-best gate. The rungs map through the
+// engine's memo, which hashes the trace once per scan.
 func (e *Engine) translateShapes() (*fabric.Config, int) {
 	e.search.LadderScans++
 	e.search.LadderCandidates += uint64(len(e.shapes))
+	trace := e.memo.Key(e.trace)
 	wear := e.ctrl.Wear()
 	var (
 		best         *fabric.Config
@@ -762,7 +770,7 @@ func (e *Engine) translateShapes() (*fabric.Config, int) {
 		bestWear     float64
 	)
 	for _, shape := range e.shapes {
-		cfg, consumed := mapper.Map(e.trace, mapper.Options{
+		cfg, consumed := e.memo.Map(trace, mapper.Options{
 			Geom:     shape,
 			Lat:      fabric.DefaultLatencies(),
 			Disabled: e.disabled,

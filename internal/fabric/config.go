@@ -90,6 +90,14 @@ func (c *Config) Cells() []Cell {
 	return c.cells
 }
 
+// Clone returns a new Config with c's placement. It shares c's Ops and
+// computed cells, which nothing writes after construction, but none of the
+// per-Config memos (the live-pivot mask, the replay tables), so callers
+// that key state on the pointer see a distinct configuration.
+func (c *Config) Clone() *Config {
+	return &Config{StartPC: c.StartPC, Geom: c.Geom, Ops: c.Ops, UsedCols: c.UsedCols, cells: c.cells}
+}
+
 // LivePivots returns the configuration's live-pivot mask under h: entry
 // r*Cols+c (h's geometry) reports whether loading the configuration at
 // Offset{r, c} keeps every op on a live FU, exactly as

@@ -39,6 +39,7 @@ import (
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/dse"
 	"agingcgra/internal/fabric"
+	"agingcgra/internal/mapper"
 	"agingcgra/internal/memostore"
 	"agingcgra/internal/prog"
 	recov "agingcgra/internal/recover"
@@ -149,6 +150,14 @@ type Scenario struct {
 	// outcome itself, so a memo-replayed epoch re-emits the events of the
 	// epoch it replays and warm/cold stores yield identical streams.
 	Trace trace.Sink
+
+	// mapMemo is the scenario's mapping memo (default: a fresh one per
+	// Run, nil when the epoch key is health alone). It outlives the
+	// per-epoch allocator and engines, so each (trace, shape, dead mask)
+	// is mapped once however many epochs re-simulate. Its keys are
+	// content, so a memo already holding other scenarios' placements
+	// changes no result.
+	mapMemo *mapper.Memo
 }
 
 // FaultModel derives per-execution intermittent-fault probabilities from
@@ -559,6 +568,13 @@ func Run(sc Scenario) (*Result, error) {
 		}
 		return k
 	}
+	// An epoch re-simulates only when its key moved. When the key is health
+	// alone, that means a cell died, so every re-simulated epoch maps under
+	// dead masks no earlier epoch saw and a mapping memo could only cost:
+	// such scenarios map directly.
+	if sc.mapMemo == nil && (observedWear != nil || mon != nil) {
+		sc.mapMemo = mapper.NewMemo()
+	}
 
 	var last *epochRun
 	var lastKey stateKey
@@ -901,12 +917,17 @@ func updateFaults(f *fabric.Faults, wear *fabric.Wear, health *fabric.Health, th
 // a fresh allocator and controller (sharing one fabric across the mix, as a
 // deployed chip would within an epoch), fresh engines and caches, and the
 // scenario's health and wear maps wired into the mapper, the placement and
-// any wear-adaptive allocator. With a recovery monitor attached the oracle
-// is hidden: mapper and placement consume the monitor's observed health
-// map, and ground truth stays with the simulator (aging, deaths and fault
-// manifestation).
+// any wear-adaptive allocator. Every engine and any allocator that maps
+// (memoUser) map through the scenario's mapping memo. With a recovery
+// monitor attached the oracle is hidden: mapper and placement consume the
+// monitor's observed health map, and ground truth stays with the simulator
+// (aging, deaths and fault manifestation).
 func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov.Monitor) (*epochRun, error) {
-	ctrl, err := core.NewController(sc.Geom, sc.Factory(sc.Geom))
+	a := sc.Factory(sc.Geom)
+	if u, ok := a.(memoUser); ok {
+		u.UseMemo(sc.mapMemo)
+	}
+	ctrl, err := core.NewController(sc.Geom, a)
 	if err != nil {
 		return nil, err
 	}
@@ -934,6 +955,7 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 		if err != nil {
 			return nil, err
 		}
+		eng.UseMemo(sc.mapMemo)
 		// The epoch replays the benchmark's shared recorded stream, whose
 		// result dse.RefCache.Get checked once: failures, faults and
 		// placement change only where each retire is accounted, never what
@@ -957,6 +979,12 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 	}
 	run.util = ctrl.Utilization()
 	return run, nil
+}
+
+// memoUser is implemented by allocators that map configurations (the remap
+// rescue), so the scenario's mapping memo can be handed to them.
+type memoUser interface {
+	UseMemo(m *mapper.Memo)
 }
 
 // RunScenarios simulates a batch of scenarios over a worker pool (workers

@@ -1,0 +1,167 @@
+package mapper
+
+import (
+	"encoding/binary"
+
+	"agingcgra/internal/fabric"
+)
+
+// Memo remembers Map's results by content, so a layer that maps the same
+// trace into the same shape around the same dead cells again — the remap
+// rescue on every simulated epoch, the DBT's shape ladder on every
+// re-translation — reads the stored placement instead of re-running the
+// greedy search.
+//
+// A result is keyed on everything Map reads: the trace's content (PC,
+// instruction and direction of every entry; PCs collide across programs),
+// Geom, Lat, MaxOps, and the Disabled predicate's answer for every cell of
+// Geom — the only cells the greedy row search asks about. Wear, the anchor
+// and the caller are not in the key, so a stored result never goes stale
+// and one Memo serves every layer of a scenario.
+//
+// A hit re-adds the stored probe count to Options.Probes (the modelled
+// hardware keeps no such memo, so search-cost totals are those of a
+// re-mapping run) and returns a fresh *fabric.Config sharing the stored
+// ops and cells: callers key per-placement state on the pointer (the
+// explorer's held pivot, the live-pivot mask), so no two calls return the
+// same one.
+//
+// A nil *Memo maps directly. A Memo is not safe for concurrent use.
+type Memo struct {
+	traces  map[string]uint32  // encoded trace content -> id
+	opts    map[optsKey]uint32 // Geom, Lat, MaxOps -> id
+	masks   map[string]uint32  // dead-cell bitmask over Geom -> id
+	results map[memoKey]memoResult
+	buf     []byte // encoding scratch, reused by every lookup
+}
+
+// optsKey is everything of Options that Map reads besides Disabled.
+type optsKey struct {
+	geom   fabric.Geometry
+	lat    fabric.LatencyTable
+	maxOps int
+}
+
+// memoKey names one Map call by the ids of its interned parts, so a result
+// entry stays small however long the trace or wide the fabric.
+type memoKey struct {
+	trace, opts, dead uint32
+}
+
+// memoResult is one stored Map outcome. cfg is the configuration the first
+// call returned, nil when nothing was placed; later calls get clones.
+type memoResult struct {
+	cfg      *fabric.Config
+	consumed int
+	probes   uint64
+}
+
+// TraceKey is a trace interned in a Memo: encoded and hashed once by
+// Memo.Key, then mapped into any number of shapes and masks.
+type TraceKey struct {
+	trace []TraceEntry
+	id    uint32
+}
+
+// NewMemo returns an empty mapping memo.
+func NewMemo() *Memo {
+	return &Memo{
+		traces:  make(map[string]uint32),
+		opts:    make(map[optsKey]uint32),
+		masks:   make(map[string]uint32),
+		results: make(map[memoKey]memoResult),
+	}
+}
+
+// Key interns trace's content. The key holds trace itself, which Map reads
+// on a miss, so trace must not change while the key is in use.
+func (m *Memo) Key(trace []TraceEntry) TraceKey {
+	if m == nil {
+		return TraceKey{trace: trace}
+	}
+	b := m.buf[:0]
+	for _, e := range trace {
+		taken := byte(0)
+		if e.Taken {
+			taken = 1
+		}
+		b = binary.LittleEndian.AppendUint32(b, e.PC)
+		b = append(b, byte(e.Inst.Op), byte(e.Inst.Rd), byte(e.Inst.Rs1), byte(e.Inst.Rs2), taken)
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Inst.Imm))
+	}
+	m.buf = b
+	return TraceKey{trace: trace, id: intern(m.traces, b)}
+}
+
+// Map returns what Map(trace, opt) returns for the keyed trace, mapping it
+// only the first time this (trace, Geom, Lat, MaxOps, dead mask) is seen.
+// That first call returns Map's own configuration; every later one a clone.
+func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
+	if m == nil {
+		return Map(k.trace, opt)
+	}
+	okey := optsKey{geom: opt.Geom, lat: opt.Lat, maxOps: opt.MaxOps}
+	oid, seen := m.opts[okey]
+	if !seen {
+		oid = uint32(len(m.opts))
+		m.opts[okey] = oid
+	}
+	key := memoKey{trace: k.id, opts: oid, dead: m.deadMask(opt)}
+	if r, hit := m.results[key]; hit {
+		if opt.Probes != nil {
+			*opt.Probes += r.probes
+		}
+		if r.cfg == nil {
+			return nil, r.consumed
+		}
+		return r.cfg.Clone(), r.consumed
+	}
+	var probes uint64
+	o := opt
+	o.Probes = &probes
+	cfg, consumed := Map(k.trace, o)
+	if cfg != nil {
+		cfg.Cells() // computed once, shared by every clone
+	}
+	m.results[key] = memoResult{cfg: cfg, consumed: consumed, probes: probes}
+	if opt.Probes != nil {
+		*opt.Probes += probes
+	}
+	return cfg, consumed
+}
+
+// deadMask interns the Disabled predicate's answers over the cells of
+// opt.Geom, one bit per cell in row-major order. A window with no dead
+// cell and a nil predicate share the empty mask.
+func (m *Memo) deadMask(opt Options) uint32 {
+	b := m.buf[:0]
+	dead := false
+	if n := opt.Geom.Rows * opt.Geom.Cols; opt.Disabled != nil && n > 0 {
+		for i := 0; i < n; i += 8 {
+			var bits byte
+			for j := i; j < min(i+8, n); j++ {
+				if opt.Disabled(fabric.Cell{Row: j / opt.Geom.Cols, Col: j % opt.Geom.Cols}) {
+					bits |= 1 << (j - i)
+				}
+			}
+			b = append(b, bits)
+			dead = dead || bits != 0
+		}
+	}
+	if !dead {
+		b = b[:0]
+	}
+	m.buf = b
+	return intern(m.masks, b)
+}
+
+// intern returns b's id in ids, assigning the next one on first sight. The
+// lookup does not allocate; only a new entry copies b.
+func intern(ids map[string]uint32, b []byte) uint32 {
+	if id, ok := ids[string(b)]; ok {
+		return id
+	}
+	id := uint32(len(ids))
+	ids[string(b)] = id
+	return id
+}

@@ -31,33 +31,24 @@
 // costs are counted and priced by the derived hardware-cost model in
 // internal/searchcost.
 //
-// The rescue scan fans out over one goroutine per runnable CPU
-// (runtime.GOMAXPROCS): candidates stripe by flattened (shape, anchor)
-// index and the reduction is an index-ordered argmin, so any worker count
-// returns the identical placement. It is the only search in the allocation
-// stack that stripes, because it is the only one where the benchmark shows
-// striping winning: each candidate runs a full mapper placement, so a
-// rescue costs enough to amortise the fan-out. Every viable candidate is
-// mapped, counted and scored — no running-best gate short-circuits the
-// per-candidate work — which keeps the searchcost counters sums over a
-// fixed candidate set, byte-identical between serial and parallel runs.
+// Each candidate maps through the scenario's mapping memo (mapper.Memo,
+// handed in through UseMemo): a candidate's placement depends only on the
+// trace, the shape and which cells of the shape's window are dead in the
+// anchor's frame, never on wear, so a scan maps only the (shape, window
+// mask) pairs no earlier scan of the scenario saw and otherwise only
+// re-scores. Every viable candidate is mapped, counted and scored — no
+// running-best gate short-circuits the per-candidate work, and memo hits
+// re-add the probes a mapping run counts — so the searchcost counters are
+// sums over a fixed candidate set. The scan is serial.
 package remap
 
 import (
-	"runtime"
-	"sync"
-
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/mapper"
 	"agingcgra/internal/searchcost"
 )
-
-// minParallelCandidates is the smallest (shape × anchor) candidate count
-// worth fanning the rescue scan out over goroutines; each candidate runs a
-// full mapper placement, so a few of them already amortise the fan-out.
-const minParallelCandidates = 16
 
 // Remapper is the shape-adaptive allocator. It implements alloc.Allocator
 // (delegating the healthy-path pivot choice to the wear-aware explorer),
@@ -72,6 +63,8 @@ type Remapper struct {
 
 	health *fabric.Health
 	wear   *fabric.Wear
+	// memo maps the rescue's candidates (nil: map each one directly).
+	memo *mapper.Memo
 
 	// rescues memoizes RemapConfig's outcome per StartPC, valid while the
 	// health and wear maps stay at rescueKey. The search is far too
@@ -158,6 +151,10 @@ func (m *Remapper) SetWear(w *fabric.Wear) {
 	m.ex.SetWear(w)
 }
 
+// UseMemo makes the rescue scan map its candidates through memo, which the
+// scenario shares with every other layer that maps.
+func (m *Remapper) UseMemo(memo *mapper.Memo) { m.memo = memo }
+
 // ObserveStress implements alloc.StressObserver.
 func (m *Remapper) ObserveStress(cells []fabric.Cell, off fabric.Offset, cycles uint64) {
 	m.ex.ObserveStress(cells, off, cycles)
@@ -196,12 +193,6 @@ func Trace(cfg *fabric.Config) []mapper.TraceEntry {
 // not even the first op fits. A nil health map reshapes on a pristine
 // fabric — the architectural-equivalence property tests use exactly that.
 func Reshape(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Offset, phys fabric.Geometry, health *fabric.Health, lat fabric.LatencyTable) (*fabric.Config, int) {
-	return reshapeCounted(cfg, shape, anchor, phys, health, lat, nil)
-}
-
-// reshapeCounted is Reshape with an optional mapper probe counter, so the
-// rescue scan's work feeds the derived search-cost model.
-func reshapeCounted(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Offset, phys fabric.Geometry, health *fabric.Health, lat fabric.LatencyTable, probes *uint64) (*fabric.Config, int) {
 	var disabled func(fabric.Cell) bool
 	if health != nil && health.DeadCount() > 0 {
 		disabled = func(c fabric.Cell) bool {
@@ -212,7 +203,6 @@ func reshapeCounted(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Off
 		Geom:     shape,
 		Lat:      lat,
 		Disabled: disabled,
-		Probes:   probes,
 	})
 }
 
@@ -274,33 +264,13 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 	return r.cfg, r.off, r.ok
 }
 
-// searchStripe is one stripe's share of the rescue scan: the stripe-local
-// winner plus the order-invariant work counters.
-type searchStripe struct {
-	idx      int // winning candidate index, -1 when the stripe holds none
-	consumed int
-	score    float64
-	cfg      *fabric.Config
-	off      fabric.Offset
-	probes   uint64
-	cells    uint64
-}
-
 // search scans every candidate (shape × anchor), keeping the placement
 // that holds the longest prefix of the sequence and, among equally long
 // ones, minimises the explorer's projected worst-cell ΔVt. Ties beyond the
-// score break by shape order then row-major anchor — the flattened
-// candidate index — so the search is deterministic.
-//
-// The scan fans out over runtime.GOMAXPROCS goroutines (serially below
-// minParallelCandidates): candidates are partitioned into contiguous
-// stripes, each worker maps, checks and scores its own range against
-// shared read-only state (the trace, the health map and the explorer's
-// projection, synchronised once by Reproject), and the reduction picks the
-// winner by (consumed desc, score asc, index asc) in stripe order. Every viable candidate is mapped, counted and scored —
-// there is no running-best gate short-circuiting the per-candidate work —
-// so the searchcost counters are sums over a fixed candidate set,
-// byte-identical for every worker count including the serial path.
+// score break by shape order then row-major anchor, so the search is
+// deterministic. Every viable candidate — mappable, long enough, live — is
+// mapped, counted and scored, with no running-best gate, so the searchcost
+// counters are sums over a fixed candidate set.
 func (m *Remapper) search(cfg *fabric.Config) rescue {
 	minOps := m.minOps
 	if n := len(cfg.Ops); n < minOps {
@@ -313,115 +283,44 @@ func (m *Remapper) search(cfg *fabric.Config) rescue {
 	m.counts.RemapScans++
 	m.counts.RemapProjections += uint64(m.geom.NumFUs())
 
-	n := len(m.shapes) * m.geom.NumFUs()
-	m.counts.RemapCandidates += uint64(n)
-	trace := Trace(cfg)
+	m.counts.RemapCandidates += uint64(len(m.shapes) * m.geom.NumFUs())
+	trace := m.memo.Key(Trace(cfg))
 
-	workers := runtime.GOMAXPROCS(0)
-	if n < minParallelCandidates {
-		workers = 1
-	}
-	stripes := scanStripes(n, workers, func(lo, hi int) searchStripe {
-		return m.searchRange(trace, minOps, lo, hi)
-	})
-
-	best := searchStripe{idx: -1}
-	for _, sr := range stripes {
-		m.counts.RemapProbes += sr.probes
-		m.counts.RemapCells += sr.cells
-		if sr.idx < 0 {
-			continue
-		}
-		if best.idx < 0 || sr.consumed > best.consumed ||
-			(sr.consumed == best.consumed && (sr.score < best.score ||
-				(sr.score == best.score && sr.idx < best.idx))) {
-			best = sr
-		}
-	}
-	if best.idx < 0 {
-		return rescue{}
-	}
-	return rescue{cfg: best.cfg, off: best.off, ok: true}
-}
-
-// searchRange evaluates the flattened candidate range [lo, hi): candidate i
-// is shape i/NumFUs anchored at the row-major offset i%NumFUs. Each viable
-// candidate — mappable, long enough, live — is placed, counted and scored;
-// the stripe keeps the (consumed desc, score asc, index asc) winner.
-func (m *Remapper) searchRange(trace []mapper.TraceEntry, minOps, lo, hi int) searchStripe {
-	sr := searchStripe{idx: -1}
-	cols := m.geom.Cols
-	for i := lo; i < hi; i++ {
-		shape := m.shapes[i/m.geom.NumFUs()]
-		a := i % m.geom.NumFUs()
-		anchor := fabric.Offset{Row: a / cols, Col: a % cols}
-		var disabled func(fabric.Cell) bool
-		if m.health != nil && m.health.DeadCount() > 0 {
-			disabled = func(c fabric.Cell) bool {
-				return m.health.Dead(anchor.Apply(c, m.geom))
+	var (
+		best         rescue
+		bestConsumed int
+		bestScore    float64
+	)
+	for _, shape := range m.shapes {
+		for a := 0; a < m.geom.NumFUs(); a++ {
+			anchor := fabric.Offset{Row: a / m.geom.Cols, Col: a % m.geom.Cols}
+			mc, consumed := m.memo.Map(trace, mapper.Options{
+				Geom: shape,
+				Lat:  fabric.DefaultLatencies(),
+				Disabled: func(c fabric.Cell) bool {
+					return m.health.Dead(anchor.Apply(c, m.geom))
+				},
+				Probes: &m.counts.RemapProbes,
+			})
+			if mc == nil || consumed < minOps {
+				continue
+			}
+			// The anchor-frame mask guarantees liveness by construction;
+			// re-checking keeps the never-dead-placement invariant even if
+			// a shape list with out-of-range cells sneaks in.
+			if !m.health.PlacementOK(mc.Cells(), anchor) {
+				continue
+			}
+			m.counts.RemapCells += uint64(len(mc.Cells()))
+			score := m.ex.ProjectedScore(mc, anchor)
+			if !best.ok || consumed > bestConsumed ||
+				(consumed == bestConsumed && score < bestScore) {
+				best = rescue{cfg: mc, off: anchor, ok: true}
+				bestConsumed, bestScore = consumed, score
 			}
 		}
-		mc, consumed := mapper.Map(trace, mapper.Options{
-			Geom:     shape,
-			Lat:      fabric.DefaultLatencies(),
-			Disabled: disabled,
-			Probes:   &sr.probes,
-		})
-		if mc == nil || consumed < minOps {
-			continue
-		}
-		// The anchor-frame mask guarantees liveness by construction;
-		// re-checking keeps the never-dead-placement invariant even if a
-		// shape list with out-of-range cells sneaks in.
-		if !m.health.PlacementOK(mc.Cells(), anchor) {
-			continue
-		}
-		sr.cells += uint64(len(mc.Cells()))
-		score := m.ex.ProjectedScore(mc, anchor)
-		if sr.idx < 0 || consumed > sr.consumed ||
-			(consumed == sr.consumed && score < sr.score) {
-			sr.idx, sr.consumed, sr.score = i, consumed, score
-			sr.cfg, sr.off = mc, anchor
-		}
 	}
-	return sr
-}
-
-// scanStripes partitions [0, n) into min(n, workers) contiguous stripes,
-// ordered and sized as evenly as possible, calls fn(lo, hi) once per
-// stripe and returns the results in stripe order. A single stripe runs
-// synchronously on the caller's goroutine; several run on one goroutine
-// each. Stripe boundaries are a pure function of (n, workers) and every
-// index lands in exactly one stripe, so a caller whose per-index work is
-// independent of evaluation order and that reduces the results in stripe
-// order gets the same outcome for every worker count.
-func scanStripes[T any](n, workers int, fn func(lo, hi int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	workers = min(max(workers, 1), n)
-	out := make([]T, workers)
-	if workers == 1 {
-		out[0] = fn(0, n)
-		return out
-	}
-	var wg sync.WaitGroup
-	base, rem := n/workers, n%workers
-	lo := 0
-	for s := range out {
-		hi := lo + base
-		if s < rem {
-			hi++
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			out[s] = fn(lo, hi)
-		}(s, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	return out
+	return best
 }
 
 var (

@@ -2,8 +2,6 @@ package remap
 
 import (
 	"reflect"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"agingcgra/internal/alloc"
@@ -13,7 +11,6 @@ import (
 	"agingcgra/internal/isa"
 	"agingcgra/internal/mapper"
 	"agingcgra/internal/prog"
-	"agingcgra/internal/searchcost"
 )
 
 func alu(pc uint32, rd, rs1, rs2 isa.Reg) mapper.TraceEntry {
@@ -607,131 +604,50 @@ func TestReshapeWrapAroundAnchor(t *testing.T) {
 	}
 }
 
-// TestRemapWorkerCountInvariance runs the same rescue search serial
-// (GOMAXPROCS=1) and striped over four workers (GOMAXPROCS=4) on a
-// clustered-failure fabric with a skewed wear map, and pins that both
-// produce the same placement and — because the counters sum over the fixed
-// viable-candidate set, not the order the running best happened to improve
-// in — byte-identical searchcost Counts.
-func TestRemapWorkerCountInvariance(t *testing.T) {
+// TestRescueThroughMemoMatchesDirect pins the rescue's use of the mapping
+// memo on a dead-quadrant fabric with skewed wear: a remapper mapping every
+// candidate directly, one filling an empty memo and one reading a memo a
+// previous remapper filled (every candidate a hit) choose the same
+// placement and report byte-identical searchcost Counts, since hits re-add
+// the probes. The hit's configuration is a fresh pointer.
+func TestRescueThroughMemoMatchesDirect(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	cfg := mapHealthy(t, independentALUs(8), g)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	run := func(workers int) (*fabric.Config, fabric.Offset, bool, searchcost.Counts) {
-		runtime.GOMAXPROCS(workers)
-		// Dead quadrant (row 0, columns 0-7): the healthy shape survives
-		// at some anchors, narrower shapes at more — a real multi-shape,
-		// multi-anchor scan.
-		h, err := fabric.NewHealthWithDead(g, fabric.DeadQuadrantCells(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := fabric.NewWear(g)
-		for c := 0; c < 8; c++ {
-			w.Add(fabric.Cell{Row: 1, Col: c}, 2)
-		}
+	h, err := fabric.NewHealthWithDead(g, fabric.DeadQuadrantCells(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fabric.NewWear(g)
+	for c := 0; c < 8; c++ {
+		w.Add(fabric.Cell{Row: 1, Col: c}, 2)
+	}
+	rescue := func(memo *mapper.Memo) (*fabric.Config, fabric.Offset, *Remapper) {
 		m := New(g)
+		m.UseMemo(memo)
 		m.SetHealth(h)
 		m.SetWear(w)
 		mc, off, ok := m.RemapConfig(cfg, fabric.Offset{}, false)
-		return mc, off, ok, m.SearchCounts()
-	}
-	cfgS, offS, okS, countsS := run(1)
-	cfgP, offP, okP, countsP := run(4)
-	if okS != okP || offS != offP {
-		t.Fatalf("serial (ok=%v off=%v) != parallel (ok=%v off=%v)", okS, offS, okP, offP)
-	}
-	if okS {
-		if cfgS.Geom != cfgP.Geom || cfgS.UsedCols != cfgP.UsedCols || len(cfgS.Ops) != len(cfgP.Ops) {
-			t.Fatalf("configs diverge: serial %v/%d ops, parallel %v/%d ops",
-				cfgS.Geom, len(cfgS.Ops), cfgP.Geom, len(cfgP.Ops))
+		if !ok {
+			t.Fatal("no shape rescues the configuration off the dead quadrant")
 		}
-		for i := range cfgS.Ops {
-			if cfgS.Ops[i] != cfgP.Ops[i] {
-				t.Fatalf("op %d diverges: serial %+v, parallel %+v", i, cfgS.Ops[i], cfgP.Ops[i])
-			}
+		return mc, off, m
+	}
+	want, wantOff, direct := rescue(nil)
+	memo := mapper.NewMemo()
+	var prev *fabric.Config
+	for _, pass := range []string{"miss", "hit"} {
+		got, off, m := rescue(memo)
+		if off != wantOff || got.Geom != want.Geom || got.UsedCols != want.UsedCols ||
+			!reflect.DeepEqual(got.Ops, want.Ops) {
+			t.Fatalf("%s: rescue %v at %v, direct rescue %v at %v", pass, got.Geom, off, want.Geom, wantOff)
 		}
-	}
-	if countsS != countsP {
-		t.Fatalf("searchcost counts diverge:\nserial:   %+v\nparallel: %+v", countsS, countsP)
-	}
-}
-
-// TestScanStripesCount pins how many stripes a scan fans out to: never more
-// than the items, one for a non-positive worker count, none for an empty or
-// negative range.
-func TestScanStripesCount(t *testing.T) {
-	cases := []struct{ n, workers, want int }{
-		{0, 4, 0},
-		{-3, 4, 0},
-		{10, 0, 1},
-		{10, -1, 1},
-		{10, 1, 1},
-		{10, 4, 4},
-		{3, 8, 3}, // never more stripes than items
-		{1, 8, 1}, // single item is the serial path
-		{10, 10, 10},
-	}
-	for _, c := range cases {
-		got := scanStripes(c.n, c.workers, func(lo, hi int) int { return hi - lo })
-		if len(got) != c.want {
-			t.Errorf("scanStripes(%d, %d) made %d stripes, want %d", c.n, c.workers, len(got), c.want)
+		if got == want || got == prev {
+			t.Fatalf("%s: the rescue handed out a configuration pointer twice", pass)
 		}
-	}
-}
-
-// TestScanStripesCoversEveryIndexOnce is the determinism contract's
-// foundation: for any (n, workers), including n < workers and n = 0, the
-// stripes are contiguous, returned in stripe order, at most min(n, workers)
-// of them, and partition [0, n) exactly — every index evaluated once.
-func TestScanStripesCoversEveryIndexOnce(t *testing.T) {
-	type stripe struct{ lo, hi int }
-	for n := 0; n <= 33; n++ {
-		for workers := -1; workers <= 9; workers++ {
-			hits := make([]int32, n)
-			got := scanStripes(n, workers, func(lo, hi int) stripe {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-				return stripe{lo, hi}
-			})
-			want := min(max(workers, 1), n)
-			if len(got) != want {
-				t.Fatalf("n=%d workers=%d: %d stripes, want %d", n, workers, len(got), want)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: index %d evaluated %d times", n, workers, i, h)
-				}
-			}
-			lo := 0
-			for s, st := range got {
-				if st.lo != lo || st.hi <= st.lo {
-					t.Fatalf("n=%d workers=%d: stripe %d is [%d,%d), expected non-empty from %d",
-						n, workers, s, st.lo, st.hi, lo)
-				}
-				lo = st.hi
-			}
-			if lo != n {
-				t.Fatalf("n=%d workers=%d: stripes end at %d", n, workers, lo)
-			}
+		prev = got
+		if m.SearchCounts() != direct.SearchCounts() {
+			t.Fatalf("%s: searchcost counts diverge:\nmemo:   %+v\ndirect: %+v",
+				pass, m.SearchCounts(), direct.SearchCounts())
 		}
-	}
-}
-
-// TestScanStripesSerialPathStaysOnCallerGoroutine pins the single-stripe
-// fast path: with one stripe the callback runs synchronously, so callers
-// may touch caller-local state without synchronization.
-func TestScanStripesSerialPathStaysOnCallerGoroutine(t *testing.T) {
-	calls := 0 // unsynchronized on purpose; -race proves the contract
-	got := scanStripes(100, 1, func(lo, hi int) int {
-		if lo != 0 || hi != 100 {
-			t.Fatalf("serial stripe = [%d, %d)", lo, hi)
-		}
-		calls++
-		return calls
-	})
-	if calls != 1 || len(got) != 1 || got[0] != 1 {
-		t.Fatalf("serial path ran %d times, returned %v", calls, got)
 	}
 }
