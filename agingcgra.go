@@ -372,8 +372,8 @@ func (c LifetimeConfig) Scenario() (lifetime.Scenario, error) {
 		// translation-time search walks.
 		factory = dse.LadderRemapFactory(ladder)
 	}
-	model := aging.NewModel()
-	cond := model.Cond
+	calib := aging.NewModel().Cond
+	cond := calib
 	if c.TemperatureK > 0 {
 		cond.TemperatureK = c.TemperatureK
 	}
@@ -385,7 +385,7 @@ func (c LifetimeConfig) Scenario() (lifetime.Scenario, error) {
 	}
 	var profile []lifetime.Phase
 	for i, p := range c.Profile {
-		pc := model.Cond
+		pc := calib
 		if p.TemperatureK > 0 {
 			pc.TemperatureK = p.TemperatureK
 		}
@@ -417,7 +417,6 @@ func (c LifetimeConfig) Scenario() (lifetime.Scenario, error) {
 		Size:        c.Size,
 		EpochYears:  c.EpochYears,
 		MaxYears:    c.MaxYears,
-		Model:       model,
 		Cond:        cond,
 		Profile:     profile,
 		InitialDead: dead,

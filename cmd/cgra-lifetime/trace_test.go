@@ -5,11 +5,35 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden trace artifacts")
+var updateGolden = flag.Bool("update", false, "rewrite golden CLI outputs")
+
+// matchGolden compares got byte for byte against testdata/name, or rewrites
+// the golden when the test runs with -update.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from golden %s (regenerate deliberately with -update)", golden)
+	}
+}
 
 // TestRunTraceGolden runs a tiny deterministic scenario with -trace and
 // compares every artifact byte for byte against the committed goldens:
@@ -37,24 +61,7 @@ func TestRunTraceGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing artifact: %v", err)
 		}
-		golden := filepath.Join("testdata", "trace"+suffix+".golden")
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("reading golden (regenerate with -update): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from golden %s (regenerate deliberately with -update)",
-				prefix+suffix, golden)
-		}
+		matchGolden(t, "trace"+suffix+".golden", got)
 		if !strings.Contains(stderr.String(), "wrote "+prefix+suffix) {
 			t.Errorf("stderr does not mention %s", prefix+suffix)
 		}
@@ -100,4 +107,27 @@ func TestRunTraceAtAnyWorkerCount(t *testing.T) {
 			t.Errorf("%s differs between -workers 1 and 4", suffix)
 		}
 	}
+}
+
+// TestRunExploreShapeFaultsGolden pins the JSON of the explorer under
+// translation-time shape search with intermittent faults and recovery.
+// Quarantine and probation move the observed health under the DBT's
+// translations there, so this run is the one that shows whether observe's
+// "next PC is already translated" terminator is implied by the loop's next
+// cache hit: no dbt test does. The Go version line is blanked so the
+// golden does not depend on the toolchain.
+func TestRunExploreShapeFaultsGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{
+		"-allocators", "explore",
+		"-bench", "crc32",
+		"-shape-translations",
+		"-faults", "-recovery",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bytes.Replace(stdout.Bytes(),
+		[]byte(`"go_version": "`+runtime.Version()+`"`), []byte(`"go_version": ""`), 1)
+	matchGolden(t, "explore-shape-faults.json.golden", got)
 }

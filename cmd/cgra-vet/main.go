@@ -1,9 +1,8 @@
 // Command cgra-vet is the project's invariants-as-lint multichecker:
 // the custom analyzers of internal/lint (wallclock, globalrand,
 // maporder, traceemit — the determinism and memo-key contracts from
-// ROADMAP.md as machine-checked rules) plus stdlib reimplementations
-// of the stock nilness and unusedwrite checks, speaking the `go vet
-// -vettool` protocol.
+// ROADMAP.md as machine-checked rules) plus a stdlib reimplementation
+// of the stock nilness check, speaking the `go vet -vettool` protocol.
 //
 // Usage:
 //

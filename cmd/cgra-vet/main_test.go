@@ -134,7 +134,7 @@ func TestFlagsHandshake(t *testing.T) {
 	for _, f := range flags {
 		names[f.Name] = true
 	}
-	for _, want := range []string{"wallclock", "globalrand", "maporder", "traceemit", "nilness", "unusedwrite"} {
+	for _, want := range []string{"wallclock", "globalrand", "maporder", "traceemit", "nilness"} {
 		if !names[want] {
 			t.Errorf("-flags output lacks the %s toggle; got %s", want, out)
 		}

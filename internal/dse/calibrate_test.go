@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"math"
 	"testing"
 
 	"agingcgra/internal/energy"
@@ -8,9 +9,11 @@ import (
 	"agingcgra/internal/prog"
 )
 
-// TestCalibrateEnergy grid-searches the three fabric energy constants
-// against the paper's Fig. 6 anchors (BE 0.90x, BP 1.20x, BU 1.46x).
-// It is a tool, not a regression test; run explicitly with -run Calibrate.
+// TestCalibrateEnergy grid-searches five energy constants against the
+// paper's Fig. 6 anchors (BE 0.90x, BP 1.20x, BU 1.46x) and pins the
+// result: the grid's argmin must be energy.Calibrated(), and under it
+// L8,W2 must cost more than L16,W2 so the BE selection matches the paper.
+// -v logs the calibrated ratios next to their targets.
 func TestCalibrateEnergy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration is slow")
@@ -58,8 +61,8 @@ func TestCalibrateEnergy(t *testing.T) {
 		return tr / gp
 	}
 
-	best := energy.Calibrated()
-	bestErr := 1e18
+	var best energy.Model
+	bestErr := math.Inf(1)
 	for _, gppStatic := range []float64{4, 6, 8, 10, 14, 18, 24} {
 		for _, leak := range []float64{0.005, 0.01, 0.015, 0.02, 0.03, 0.04, 0.06, 0.08, 0.1, 0.14} {
 			for _, perCtx := range []float64{0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8} {
@@ -91,10 +94,19 @@ func TestCalibrateEnergy(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("best model: GPPStatic=%v FULeak=%v PerCtx=%v OpBase=%v OffloadCtx=%v err=%v",
-		best.GPPStatic, best.FULeak, best.CGRAOpPerCtxLine, best.CGRAOpBase, best.OffloadCtx, bestErr)
-	for i, a := range anchors {
-		t.Logf("  %v: ratio %.3f (target %.2f)", a.geom, ratioWith(best, rawAnchors[i].res), a.target)
+	if math.IsInf(bestErr, 1) {
+		t.Fatalf("no grid point keeps %v costlier than %v", watch, anchors[0].geom)
 	}
-	t.Logf("  %v (watch): ratio %.3f", watch, ratioWith(best, watchRes))
+	want := energy.Calibrated()
+	if best != want {
+		t.Errorf("grid argmin GPPStatic=%v FULeak=%v PerCtx=%v OpBase=%v OffloadCtx=%v; energy.Calibrated() has %v %v %v %v %v",
+			best.GPPStatic, best.FULeak, best.CGRAOpPerCtxLine, best.CGRAOpBase, best.OffloadCtx,
+			want.GPPStatic, want.FULeak, want.CGRAOpPerCtxLine, want.CGRAOpBase, want.OffloadCtx)
+	}
+	for i, a := range anchors {
+		t.Logf("%v: ratio %.3f (target %.2f)", a.geom, ratioWith(want, rawAnchors[i].res), a.target)
+	}
+	if w, be := ratioWith(want, watchRes), ratioWith(want, rawAnchors[0].res); w <= be {
+		t.Errorf("%v ratio %.3f is not above %v's %.3f", watch, w, anchors[0].geom, be)
+	}
 }

@@ -123,8 +123,6 @@ type Options struct {
 	Size prog.Size
 	// Benchmarks restricts the suite (default: all ten).
 	Benchmarks []string
-	// Model is the energy model (default Calibrated).
-	Model *energy.Model
 	// Engine propagates engine options other than Geom/Allocator/Controller.
 	Engine dbt.Options
 	// Workers bounds sweep parallelism: 0 selects runtime.GOMAXPROCS, 1
@@ -145,9 +143,6 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		factory = BaselineFactory
 	}
 	model := energy.Calibrated()
-	if opt.Model != nil {
-		model = *opt.Model
-	}
 	size := opt.Size
 	names := opt.Benchmarks
 	if len(names) == 0 {

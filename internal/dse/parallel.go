@@ -80,7 +80,6 @@ func (rc *RefCache) Get(b *prog.Benchmark, size prog.Size, timing gpp.Timing) (G
 		if err != nil {
 			return GPPRef{}, err
 		}
-		defer c.Release()
 		s, err := gpp.Record(c, b.MaxInstructions)
 		if err != nil {
 			return GPPRef{}, err

@@ -89,7 +89,6 @@ func TestRefCacheMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		cycles, classes, err := dbt.RunGPPOnly(c, gpp.Timing{}, b.MaxInstructions)
-		c.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

@@ -61,13 +61,13 @@
 //
 // # Snapshot consistency
 //
-// Score and ProjectedScore always evaluate against the same incrementally
-// maintained state the pivot scan reads — there is no separately cached
-// per-cell ΔVt table that can go stale between a scan and an external
-// scoring call. The shape-adaptive remapper's reshape comparison and the
-// explorer's own argmin therefore score against the same snapshot by
-// construction; Reproject remains as the explicit synchronisation point
-// callers use before scoring candidates concurrently.
+// Score evaluates against the same incrementally maintained state the
+// pivot scan reads — there is no separately cached per-cell ΔVt table
+// that can go stale between a scan and an external scoring call. The
+// shape-adaptive remapper's rescue search and the explorer's own argmin
+// therefore score against the same snapshot by construction. Each Score
+// call first reconciles the wear snapshot, which costs one fabric state
+// key compare when the wear map has not moved.
 package explore
 
 import (
@@ -537,29 +537,14 @@ func (e *Explorer) scoreYears(cells []fabric.Cell, off fabric.Offset, dead []boo
 }
 
 // Score returns the maximum projected ΔVt of placing cfg at off under the
-// explorer's current state: the objective Explore minimises. Exposed so
-// tests (and diagnostics) can compare the explorer's choice against
-// alternatives such as the skip-scan fallback it replaces. ΔVt is strictly
-// increasing in projected stress-years, so evaluating Eq. 1 once on the
-// footprint's worst cell equals the maximum of per-cell evaluations.
+// explorer's current state: the objective Explore minimises. Exposed for
+// the shape-adaptive remapper's rescue search, and so tests can compare
+// the explorer's choice against alternatives such as the skip-scan
+// fallback it replaces. ΔVt is strictly increasing in projected
+// stress-years, so evaluating Eq. 1 once on the footprint's worst cell
+// equals the maximum of per-cell evaluations.
 func (e *Explorer) Score(cfg *fabric.Config, off fabric.Offset) float64 {
 	e.syncWear()
-	return e.ProjectedScore(cfg, off)
-}
-
-// Reproject synchronises the projection state external scorers evaluate
-// against (the wear snapshot reconciliation). Callers scoring many
-// candidates under one fabric state — the shape-adaptive remapper's
-// (shape × anchor) search, possibly from several goroutines — synchronise
-// once here; ProjectedScore is then a pure read.
-func (e *Explorer) Reproject() { e.syncWear() }
-
-// ProjectedScore evaluates one candidate against the incrementally
-// maintained projection state (see Reproject); Score is Reproject followed
-// by ProjectedScore. Unlike the pre-incremental explorer there is no
-// separately cached ΔVt table to go stale: every call scores the same
-// snapshot the pivot scan reads.
-func (e *Explorer) ProjectedScore(cfg *fabric.Config, off fabric.Offset) float64 {
 	maxY, _, _ := e.scoreYears(cfg.Cells(), off, nil, e.dutyScale())
 	return e.model.Cond.DeltaVt(maxY, 1)
 }

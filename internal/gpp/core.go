@@ -50,13 +50,10 @@ func New(p *isa.Program) *Core {
 // Program returns the loaded program.
 func (c *Core) Program() *isa.Program { return c.prog }
 
-// Release returns the core's memory to the pool once the caller is done
-// with the architectural state. The core must not be used afterwards.
+// Release drops the core's memory once the caller is done with the
+// architectural state. The core must not be used afterwards.
 func (c *Core) Release() {
-	if c.Mem != nil {
-		c.Mem.Release()
-		c.Mem = nil
-	}
+	c.Mem = nil
 }
 
 // Halted reports whether the core has executed ecall.
@@ -64,16 +61,6 @@ func (c *Core) Halted() bool { return c.halted }
 
 // RetiredCount returns the number of instructions retired so far.
 func (c *Core) RetiredCount() uint64 { return c.retired }
-
-// Reset rewinds architectural state to the program entry, preserving memory
-// contents (so input data written by the harness survives).
-func (c *Core) Reset() {
-	c.Regs = [isa.NumRegs]uint32{}
-	c.Regs[isa.SP] = StackTop
-	c.PC = c.prog.Entry
-	c.halted = false
-	c.retired = 0
-}
 
 // Step executes exactly one instruction and reports what retired.
 func (c *Core) Step() (Retire, error) {

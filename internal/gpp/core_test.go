@@ -274,26 +274,6 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := run(t, `
-		li a0, 1
-		ecall
-	`)
-	c.Reset()
-	if c.Halted() || c.PC != c.Program().Entry || c.Regs[isa.A0] != 0 {
-		t.Error("Reset did not restore initial state")
-	}
-	if c.Regs[isa.SP] != StackTop {
-		t.Error("Reset did not restore sp")
-	}
-	if _, err := c.Run(100, nil); err != nil {
-		t.Fatalf("re-run after reset: %v", err)
-	}
-	if c.Regs[isa.A0] != 1 {
-		t.Error("re-run produced wrong result")
-	}
-}
-
 func TestRetireStream(t *testing.T) {
 	p, err := isa.Assemble(`
 		li t0, 3

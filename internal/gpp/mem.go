@@ -8,8 +8,6 @@ package gpp
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"sync"
 )
 
 // Default memory layout. Text sits low, static data in the middle, the stack
@@ -23,79 +21,13 @@ const (
 )
 
 // Memory is a flat little-endian byte-addressable memory.
-//
-// Every mutation marks its 4 KiB page in a dirty bitmap, which is what
-// makes the Release/NewMemory pool cheap: a recycled memory only zeroes
-// the pages its previous life touched (program text, static data, the few
-// stack pages a kernel uses) instead of the whole image. Loops that
-// interpret a benchmark over and over (a harness timing dbt.RunGPPOnly or
-// dbt.Engine.Run, the suite-wide tests) build one core per run, so without
-// the pool the 2 MiB zeroing dominates their allocation cost.
 type Memory struct {
-	data  []byte
-	dirty []uint64 // 1 bit per 4 KiB page
+	data []byte
 }
 
-const (
-	pageShift = 12 // 4 KiB dirty-tracking granularity
-	pageBytes = 1 << pageShift
-)
-
-// memPool recycles full-sized (MemSize) memories, the only size the
-// simulator allocates in steady state. Odd-sized memories (tests) are
-// allocated fresh.
-var memPool = sync.Pool{}
-
-// NewMemory returns a zeroed memory of the given size in bytes, recycling
-// a released one when available: a pooled memory has only its previously
-// dirtied pages zeroed, which is byte-for-byte identical to a fresh
-// allocation because clean pages were never written.
+// NewMemory returns a zeroed memory of the given size in bytes.
 func NewMemory(size int) *Memory {
-	if size == MemSize {
-		if v := memPool.Get(); v != nil {
-			m := v.(*Memory)
-			m.scrub()
-			return m
-		}
-	}
-	pages := (size + pageBytes - 1) / pageBytes
-	return &Memory{
-		data:  make([]byte, size),
-		dirty: make([]uint64, (pages+63)/64),
-	}
-}
-
-// Release returns the memory to the pool. The caller must not touch it
-// afterwards; the next NewMemory of the same size may hand it out again.
-func (m *Memory) Release() {
-	if len(m.data) == MemSize {
-		memPool.Put(m)
-	}
-}
-
-// scrub zeroes every dirty page and clears the bitmap, restoring the
-// all-zero state of a fresh allocation.
-func (m *Memory) scrub() {
-	for w, set := range m.dirty {
-		for set != 0 {
-			page := w*64 + bits.TrailingZeros64(set)
-			lo := page << pageShift
-			hi := lo + pageBytes
-			if hi > len(m.data) {
-				hi = len(m.data)
-			}
-			clear(m.data[lo:hi])
-			set &= set - 1
-		}
-		m.dirty[w] = 0
-	}
-}
-
-// mark flags the page containing addr as dirty; the store paths call it
-// for the first and last byte of every write.
-func (m *Memory) mark(addr uint32) {
-	p := addr >> pageShift
-	m.dirty[p>>6] |= 1 << (p & 63)
+	return &Memory{data: make([]byte, size)}
 }
 
 // Size returns the memory size in bytes.
@@ -148,8 +80,6 @@ func (m *Memory) StoreWord(addr uint32, v uint32) error {
 	if err := m.check(addr, 4, "store"); err != nil {
 		return err
 	}
-	m.mark(addr)
-	m.mark(addr + 3)
 	binary.LittleEndian.PutUint32(m.data[addr:], v)
 	return nil
 }
@@ -159,8 +89,6 @@ func (m *Memory) StoreHalf(addr uint32, v uint16) error {
 	if err := m.check(addr, 2, "store"); err != nil {
 		return err
 	}
-	m.mark(addr)
-	m.mark(addr + 1)
 	binary.LittleEndian.PutUint16(m.data[addr:], v)
 	return nil
 }
@@ -170,7 +98,6 @@ func (m *Memory) StoreByte(addr uint32, v byte) error {
 	if err := m.check(addr, 1, "store"); err != nil {
 		return err
 	}
-	m.mark(addr)
 	m.data[addr] = v
 	return nil
 }
@@ -179,11 +106,6 @@ func (m *Memory) StoreByte(addr uint32, v byte) error {
 func (m *Memory) WriteBytes(addr uint32, buf []byte) error {
 	if err := m.check(addr, len(buf), "store"); err != nil {
 		return err
-	}
-	if len(buf) > 0 {
-		for p := addr >> pageShift; p <= (addr+uint32(len(buf))-1)>>pageShift; p++ {
-			m.dirty[p>>6] |= 1 << (p & 63)
-		}
 	}
 	copy(m.data[addr:], buf)
 	return nil
@@ -203,11 +125,6 @@ func (m *Memory) ReadBytes(addr uint32, n int) ([]byte, error) {
 func (m *Memory) WriteWords(addr uint32, words []uint32) error {
 	if err := m.check(addr, len(words)*4, "store"); err != nil {
 		return err
-	}
-	if len(words) > 0 {
-		for p := addr >> pageShift; p <= (addr+uint32(len(words)*4)-1)>>pageShift; p++ {
-			m.dirty[p>>6] |= 1 << (p & 63)
-		}
 	}
 	for i, w := range words {
 		binary.LittleEndian.PutUint32(m.data[addr+uint32(i)*4:], w)

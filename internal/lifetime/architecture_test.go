@@ -71,7 +71,6 @@ func TestFaultsNeverTouchArchitecture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Release()
 			interp, interpStats := run(t, func(e *dbt.Engine) (*dbt.Report, error) { return e.Run(c, b.MaxInstructions) })
 			replay, replayStats := run(t, func(e *dbt.Engine) (*dbt.Report, error) { return e.RunStream(ref.Stream) })
 

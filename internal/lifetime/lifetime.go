@@ -75,12 +75,9 @@ type Scenario struct {
 	EpochYears float64
 	// MaxYears is the simulated horizon (default 15).
 	MaxYears float64
-	// Model is the NBTI end-of-life model (zero value: aging.NewModel, the
-	// paper's 10%-over-3-years calibration).
-	Model aging.Model
-	// Cond is the constant operating point (zero value: the model's
-	// calibration conditions, i.e. no acceleration). Ignored when Profile
-	// is set.
+	// Cond is the constant operating point (zero value: the calibration
+	// conditions of aging.NewModel, the paper's 10%-over-3-years NBTI
+	// model, so no acceleration). Ignored when Profile is set.
 	Cond aging.Conditions
 	// Profile optionally varies the operating point over time.
 	Profile []Phase
@@ -215,11 +212,8 @@ func (sc *Scenario) applyDefaults() {
 	if sc.MaxYears == 0 {
 		sc.MaxYears = 15
 	}
-	if sc.Model == (aging.Model{}) {
-		sc.Model = aging.NewModel()
-	}
 	if sc.Cond == (aging.Conditions{}) {
-		sc.Cond = sc.Model.Cond
+		sc.Cond = aging.NewModel().Cond
 	}
 	if sc.Refs == nil {
 		sc.Refs = dse.NewRefCache()
@@ -244,9 +238,6 @@ func (sc *Scenario) applyDefaults() {
 
 func (sc *Scenario) validate() error {
 	if err := sc.Geom.Validate(); err != nil {
-		return err
-	}
-	if err := sc.Model.Validate(); err != nil {
 		return err
 	}
 	if err := sc.Cond.Validate(); err != nil {
@@ -524,7 +515,8 @@ func Run(sc Scenario) (*Result, error) {
 	// placements away from the most-degraded FUs.
 	wear := fabric.NewWear(sc.Geom)
 	n := sc.Geom.NumFUs()
-	threshold := sc.Model.CalibYears * sc.Model.CalibUtil
+	model := aging.NewModel()
+	threshold := model.CalibYears * model.CalibUtil
 
 	// Fault injection and the runtime's observed view. The faults map is
 	// re-derived from wear at every epoch boundary; the monitor owns the
@@ -655,7 +647,7 @@ func Run(sc Scenario) (*Result, error) {
 		// point in effect; cells crossing end-of-life die mid-epoch at the
 		// interpolated age but keep contributing until the epoch boundary
 		// (the epoch-granularity approximation).
-		accel := sc.Model.AccelerationFactor(sc.condAt(years))
+		accel := model.AccelerationFactor(sc.condAt(years))
 		var deaths []fabric.Cell
 		deathsBefore := len(res.DeathAges)
 		worstDelay := 0.0
@@ -681,7 +673,7 @@ func Run(sc Scenario) (*Result, error) {
 				deaths = append(deaths, cell)
 				continue
 			}
-			if d := sc.Model.DelayIncrease(after, 1); d > worstDelay {
+			if d := model.DelayIncrease(after, 1); d > worstDelay {
 				worstDelay = d
 			}
 		}

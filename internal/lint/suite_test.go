@@ -38,10 +38,6 @@ func TestNilness(t *testing.T) {
 	linttest.Run(t, "testdata", []*lint.Analyzer{lint.Nilness}, "agingcgra/internal/nilfix")
 }
 
-func TestUnusedwrite(t *testing.T) {
-	linttest.Run(t, "testdata", []*lint.Analyzer{lint.Unusedwrite}, "agingcgra/internal/deadwrite")
-}
-
 // TestDirectives covers the directive contract: an ignore without a
 // reason, a bare ignore, an unknown analyzer, and the spaced near-miss
 // are all findings themselves — and none of them suppresses the

@@ -35,8 +35,6 @@ type Options struct {
 	// Lat gives per-class column spans; every mapped class must span at
 	// least one column (fabric.DefaultLatencies).
 	Lat fabric.LatencyTable
-	// MaxOps caps the number of placed operations (0 = no cap).
-	MaxOps int
 	// Disabled marks failed FU cells the mapper must route around: the
 	// end-of-life degradation scenario of the paper's introduction, where
 	// dead FUs progressively limit ILP.
@@ -76,9 +74,6 @@ func Map(trace []TraceEntry, opt Options) (*fabric.Config, int) {
 	usedCols := 0
 
 	for i, e := range trace {
-		if opt.MaxOps > 0 && len(ops) >= opt.MaxOps {
-			break
-		}
 		op, ok := s.place(i, e)
 		if !ok {
 			break

@@ -214,19 +214,6 @@ func TestCapacityTruncation(t *testing.T) {
 	}
 }
 
-func TestMaxOpsCap(t *testing.T) {
-	var trace []TraceEntry
-	for i := 0; i < 10; i++ {
-		trace = append(trace, alu(uint32(0x1000+4*i), isa.T0, isa.A0, isa.A1))
-	}
-	o := opts(4, 8)
-	o.MaxOps = 3
-	_, n := Map(trace, o)
-	if n != 3 {
-		t.Errorf("consumed %d, want 3 (MaxOps)", n)
-	}
-}
-
 func TestContextPressureTruncates(t *testing.T) {
 	// Each op produces a value consumed far away, accumulating live values
 	// across the middle boundary. With only 2 context lines the third

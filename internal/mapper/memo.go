@@ -14,7 +14,7 @@ import (
 //
 // A result is keyed on everything Map reads: the trace's content (PC,
 // instruction and direction of every entry; PCs collide across programs),
-// Geom, Lat, MaxOps, and the Disabled predicate's answer for every cell of
+// Geom, Lat, and the Disabled predicate's answer for every cell of
 // Geom — the only cells the greedy row search asks about. Wear, the anchor
 // and the caller are not in the key, so a stored result never goes stale
 // and one Memo serves every layer of a scenario.
@@ -29,7 +29,7 @@ import (
 // A nil *Memo maps directly. A Memo is not safe for concurrent use.
 type Memo struct {
 	traces  map[string]uint32  // encoded trace content -> id
-	opts    map[optsKey]uint32 // Geom, Lat, MaxOps -> id
+	opts    map[optsKey]uint32 // Geom, Lat -> id
 	masks   map[string]uint32  // dead-cell bitmask over Geom -> id
 	results map[memoKey]memoResult
 	buf     []byte // encoding scratch, reused by every lookup
@@ -37,9 +37,8 @@ type Memo struct {
 
 // optsKey is everything of Options that Map reads besides Disabled.
 type optsKey struct {
-	geom   fabric.Geometry
-	lat    fabric.LatencyTable
-	maxOps int
+	geom fabric.Geometry
+	lat  fabric.LatencyTable
 }
 
 // memoKey names one Map call by the ids of its interned parts, so a result
@@ -94,13 +93,13 @@ func (m *Memo) Key(trace []TraceEntry) TraceKey {
 }
 
 // Map returns what Map(trace, opt) returns for the keyed trace, mapping it
-// only the first time this (trace, Geom, Lat, MaxOps, dead mask) is seen.
+// only the first time this (trace, Geom, Lat, dead mask) is seen.
 // That first call returns Map's own configuration; every later one a clone.
 func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
 	if m == nil {
 		return Map(k.trace, opt)
 	}
-	okey := optsKey{geom: opt.Geom, lat: opt.Lat, maxOps: opt.MaxOps}
+	okey := optsKey{geom: opt.Geom, lat: opt.Lat}
 	oid, seen := m.opts[okey]
 	if !seen {
 		oid = uint32(len(m.opts))

@@ -203,10 +203,6 @@ func TestMemoKeysOnContent(t *testing.T) {
 			o.Lat.ALU = 2
 			return o
 		}, true},
-		{"op cap", trace, func(o Options) Options {
-			o.MaxOps = 2
-			return o
-		}, true},
 	}
 	for _, c := range cases {
 		before := len(memo.results)

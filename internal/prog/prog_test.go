@@ -173,6 +173,5 @@ func TestRecordMatchesReference(t *testing.T) {
 		if err := b.Check(c.Mem, c.Regs[isa.A0], Tiny); err != nil {
 			t.Errorf("%s: recording core fails Check: %v", b.Name, err)
 		}
-		c.Release()
 	}
 }

@@ -248,12 +248,11 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 	}
 	r := m.search(cfg)
 	if placed {
-		// The projection is still fresh from the search pass.
 		full := r.ok && len(r.cfg.Ops) == len(cfg.Ops)
 		if full {
 			m.counts.RemapCells += uint64(len(r.cfg.Cells()) + len(cfg.Cells()))
 		}
-		if !full || m.ex.ProjectedScore(r.cfg, r.off) >= m.ex.ProjectedScore(cfg, off) {
+		if !full || m.ex.Score(r.cfg, r.off) >= m.ex.Score(cfg, off) {
 			r = rescue{ok: true} // keep the translation
 		}
 	}
@@ -276,10 +275,9 @@ func (m *Remapper) search(cfg *fabric.Config) rescue {
 	if n := len(cfg.Ops); n < minOps {
 		minOps = n
 	}
-	// One Eq. 1 projection pass serves the whole candidate scan: the
-	// projection depends only on the fabric state and the observed duty,
-	// neither of which changes mid-search.
-	m.ex.Reproject()
+	// The modelled search counts one Eq. 1 projection pass for the whole
+	// candidate scan: the projection depends only on the fabric state and
+	// the observed duty, neither of which changes mid-search.
 	m.counts.RemapScans++
 	m.counts.RemapProjections += uint64(m.geom.NumFUs())
 
@@ -312,7 +310,7 @@ func (m *Remapper) search(cfg *fabric.Config) rescue {
 				continue
 			}
 			m.counts.RemapCells += uint64(len(mc.Cells()))
-			score := m.ex.ProjectedScore(mc, anchor)
+			score := m.ex.Score(mc, anchor)
 			if !best.ok || consumed > bestConsumed ||
 				(consumed == bestConsumed && score < bestScore) {
 				best = rescue{cfg: mc, off: anchor, ok: true}
