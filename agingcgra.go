@@ -113,15 +113,12 @@ type Config struct {
 	Rows, Cols int
 	// Allocator names the allocation strategy (default "baseline").
 	Allocator string
-	// CacheEntries sizes the configuration cache (default 128).
-	CacheEntries int
 }
 
 // System is a configured TransRec instance ready to run workloads.
 type System struct {
 	geom      Geometry
 	allocName string
-	cacheCap  int
 	// refs memoizes the stand-alone GPP reference runs and retire streams:
 	// both are pure functions of (benchmark, size), so repeated
 	// RunBenchmark calls interpret each program once.
@@ -143,11 +140,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if _, err := NewAllocator(cfg.Allocator, g); err != nil {
 		return nil, err
 	}
-	cap := cfg.CacheEntries
-	if cap == 0 {
-		cap = 128
-	}
-	return &System{geom: g, allocName: cfg.Allocator, cacheCap: cap, refs: dse.NewRefCache()}, nil
+	return &System{geom: g, allocName: cfg.Allocator, refs: dse.NewRefCache()}, nil
 }
 
 // Geometry returns the system's fabric geometry.
@@ -193,11 +186,7 @@ func (s *System) RunBenchmark(name string, size Size) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := dbt.NewEngine(dbt.Options{
-		Geom:          s.geom,
-		Allocator:     allocator,
-		CacheCapacity: s.cacheCap,
-	})
+	eng, err := dbt.NewEngine(dbt.Options{Geom: s.geom, Allocator: allocator})
 	if err != nil {
 		return nil, err
 	}
@@ -248,70 +237,76 @@ type LifetimePhase struct {
 
 // LifetimeConfig describes one lifetime scenario with the allocator chosen
 // by name; zero values select the BE design under the paper's calibration.
+// Its JSON form is the lifetime service's scenario request body, so a field
+// added here reaches HTTP and the service's fingerprints with no copy.
+// InitialDead and Trace are library-only and never decoded from a request.
 type LifetimeConfig struct {
 	// Name labels the scenario (default "<geom>/<allocator>").
-	Name string
+	Name string `json:"name,omitempty"`
 	// Rows and Cols size the fabric (default 2x16, the BE design).
-	Rows, Cols int
+	Rows int `json:"rows,omitempty"`
+	Cols int `json:"cols,omitempty"`
 	// Allocator names the allocation strategy (default "baseline").
-	Allocator string
-	// Benchmarks is the per-epoch workload mix (default: the full suite).
-	Benchmarks []string
-	// Size is the workload input scale (default Tiny).
-	Size Size
+	Allocator string `json:"allocator,omitempty"`
+	// Benchmarks is the per-epoch workload mix (default: the full suite);
+	// a name may repeat to weight it.
+	Benchmarks []string `json:"benchmarks,omitempty"`
+	// Size is the workload input scale (default Tiny); JSON carries its
+	// name: "tiny", "small" or "large".
+	Size Size `json:"size,omitempty"`
 	// EpochYears is the simulation step (default 0.5).
-	EpochYears float64
+	EpochYears float64 `json:"epoch_years,omitempty"`
 	// MaxYears is the simulated horizon (default 15).
-	MaxYears float64
+	MaxYears float64 `json:"max_years,omitempty"`
 	// TemperatureK and Vdd override the operating point (0 keeps the
 	// model's calibration corner); hotter or higher-voltage parts age
 	// faster by Eq. 1's acceleration factor. Ignored when Profile is set.
-	TemperatureK float64
-	Vdd          float64
+	TemperatureK float64 `json:"temperature_k,omitempty"`
+	Vdd          float64 `json:"vdd,omitempty"`
 	// Profile optionally varies the operating point over time: each phase
 	// holds until its UntilYears of simulated age, and the last phase
 	// extends to the horizon. The fleet service draws device profiles from
 	// weighted distributions over these.
-	Profile []LifetimePhase
+	Profile []LifetimePhase `json:"profile,omitempty"`
 	// DeadPattern names a clustered-failure layout injected before the
 	// first epoch: "column[:c]", "columns:c1+c2", "quadrant",
 	// "checkerboard[:p]", "survivor-row[:r]" or "healthy" (see
 	// fabric.PatternCells). InitialDead adds explicit cells on top.
-	DeadPattern string
-	InitialDead []Cell
+	DeadPattern string `json:"dead_pattern,omitempty"`
+	InitialDead []Cell `json:"-"`
 	// StaleTranslations models a DBT whose translation memory predates the
 	// failures: configurations are mapped for the pristine fabric and only
 	// placement respects the health map. This is the regime where clustered
 	// failures drive translation-only allocators to the GPP and the "remap"
 	// allocator keeps the kernel on-fabric by re-mapping shapes.
-	StaleTranslations bool
+	StaleTranslations bool `json:"stale_translations,omitempty"`
 	// ShapeTranslations enables translation-time shape search: the DBT
 	// maps each hot trace over the candidate shape ladder against current
 	// health and wear instead of only the identity full-fabric shape, and
 	// the translation cache is keyed on the (health, wear) versions the
 	// shape decisions were taken under. Mutually exclusive with
 	// StaleTranslations.
-	ShapeTranslations bool
+	ShapeTranslations bool `json:"shape_translations,omitempty"`
 	// ShapeLadder names the candidate shape ladder ("halving", "full-only",
 	// "columns", "rows", "fine"; empty: halving) shared by the
 	// translation-time search and the remap allocator's rescue scan.
-	ShapeLadder string
+	ShapeLadder string `json:"shape_ladder,omitempty"`
 	// Seed seeds the scenario's deterministic fault-injection PRNG
 	// (default 1; an explicit zero also selects the default).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Faults enables wear-dependent intermittent fault injection; requires
 	// Recovery, since injecting faults with no detection layer would
 	// corrupt results invisibly.
-	Faults *FaultModel
+	Faults *FaultModel `json:"faults,omitempty"`
 	// Recovery enables the detection/quarantine/recovery layer: placement
 	// consumes the runtime's observed health map instead of the oracle, and
 	// the result carries a RecoveryReport.
-	Recovery *RecoveryPolicy
+	Recovery *RecoveryPolicy `json:"recovery,omitempty"`
 	// Trace receives the run's observability event stream (epoch
 	// summaries, deaths, fault/quarantine activity, remap rescues, GPP
 	// fallbacks, per-FU duty/wear snapshots). Nil disables tracing;
 	// tracing is observation-only and never changes the result.
-	Trace TraceSink
+	Trace TraceSink `json:"-"`
 }
 
 // lifetimeRefs memoizes the stand-alone GPP reference runs across every

@@ -57,7 +57,8 @@ type Report struct {
 
 func main() {
 	out := flag.String("o", "BENCH_results.json", "output path ('-' for stdout only)")
-	sizeName := flag.String("size", "tiny", "workload size: tiny, small, large")
+	size := agingcgra.Tiny
+	flag.TextVar(&size, "size", size, "workload size: tiny, small, large")
 	iters := flag.Int("iters", 5, "engine-throughput iterations")
 	fullSweep := flag.Bool("full-sweep", false, "run the sweep at the chosen size (default sweeps tiny)")
 	compare := flag.String("compare", "", "baseline report to gate against; exits 1 on regression")
@@ -78,10 +79,6 @@ func main() {
 		}
 		rep = r
 	} else {
-		size, err := parseSize(*sizeName)
-		if err != nil {
-			fatal(err)
-		}
 		if *iters < 1 {
 			fatal(fmt.Errorf("-iters %d: need at least one iteration", *iters))
 		}
@@ -92,7 +89,7 @@ func main() {
 			GoVersion:  runtime.Version(),
 			NumCPU:     runtime.NumCPU(),
 			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Size:       *sizeName,
+			Size:       size.String(),
 		}
 
 		engine, err := benchEngineThroughput(size, *iters)
@@ -380,18 +377,6 @@ func timeFig6(size agingcgra.Size, workers int) (time.Duration, error) {
 		return 0, err
 	}
 	return time.Since(start), nil
-}
-
-func parseSize(s string) (agingcgra.Size, error) {
-	switch s {
-	case "tiny":
-		return agingcgra.Tiny, nil
-	case "small":
-		return agingcgra.Small, nil
-	case "large":
-		return agingcgra.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 func fatal(err error) {

@@ -35,7 +35,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cgra-dse", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	sizeName := fs.String("size", "small", "input size: tiny, small, large")
+	size := agingcgra.Small
+	fs.TextVar(&size, "size", size, "input size: tiny, small, large")
 	csvPath := fs.String("csv", "", "also write the points as CSV to this file")
 	workers := fs.Int("workers", 0, "parallel design points (0 = GOMAXPROCS, 1 = serial)")
 	allocator := fs.String("allocator", "baseline",
@@ -50,11 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	failures := fs.String("failures", "", "sweep failure patterns, comma-separated (explorer default healthy,column,quadrant; shape default healthy,column,columns:0+8)")
 	years := fs.Float64("years", 20, "sweep simulated horizon in years")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	size, err := parseSize(*sizeName)
-	if err != nil {
 		return err
 	}
 
@@ -86,6 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			MaxYears: *years,
 			Workers:  *workers,
 		}
+		var err error
 		if *horizons != "" {
 			if opt.Horizons, err = parseFloats(*horizons); err != nil {
 				return err
@@ -177,16 +174,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parseSize(s string) (agingcgra.Size, error) {
-	switch s {
-	case "tiny":
-		return agingcgra.Tiny, nil
-	case "small":
-		return agingcgra.Small, nil
-	case "large":
-		return agingcgra.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }

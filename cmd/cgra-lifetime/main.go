@@ -65,7 +65,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ladder := fs.String("ladder", "",
 		"candidate shape ladder for the shape searches: halving (default), full-only, columns, rows, fine")
 	bench := fs.String("bench", "", "comma-separated workload mix (default: full suite)")
-	sizeName := fs.String("size", "tiny", "workload size: tiny, small, large")
+	size := agingcgra.Tiny
+	fs.TextVar(&size, "size", size, "workload size: tiny, small, large")
 	epoch := fs.Float64("epoch", 0.5, "epoch length in years")
 	years := fs.Float64("years", 15, "simulated horizon in years")
 	temp := fs.Float64("temp", 0, "junction temperature in kelvin (0: model default)")
@@ -93,10 +94,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	size, err := parseSize(*sizeName)
-	if err != nil {
-		return err
-	}
 	var mix []string
 	if *bench != "" {
 		mix = strings.Split(*bench, ",")
@@ -323,16 +320,4 @@ func deathAge(r *agingcgra.LifetimeResult, n int) string {
 		return fmt.Sprintf("%.2f y", y)
 	}
 	return "none"
-}
-
-func parseSize(s string) (agingcgra.Size, error) {
-	switch s {
-	case "tiny":
-		return agingcgra.Tiny, nil
-	case "small":
-		return agingcgra.Small, nil
-	case "large":
-		return agingcgra.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }

@@ -27,15 +27,12 @@ var paperTable1 = map[string][3]float64{
 var paperImprovements = map[string]float64{"BE": 2.29, "BP": 4.37, "BU": 7.97}
 
 func main() {
-	sizeName := flag.String("size", "small", "input size: tiny, small, large")
+	size := agingcgra.Small
+	flag.TextVar(&size, "size", size, "input size: tiny, small, large")
 	exp := flag.String("exp", "all", "experiment: fig1, fig6, fig7, fig8, table1, table2 or all")
 	workers := flag.Int("workers", 0, "parallel design points (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
-	size, err := parseSize(*sizeName)
-	if err != nil {
-		fatal(err)
-	}
 	opt := agingcgra.ExperimentOptions{Size: size, Workers: *workers}
 
 	fmt.Println("Reproduction of: Proactive Aging Mitigation in CGRAs through")
@@ -112,18 +109,6 @@ func main() {
 		fmt.Println("       120 ps column latency unchanged.")
 		fmt.Println()
 	}
-}
-
-func parseSize(s string) (agingcgra.Size, error) {
-	switch s {
-	case "tiny":
-		return agingcgra.Tiny, nil
-	case "small":
-		return agingcgra.Small, nil
-	case "large":
-		return agingcgra.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 func fatal(err error) {

@@ -26,15 +26,12 @@ func main() {
 	rows := flag.Int("rows", 2, "fabric rows (W)")
 	cols := flag.Int("cols", 16, "fabric columns (L)")
 	allocName := flag.String("alloc", "baseline", "allocation strategy: "+strings.Join(agingcgra.AllocatorNames(), ", "))
-	sizeName := flag.String("size", "small", "input size: tiny, small, large")
+	size := agingcgra.Small
+	flag.TextVar(&size, "size", size, "input size: tiny, small, large")
 	heat := flag.Bool("heatmap", false, "print the per-FU utilization heat map")
 	analyze := flag.Bool("analyze", false, "print dataflow analysis of the translated configurations")
 	flag.Parse()
 
-	size, err := parseSize(*sizeName)
-	if err != nil {
-		fatal(err)
-	}
 	sys, err := agingcgra.NewSystem(agingcgra.Config{
 		Rows: *rows, Cols: *cols, Allocator: *allocName,
 	})
@@ -118,18 +115,6 @@ func analyzeConfigs(name string, size agingcgra.Size, geom fabric.Geometry, allo
 	}
 	fmt.Print(tab.String())
 	return nil
-}
-
-func parseSize(s string) (agingcgra.Size, error) {
-	switch s {
-	case "tiny":
-		return agingcgra.Tiny, nil
-	case "small":
-		return agingcgra.Small, nil
-	case "large":
-		return agingcgra.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size %q (want tiny, small or large)", s)
 }
 
 func fatal(err error) {

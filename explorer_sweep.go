@@ -11,6 +11,14 @@ import (
 	"agingcgra/internal/report"
 )
 
+// The explorer and shape sweeps both run on the BE design (2×16) with a
+// crc32 mix in half-year epochs: parameters no sweep varies.
+const (
+	sweepRows, sweepCols = 2, 16
+	sweepBenchmark       = "crc32"
+	sweepEpochYears      = 0.5
+)
+
 // ExplorerSweepOptions configures the wear-aware explorer's own
 // design-space exploration: the (projection horizon × recompute period)
 // grid the explorer's defaults were never swept over, crossed with
@@ -19,8 +27,6 @@ import (
 // translations (configurations mapped for the pristine fabric), the
 // regime where the pattern decides how long the fabric stays useful.
 type ExplorerSweepOptions struct {
-	// Rows and Cols size the fabric (default 2×16, the BE design).
-	Rows, Cols int
 	// Horizons lists the projection horizons in years
 	// (default 0.25, 1, 4 — around the unswept default of 1).
 	Horizons []float64
@@ -30,25 +36,16 @@ type ExplorerSweepOptions struct {
 	// Failures lists named failure patterns injected before the first
 	// epoch (fabric.PatternCells; default healthy, column, quadrant).
 	Failures []string
-	// Benchmarks is the per-epoch mix (default crc32).
-	Benchmarks []string
 	// Size is the workload scale (default Tiny).
 	Size Size
-	// EpochYears and MaxYears shape the timeline (default 0.5 / 20).
-	EpochYears float64
-	MaxYears   float64
+	// MaxYears is the simulated horizon (default 20).
+	MaxYears float64
 	// Workers bounds scenario parallelism (0: runtime.GOMAXPROCS, 1:
 	// serial).
 	Workers int
 }
 
 func (o *ExplorerSweepOptions) applyDefaults() {
-	if o.Rows == 0 {
-		o.Rows = 2
-	}
-	if o.Cols == 0 {
-		o.Cols = 16
-	}
 	if len(o.Horizons) == 0 {
 		o.Horizons = []float64{0.25, 1, 4}
 	}
@@ -57,12 +54,6 @@ func (o *ExplorerSweepOptions) applyDefaults() {
 	}
 	if len(o.Failures) == 0 {
 		o.Failures = []string{"healthy", "column", "quadrant"}
-	}
-	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = []string{"crc32"}
-	}
-	if o.EpochYears == 0 {
-		o.EpochYears = 0.5
 	}
 	if o.MaxYears == 0 {
 		o.MaxYears = 20
@@ -95,10 +86,7 @@ type ExplorerSweepResult struct {
 // byte-identical results between serial and parallel runs.
 func ExplorerSweep(opt ExplorerSweepOptions) (*ExplorerSweepResult, error) {
 	opt.applyDefaults()
-	g := fabric.NewGeometry(opt.Rows, opt.Cols)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
+	g := fabric.NewGeometry(sweepRows, sweepCols)
 
 	type key struct {
 		horizon float64
@@ -127,9 +115,9 @@ func ExplorerSweep(opt ExplorerSweepOptions) (*ExplorerSweepResult, error) {
 					Factory: func(g fabric.Geometry) alloc.Allocator {
 						return explore.New(g, explore.WithHorizon(h), explore.WithRecomputeEvery(p))
 					},
-					Mix:         opt.Benchmarks,
+					Mix:         []string{sweepBenchmark},
 					Size:        opt.Size,
-					EpochYears:  opt.EpochYears,
+					EpochYears:  sweepEpochYears,
 					MaxYears:    opt.MaxYears,
 					InitialDead: dead,
 				}

@@ -10,12 +10,11 @@ import (
 // periods × 2 failure scenarios over a short horizon.
 func sweepOpts(workers int) ExplorerSweepOptions {
 	return ExplorerSweepOptions{
-		Horizons:   []float64{0.5, 2},
-		Periods:    []int{8, 32},
-		Failures:   []string{"column", "survivor-row:1"},
-		EpochYears: 0.5,
-		MaxYears:   3,
-		Workers:    workers,
+		Horizons: []float64{0.5, 2},
+		Periods:  []int{8, 32},
+		Failures: []string{"column", "survivor-row:1"},
+		MaxYears: 3,
+		Workers:  workers,
 	}
 }
 

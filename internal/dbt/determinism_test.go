@@ -56,7 +56,7 @@ func newNaiveEngine(opts Options) (*naiveEngine, error) {
 	}
 	return &naiveEngine{
 		opts:   opts,
-		cache:  cfgcache.New(opts.CacheCapacity),
+		cache:  cfgcache.New(cacheCapacity),
 		ctrl:   ctrl,
 		health: opts.Health,
 	}, nil

@@ -39,6 +39,8 @@ const (
 	// backward-taken branches (superblock formation), so loop bodies
 	// become whole configurations re-executed per iteration.
 	maxTraceLen = 32
+	// cacheCapacity is the configuration cache size in entries.
+	cacheCapacity = 128
 	// offloadOverhead is the per-offload cycle cost of moving the input
 	// context in and results out (the unit is tightly coupled to the GPP
 	// register file). Configuration broadcast overlaps with it; only the
@@ -54,9 +56,6 @@ type Options struct {
 	Timing gpp.Timing
 	// Allocator decides configuration placement; nil selects the baseline.
 	Allocator alloc.Allocator
-	// CacheCapacity is the configuration cache size in entries
-	// (default 128).
-	CacheCapacity int
 	// ExposeReconfig disables the wavefront overlap of configuration
 	// broadcast and execution: an ablation that charges the excess of
 	// ReconfigCycles over the offload overhead whenever the resident
@@ -132,9 +131,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Allocator == nil {
 		o.Allocator = alloc.Baseline{}
-	}
-	if o.CacheCapacity == 0 {
-		o.CacheCapacity = 128
 	}
 }
 
@@ -317,7 +313,7 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		opts:  opts,
-		cache: cfgcache.New(opts.CacheCapacity),
+		cache: cfgcache.New(cacheCapacity),
 		ctrl:  ctrl,
 		trace: make([]mapper.TraceEntry, 0, maxTraceLen),
 	}

@@ -46,6 +46,26 @@ func (s Size) String() string {
 	return fmt.Sprintf("size(%d)", int(s))
 }
 
+// MarshalText encodes the size by its name, so JSON and flag.TextVar carry
+// "tiny", "small" or "large". It never fails.
+func (s Size) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText is the one parser of size names: "" and "tiny" read as
+// Tiny, "small" and "large" as themselves; any other name is an error.
+func (s *Size) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "", "tiny":
+		*s = Tiny
+	case "small":
+		*s = Small
+	case "large":
+		*s = Large
+	default:
+		return fmt.Errorf(`unknown size %q (want "tiny", "small" or "large")`, text)
+	}
+	return nil
+}
+
 // Benchmark bundles one workload: assembly source, data layout, input
 // setup and result validation.
 type Benchmark struct {

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"strings"
 	"testing"
 
 	"agingcgra/internal/gpp"
@@ -146,6 +147,32 @@ func TestSizeString(t *testing.T) {
 	}
 	if Size(99).String() == "" {
 		t.Error("unknown size should still format")
+	}
+}
+
+// TestSizeText pins the size codec JSON and every CLI's -size flag share:
+// names round-trip, "" reads as Tiny, and any other name is rejected.
+func TestSizeText(t *testing.T) {
+	for _, sz := range []Size{Tiny, Small, Large} {
+		text, err := sz.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Size
+		if err := got.UnmarshalText(text); err != nil || got != sz {
+			t.Errorf("%v: round-trip gave %v, %v", sz, got, err)
+		}
+	}
+	got := Large
+	if err := got.UnmarshalText(nil); err != nil || got != Tiny {
+		t.Errorf(`"" decoded to %v, %v; want tiny`, got, err)
+	}
+	for _, name := range []string{"jumbo", "Tiny", "small ", "1"} {
+		var s Size
+		err := s.UnmarshalText([]byte(name))
+		if err == nil || !strings.Contains(err.Error(), "unknown size") {
+			t.Errorf("%q: error %v, want one mentioning unknown size", name, err)
+		}
 	}
 }
 

@@ -255,7 +255,7 @@ func (s *Server) fleet(ctx context.Context, fr FleetRequest) (*FleetResponse, er
 			}
 			req.Seed = ds
 		}
-		fp := req.fingerprint()
+		fp := fingerprint(req)
 		fps[d] = fp
 		if _, ok := byFP[fp]; !ok {
 			byFP[fp] = req

@@ -12,97 +12,29 @@ import (
 // own result type, served verbatim.
 type ResultJSON = lifetime.Result
 
-// ScenarioRequest is the JSON shape of one lifetime scenario. Zero values
-// select the same defaults as the library facade: the BE design (2x16),
-// the baseline allocator, the full ten-benchmark suite at tiny scale,
-// half-year epochs over a 15-year horizon at the calibration corner.
-type ScenarioRequest struct {
-	// Name labels the scenario in its result (default "<geom>/<allocator>").
-	Name string `json:"name,omitempty"`
-	// Rows and Cols size the fabric.
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-	// Allocator names the strategy (see agingcgra.AllocatorNames).
-	Allocator string `json:"allocator,omitempty"`
-	// Benchmarks is the per-epoch workload mix; a name may repeat to
-	// weight it.
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	// Size is the workload input scale: "tiny", "small" or "large".
-	Size string `json:"size,omitempty"`
-	// EpochYears and MaxYears set the simulation step and horizon.
-	EpochYears float64 `json:"epoch_years,omitempty"`
-	MaxYears   float64 `json:"max_years,omitempty"`
-	// TemperatureK and Vdd override the constant operating point (0 keeps
-	// the model's calibration corner). Ignored when Profile is set.
-	TemperatureK float64 `json:"temperature_k,omitempty"`
-	Vdd          float64 `json:"vdd,omitempty"`
-	// Profile varies the operating point over time; each phase holds until
-	// its until_years, the last extends to the horizon.
-	Profile []agingcgra.LifetimePhase `json:"profile,omitempty"`
-	// DeadPattern names a clustered-failure layout injected before the
-	// first epoch (see fabric.PatternCells): "column[:c]", "columns:c1+c2",
-	// "quadrant", "checkerboard[:p]", "survivor-row[:r]", "healthy".
-	DeadPattern string `json:"dead_pattern,omitempty"`
-	// StaleTranslations / ShapeTranslations select the translation regime
-	// (mutually exclusive); ShapeLadder names the candidate shape ladder.
-	StaleTranslations bool   `json:"stale_translations,omitempty"`
-	ShapeTranslations bool   `json:"shape_translations,omitempty"`
-	ShapeLadder       string `json:"shape_ladder,omitempty"`
-	// Seed seeds the fault-injection PRNG; unused (and excluded from
-	// fingerprints) unless Faults or Recovery is set.
-	Seed uint64 `json:"seed,omitempty"`
-	// Faults enables wear-derived intermittent faults (requires Recovery);
-	// Recovery enables the detection/quarantine/recovery layer.
-	Faults   *agingcgra.FaultModel     `json:"faults,omitempty"`
-	Recovery *agingcgra.RecoveryPolicy `json:"recovery,omitempty"`
-}
+// ScenarioRequest is the JSON shape of one lifetime scenario: the library
+// facade's own configuration, decoded as is. Zero values select the
+// facade's defaults: the BE design (2x16), the baseline allocator, the full
+// ten-benchmark suite at tiny scale, half-year epochs over a 15-year
+// horizon at the calibration corner. Its library-only fields (InitialDead,
+// Trace) carry no JSON name, so a decoded request leaves them zero.
+type ScenarioRequest = agingcgra.LifetimeConfig
 
-// config converts the request to a facade LifetimeConfig; name resolution
-// and validation happen in LifetimeConfig.Scenario / lifetime.Run.
-func (r ScenarioRequest) config() (agingcgra.LifetimeConfig, error) {
-	size, err := parseSize(r.Size)
-	if err != nil {
-		return agingcgra.LifetimeConfig{}, err
-	}
-	return agingcgra.LifetimeConfig{
-		Name:              r.Name,
-		Rows:              r.Rows,
-		Cols:              r.Cols,
-		Allocator:         r.Allocator,
-		Benchmarks:        r.Benchmarks,
-		Size:              size,
-		EpochYears:        r.EpochYears,
-		MaxYears:          r.MaxYears,
-		TemperatureK:      r.TemperatureK,
-		Vdd:               r.Vdd,
-		Profile:           r.Profile,
-		DeadPattern:       r.DeadPattern,
-		StaleTranslations: r.StaleTranslations,
-		ShapeTranslations: r.ShapeTranslations,
-		ShapeLadder:       r.ShapeLadder,
-		Seed:              r.Seed,
-		Faults:            r.Faults,
-		Recovery:          r.Recovery,
-	}, nil
-}
-
-func parseSize(s string) (agingcgra.Size, error) {
-	switch s {
-	case "", "tiny":
-		return agingcgra.Tiny, nil
-	case "small":
-		return agingcgra.Small, nil
-	case "large":
-		return agingcgra.Large, nil
-	}
-	return 0, fmt.Errorf(`unknown size %q (want "tiny", "small" or "large")`, s)
-}
+// Per-scenario work bounds, enforced on the defaulted request before
+// anything sized by it is built. The fabric state is allocated per cell and
+// an out-of-memory error is fatal to the process, so the cell bound is 4x
+// the paper's largest design (BU, 8x32). Every epoch holds a pool worker
+// and keeps a timeline record, so the epoch bound caps both.
+const (
+	maxScenarioCells  = 1024
+	maxScenarioEpochs = 10000
+)
 
 // normalized fills defaulted fields with their effective values and drops
 // fields that cannot affect the outcome, so equivalent requests share one
 // fingerprint. Normalization is best-effort: a missed equivalence (e.g. an
 // allocator alias) only costs a duplicate store entry, never correctness.
-func (r ScenarioRequest) normalized() ScenarioRequest {
+func normalized(r ScenarioRequest) ScenarioRequest {
 	if r.Rows == 0 {
 		r.Rows = 2
 	}
@@ -114,9 +46,6 @@ func (r ScenarioRequest) normalized() ScenarioRequest {
 	}
 	if len(r.Benchmarks) == 0 {
 		r.Benchmarks = agingcgra.Benchmarks()
-	}
-	if r.Size == "" {
-		r.Size = "tiny"
 	}
 	if r.EpochYears == 0 {
 		r.EpochYears = 0.5
@@ -139,19 +68,30 @@ func (r ScenarioRequest) normalized() ScenarioRequest {
 	return r
 }
 
+// checkWork rejects a scenario beyond the per-scenario work bounds. Each
+// dimension is bounded before the product is taken, so it cannot overflow.
+func checkWork(r ScenarioRequest) error {
+	n := normalized(r)
+	if n.Rows > maxScenarioCells || n.Cols > maxScenarioCells || n.Rows*n.Cols > maxScenarioCells {
+		return fmt.Errorf("fabric %dx%d exceeds the per-scenario limit of %d cells",
+			n.Rows, n.Cols, maxScenarioCells)
+	}
+	// ceil(x) > N exactly when x > N, for an integer N.
+	if n.EpochYears > 0 && n.MaxYears/n.EpochYears > maxScenarioEpochs {
+		return fmt.Errorf("max_years %v over epoch_years %v exceeds the per-scenario limit of %d epochs",
+			n.MaxYears, n.EpochYears, maxScenarioEpochs)
+	}
+	return nil
+}
+
 // resultKey keys the result-level store.
 type resultKey struct{ fp string }
 
 // fingerprint content-addresses the full request for the result store:
 // canonical JSON of the normalized request, covering every field that can
 // influence the response bytes (including Name and MaxYears).
-func (r ScenarioRequest) fingerprint() string {
-	b, err := json.Marshal(r.normalized())
-	if err != nil {
-		// Every field is a plain value; marshal cannot fail.
-		panic(fmt.Sprintf("service: fingerprinting scenario: %v", err))
-	}
-	return string(b)
+func fingerprint(r ScenarioRequest) string {
+	return marshalKey(normalized(r))
 }
 
 // epochFingerprint content-addresses the scenario for the shared epoch
@@ -160,38 +100,53 @@ func (r ScenarioRequest) fingerprint() string {
 // differ only in horizon share a trajectory prefix — the sharing the store
 // exists for). Only called for fault-free, recovery-free scenarios, where
 // Seed/Faults/Recovery are already normalized away.
-func (r ScenarioRequest) epochFingerprint() string {
-	n := r.normalized()
+func epochFingerprint(r ScenarioRequest) string {
+	n := normalized(r)
 	n.Name = ""
 	n.MaxYears = 0
-	b, err := json.Marshal(n)
+	return marshalKey(n)
+}
+
+func marshalKey(r ScenarioRequest) string {
+	b, err := json.Marshal(r)
 	if err != nil {
+		// Every encoded field is a plain value; marshal cannot fail.
 		panic(fmt.Sprintf("service: fingerprinting scenario: %v", err))
 	}
 	return string(b)
 }
 
-// runScenario resolves, runs and memoizes one scenario. The result comes
-// from the result-level store when an identical request already ran;
-// otherwise the run consults the shared epoch store (fault-free scenarios
-// only — a recovery monitor's cross-epoch state makes epoch outcomes
-// non-shareable) and the shared GPP-reference memo. Results are immutable
-// once stored; callers only read and marshal them.
-func (s *Server) runScenario(req ScenarioRequest) (*ResultJSON, error) {
-	cfg, err := req.config()
-	if err != nil {
-		return nil, err
+// scenario is the one path from a request to a runnable scenario: it
+// enforces the work bounds, resolves the request through the facade, and
+// attaches the server's shared state — the GPP-reference memo always, the
+// epoch store for fault-free scenarios only (a recovery monitor's
+// cross-epoch state makes epoch outcomes non-shareable).
+func (s *Server) scenario(req ScenarioRequest) (lifetime.Scenario, error) {
+	if err := checkWork(req); err != nil {
+		return lifetime.Scenario{}, err
 	}
-	sc, err := cfg.Scenario()
+	sc, err := req.Scenario()
 	if err != nil {
-		return nil, err
+		return lifetime.Scenario{}, err
 	}
 	sc.Refs = s.refs
 	if req.Faults == nil && req.Recovery == nil {
 		sc.EpochMemo = s.epochs
-		sc.Fingerprint = req.epochFingerprint()
+		sc.Fingerprint = epochFingerprint(req)
 	}
-	v, err := s.results.GetOrCompute(resultKey{fp: req.fingerprint()}, func() (any, error) {
+	return sc, nil
+}
+
+// runScenario resolves, runs and memoizes one scenario. The result comes
+// from the result-level store when an identical request already ran;
+// otherwise the run consults the shared epoch and GPP-reference stores.
+// Results are immutable once stored; callers only read and marshal them.
+func (s *Server) runScenario(req ScenarioRequest) (*ResultJSON, error) {
+	sc, err := s.scenario(req)
+	if err != nil {
+		return nil, err
+	}
+	v, err := s.results.GetOrCompute(resultKey{fp: fingerprint(req)}, func() (any, error) {
 		return lifetime.Run(sc)
 	})
 	if err != nil {

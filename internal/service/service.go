@@ -23,8 +23,9 @@
 // cumulative. Cumulative store counters are exposed only on /v1/stats,
 // which is explicitly outside the determinism contract. Client errors —
 // malformed JSON, unknown allocator/pattern/ladder/size/benchmark names,
-// invalid distributions — are 4xx with a JSON error message; handlers are
-// panic-recovered so no input crashes the server.
+// invalid distributions, scenarios beyond the per-scenario work bounds —
+// are 4xx with a JSON error message; handlers are panic-recovered so no
+// input crashes the server.
 package service
 
 import (

@@ -95,35 +95,45 @@ func TestRepeatRequestIsByteIdenticalAndMemoized(t *testing.T) {
 	}
 }
 
+// clientErrorCases is the table of malformed or invalid requests; each
+// must be a 4xx whose JSON error mentions wantMsg. FuzzServiceRequest seeds
+// its corpus from the bodies.
+var clientErrorCases = []struct {
+	name, path, body string
+	wantCode         int
+	wantMsg          string
+}{
+	{"malformed JSON", "/v1/lifetime", `{not json`, 400, "decoding request"},
+	{"unknown field", "/v1/lifetime", `{"allocater": "baseline"}`, 400, "unknown field"},
+	{"trailing garbage", "/v1/lifetime", `{} {}`, 400, "trailing data"},
+	{"unknown allocator", "/v1/lifetime", `{"allocator": "bogus"}`, 400, "unknown allocator"},
+	{"unknown size", "/v1/lifetime", `{"size": "jumbo"}`, 400, "unknown size"},
+	{"unknown pattern", "/v1/lifetime", `{"dead_pattern": "zigzag"}`, 400, "pattern"},
+	{"unknown ladder", "/v1/lifetime",
+		`{"shape_translations": true, "shape_ladder": "bogus"}`, 400, "ladder"},
+	{"unknown benchmark", "/v1/lifetime", `{"benchmarks": ["doom"], "max_years": 1}`, 400, "unknown benchmark"},
+	{"faults without recovery", "/v1/lifetime",
+		`{"benchmarks": ["crc32"], "max_years": 1, "faults": {}}`, 400, "requires Recovery"},
+	{"empty batch", "/v1/batch", `{}`, 400, "no scenarios"},
+	{"zero devices", "/v1/fleet", `{"base": {}}`, 400, "devices"},
+	{"too many devices", "/v1/fleet", `{"devices": 1000000}`, 400, "limit"},
+	{"oversize fabric", "/v1/lifetime", `{"rows": 100000, "cols": 100000}`, 400, "cells"},
+	{"oversize epoch count", "/v1/lifetime", `{"epoch_years": 1e-6, "max_years": 1000}`, 400, "epochs"},
+	{"oversize batch item", "/v1/batch",
+		`{"scenarios": [{"benchmarks": ["crc32"], "max_years": 1}, {"rows": 2, "cols": 1000}]}`, 400, "cells"},
+	{"oversize fleet combo", "/v1/fleet",
+		`{"devices": 2, "base": {"benchmarks": ["crc32"], "epoch_years": 0.001, "max_years": 100}}`, 400, "epochs"},
+	{"negative weight", "/v1/fleet",
+		`{"devices": 2, "base": {}, "mixes": [{"weight": -1, "benchmarks": ["crc32"]}]}`, 400, "weight"},
+	{"bad percentile", "/v1/fleet",
+		`{"devices": 2, "base": {"benchmarks": ["crc32"], "max_years": 1}, "percentiles": [0]}`, 400, "percentile"},
+	{"bad nth death", "/v1/fleet",
+		`{"devices": 2, "base": {"benchmarks": ["crc32"], "max_years": 1}, "deaths": [0]}`, 400, "death"},
+}
+
 func TestClientErrorsAre4xxWithMessage(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	cases := []struct {
-		name, path, body string
-		wantCode         int
-		wantMsg          string
-	}{
-		{"malformed JSON", "/v1/lifetime", `{not json`, 400, "decoding request"},
-		{"unknown field", "/v1/lifetime", `{"allocater": "baseline"}`, 400, "unknown field"},
-		{"trailing garbage", "/v1/lifetime", `{} {}`, 400, "trailing data"},
-		{"unknown allocator", "/v1/lifetime", `{"allocator": "bogus"}`, 400, "unknown allocator"},
-		{"unknown size", "/v1/lifetime", `{"size": "jumbo"}`, 400, "unknown size"},
-		{"unknown pattern", "/v1/lifetime", `{"dead_pattern": "zigzag"}`, 400, "pattern"},
-		{"unknown ladder", "/v1/lifetime",
-			`{"shape_translations": true, "shape_ladder": "bogus"}`, 400, "ladder"},
-		{"unknown benchmark", "/v1/lifetime", `{"benchmarks": ["doom"], "max_years": 1}`, 400, "unknown benchmark"},
-		{"faults without recovery", "/v1/lifetime",
-			`{"benchmarks": ["crc32"], "max_years": 1, "faults": {}}`, 400, "requires Recovery"},
-		{"empty batch", "/v1/batch", `{}`, 400, "no scenarios"},
-		{"zero devices", "/v1/fleet", `{"base": {}}`, 400, "devices"},
-		{"too many devices", "/v1/fleet", `{"devices": 1000000}`, 400, "limit"},
-		{"negative weight", "/v1/fleet",
-			`{"devices": 2, "base": {}, "mixes": [{"weight": -1, "benchmarks": ["crc32"]}]}`, 400, "weight"},
-		{"bad percentile", "/v1/fleet",
-			`{"devices": 2, "base": {"benchmarks": ["crc32"], "max_years": 1}, "percentiles": [0]}`, 400, "percentile"},
-		{"bad nth death", "/v1/fleet",
-			`{"devices": 2, "base": {"benchmarks": ["crc32"], "max_years": 1}, "deaths": [0]}`, 400, "death"},
-	}
-	for _, c := range cases {
+	for _, c := range clientErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			code, body := post(t, ts, c.path, c.body)
 			if code != c.wantCode {

@@ -45,20 +45,10 @@ func (s *Server) handleLifetimeStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cfg, err := req.config()
+	sc, err := s.scenario(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	sc, err := cfg.Scenario()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sc.Refs = s.refs
-	if req.Faults == nil && req.Recovery == nil {
-		sc.EpochMemo = s.epochs
-		sc.Fingerprint = req.epochFingerprint()
 	}
 
 	flusher, _ := w.(http.Flusher)

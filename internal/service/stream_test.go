@@ -112,6 +112,7 @@ func TestStreamClientErrors(t *testing.T) {
 		{"malformed JSON", `{not json`, "decoding request"},
 		{"unknown allocator", `{"allocator": "bogus"}`, "unknown allocator"},
 		{"unknown benchmark", `{"benchmarks": ["doom"], "max_years": 1}`, "unknown benchmark"},
+		{"oversize epoch count", `{"epoch_years": 1e-6, "max_years": 1000}`, "epochs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

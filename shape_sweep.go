@@ -18,44 +18,27 @@ import (
 // each ladder — richer ladders search more and place better, and the sweep
 // quantifies both sides of that trade.
 type ShapeSweepOptions struct {
-	// Rows and Cols size the fabric (default 2×16, the BE design).
-	Rows, Cols int
 	// Ladders names the candidate shape ladders swept
 	// (fabric.ShapeLadderNames; default all of them).
 	Ladders []string
 	// Failures lists named failure patterns injected before the first
 	// epoch (fabric.PatternCells; default healthy, column, columns:0+8).
 	Failures []string
-	// Benchmarks is the per-epoch mix (default crc32).
-	Benchmarks []string
 	// Size is the workload scale (default Tiny).
 	Size Size
-	// EpochYears and MaxYears shape the timeline (default 0.5 / 20).
-	EpochYears float64
-	MaxYears   float64
+	// MaxYears is the simulated horizon (default 20).
+	MaxYears float64
 	// Workers bounds scenario parallelism (0: runtime.GOMAXPROCS, 1:
 	// serial).
 	Workers int
 }
 
 func (o *ShapeSweepOptions) applyDefaults() {
-	if o.Rows == 0 {
-		o.Rows = 2
-	}
-	if o.Cols == 0 {
-		o.Cols = 16
-	}
 	if len(o.Ladders) == 0 {
 		o.Ladders = fabric.ShapeLadderNames()
 	}
 	if len(o.Failures) == 0 {
 		o.Failures = []string{"healthy", "column", "columns:0+8"}
-	}
-	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = []string{"crc32"}
-	}
-	if o.EpochYears == 0 {
-		o.EpochYears = 0.5
 	}
 	if o.MaxYears == 0 {
 		o.MaxYears = 20
@@ -94,10 +77,7 @@ type ShapeSweepResult struct {
 // byte-identical results between serial and parallel runs.
 func ShapeSweep(opt ShapeSweepOptions) (*ShapeSweepResult, error) {
 	opt.applyDefaults()
-	g := fabric.NewGeometry(opt.Rows, opt.Cols)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
+	g := fabric.NewGeometry(sweepRows, sweepCols)
 
 	type key struct {
 		ladder  string
@@ -120,9 +100,9 @@ func ShapeSweep(opt ShapeSweepOptions) (*ShapeSweepResult, error) {
 				Name:        fmt.Sprintf("%v/shapedbt/ladder=%s/%s", g, ladder.Name, failure),
 				Geom:        g,
 				Factory:     dse.LadderRemapFactory(ladder),
-				Mix:         opt.Benchmarks,
+				Mix:         []string{sweepBenchmark},
 				Size:        opt.Size,
-				EpochYears:  opt.EpochYears,
+				EpochYears:  sweepEpochYears,
 				MaxYears:    opt.MaxYears,
 				InitialDead: dead,
 			}

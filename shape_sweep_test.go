@@ -10,11 +10,10 @@ import (
 // variants × 2 failure scenarios over a short horizon.
 func shapeSweepOpts(workers int) ShapeSweepOptions {
 	return ShapeSweepOptions{
-		Ladders:    []string{"halving", "full-only", "fine"},
-		Failures:   []string{"column", "columns:0+8"},
-		EpochYears: 0.5,
-		MaxYears:   3,
-		Workers:    workers,
+		Ladders:  []string{"halving", "full-only", "fine"},
+		Failures: []string{"column", "columns:0+8"},
+		MaxYears: 3,
+		Workers:  workers,
 	}
 }
 
