@@ -109,25 +109,51 @@ func TestRunTraceAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// TestRunExploreShapeFaultsGolden pins the JSON of the explorer under
-// translation-time shape search with intermittent faults and recovery.
-// Quarantine and probation move the observed health under the DBT's
-// translations there, so this run is the one that shows whether observe's
-// "next PC is already translated" terminator is implied by the loop's next
-// cache hit: no dbt test does. The Go version line is blanked so the
-// golden does not depend on the toolchain.
+// TestRunExploreShapeFaultsGolden pins the JSON of the lifetime runs whose
+// outputs a refactor of the placement, mapping or memo layers must leave
+// byte-identical. Each case runs at -workers 1 and at the default against
+// one golden, so the serial==parallel contract is checked on the same
+// bytes. The Go version line is blanked so the goldens do not depend on
+// the toolchain.
+//
+// The explore case runs the explorer under translation-time shape search
+// with intermittent faults and recovery. Quarantine and probation move the
+// observed health under the DBT's translations there, so this run is the
+// one that shows whether observe's "next PC is already translated"
+// terminator is implied by the loop's next cache hit: no dbt test does.
+// The other cases run crc32 under the default four allocators: shape
+// search, the fine-ladder remap rescue and stale translations around dead
+// columns, a dead quadrant, and faults with recovery.
 func TestRunExploreShapeFaultsGolden(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{
-		"-allocators", "explore",
-		"-bench", "crc32",
-		"-shape-translations",
-		"-faults", "-recovery",
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"explore-shape-faults.json.golden",
+			[]string{"-allocators", "explore", "-shape-translations", "-faults", "-recovery"}},
+		{"shape-dead-columns-0-8.json.golden",
+			[]string{"-shape-translations", "-dead", "columns:0+8"}},
+		{"remap-fine-dead-columns-3-11.json.golden",
+			[]string{"-allocators", "remap", "-ladder", "fine", "-dead", "columns:3+11"}},
+		{"stale-dead-columns-0-8.json.golden",
+			[]string{"-stale-translations", "-dead", "columns:0+8"}},
+		{"dead-quadrant.json.golden",
+			[]string{"-dead", "quadrant"}},
+		{"faults-recovery.json.golden",
+			[]string{"-faults", "-recovery"}},
 	}
-	got := bytes.Replace(stdout.Bytes(),
-		[]byte(`"go_version": "`+runtime.Version()+`"`), []byte(`"go_version": ""`), 1)
-	matchGolden(t, "explore-shape-faults.json.golden", got)
+	for _, tc := range cases {
+		t.Run(strings.TrimSuffix(tc.golden, ".json.golden"), func(t *testing.T) {
+			for _, workers := range [][]string{{"-workers", "1"}, nil} {
+				var stdout, stderr bytes.Buffer
+				args := append([]string{"-bench", "crc32"}, tc.args...)
+				if err := run(append(args, workers...), &stdout, &stderr); err != nil {
+					t.Fatal(err)
+				}
+				got := bytes.Replace(stdout.Bytes(),
+					[]byte(`"go_version": "`+runtime.Version()+`"`), []byte(`"go_version": ""`), 1)
+				matchGolden(t, tc.golden, got)
+			}
+		})
+	}
 }
