@@ -283,7 +283,7 @@ type LifetimeConfig struct {
 	// ShapeTranslations enables translation-time shape search: the DBT
 	// maps each hot trace over the candidate shape ladder against current
 	// health and wear instead of only the identity full-fabric shape, and
-	// the translation cache is keyed on the (health, wear) versions the
+	// the translation cache is keyed on the health and wear state the
 	// shape decisions were taken under. Mutually exclusive with
 	// StaleTranslations.
 	ShapeTranslations bool `json:"shape_translations,omitempty"`

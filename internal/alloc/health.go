@@ -83,16 +83,11 @@ func (h *HealthAware) Name() string {
 }
 
 // SetHealth implements HealthSetter.
-func (h *HealthAware) SetHealth(hm *fabric.Health) {
-	h.health = hm
-	h.key = fabric.KeyOf(hm, nil, nil)
-}
+func (h *HealthAware) SetHealth(hm *fabric.Health) { h.health = hm }
 
 // Next implements Allocator.
 func (h *HealthAware) Next(cfg *fabric.Config) fabric.Offset {
-	key := fabric.KeyOf(h.health, nil, nil)
-	if (h.count%h.recomputeEvery == 0 || key != h.key) && cfg != nil {
-		h.key = key
+	if cfg != nil && (h.key.Update(h.health, nil, nil) || h.count%h.recomputeEvery == 0) {
 		h.current = h.bestOffset(cfg)
 	}
 	h.count++
@@ -108,14 +103,14 @@ func (h *HealthAware) Next(cfg *fabric.Config) fabric.Offset {
 // is returned and the controller's own health check rejects the offload.
 func (h *HealthAware) bestOffset(cfg *fabric.Config) fabric.Offset {
 	cells := cfg.Cells()
-	checkHealth := h.health != nil && h.health.DeadCount() > 0
+	live := cfg.LivePivots(h.health)
 	best := fabric.Offset{}
 	bestMax := ^uint64(0)
 	bestSum := ^uint64(0)
 	for r := 0; r < h.geom.Rows; r++ {
 		for c := 0; c < h.geom.Cols; c++ {
 			off := fabric.Offset{Row: r, Col: c}
-			if checkHealth && !h.health.PlacementOK(cells, off) {
+			if live != nil && !live[r*h.geom.Cols+c] {
 				continue
 			}
 			var maxS, sumS uint64

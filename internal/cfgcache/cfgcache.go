@@ -62,9 +62,9 @@ type Cache struct {
 	denseBase uint32
 
 	// State keying for shape-aware translation (SyncState): the fabric
-	// state the resident translations' shape decisions were taken under.
-	state      fabric.StateKey
-	stateValid bool
+	// state the resident translations' shape decisions were taken under,
+	// at first that of a pristine, unworn fabric.
+	state fabric.StateKey
 }
 
 // New builds an LRU cache holding at most capacity configurations.
@@ -84,16 +84,11 @@ func New(capacity int) *Cache {
 // longer exists — a death changes which shapes place, a wear advance
 // changes which shape the wear tie-break prefers — so the cache flushes
 // wholesale and reports it, and the engine lets the trace builder
-// re-translate against the new state. The first call only records the
+// re-translate against the new state. An empty cache only records the
 // state. Engines translating shape-unaware never call this and keep the
 // plain PC-keyed behaviour.
-func (c *Cache) SyncState(key fabric.StateKey) (flushed bool) {
-	if c.stateValid && c.state == key {
-		return false
-	}
-	moved := c.stateValid
-	c.state, c.stateValid = key, true
-	if moved && len(c.entries) > 0 {
+func (c *Cache) SyncState(h *fabric.Health, w *fabric.Wear) (flushed bool) {
+	if c.state.Update(h, w, nil) && len(c.entries) > 0 {
 		c.Clear()
 		c.stats.Flushes++
 		return true

@@ -227,16 +227,15 @@ func TestDenseLookupKeepsStatsAndRecency(t *testing.T) {
 func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 	g := fabric.NewGeometry(2, 4)
 	h, w := fabric.NewHealth(g), fabric.NewWear(g)
-	key := func() fabric.StateKey { return fabric.KeyOf(h, w, nil) }
 	c := New(8)
 	c.EnableDense(0x1000, 16)
 	h.Kill(fabric.Cell{Row: 0, Col: 0})
-	if c.SyncState(key()) {
+	if c.SyncState(h, w) {
 		t.Error("first SyncState flushed; it should only record the state")
 	}
 	c.Insert(cfg(0x1000))
 	c.Insert(cfg(0x1008))
-	if c.SyncState(key()) {
+	if c.SyncState(h, w) {
 		t.Error("unchanged state flushed")
 	}
 	if c.Len() != 2 {
@@ -244,8 +243,8 @@ func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 	}
 
 	h.Kill(fabric.Cell{Row: 1, Col: 2})
-	if !c.SyncState(key()) {
-		t.Error("health version move did not flush")
+	if !c.SyncState(h, w) {
+		t.Error("a death did not flush")
 	}
 	if c.Len() != 0 {
 		t.Errorf("len = %d after health flush, want 0", c.Len())
@@ -256,7 +255,7 @@ func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 
 	c.Insert(cfg(0x1000))
 	w.Add(fabric.Cell{Row: 0, Col: 1}, 0.5)
-	if !c.SyncState(key()) {
+	if !c.SyncState(h, w) {
 		t.Error("wear version move did not flush")
 	}
 	if got := c.Stats().Flushes; got != 2 {
@@ -265,7 +264,7 @@ func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 
 	// An empty cache observing a move records it without counting a flush.
 	h.Kill(fabric.Cell{Row: 1, Col: 3})
-	if c.SyncState(key()) {
+	if c.SyncState(h, w) {
 		t.Error("empty cache reported a flush")
 	}
 }

@@ -218,10 +218,10 @@ func (c *Controller) Wear() *fabric.Wear { return c.wear }
 // because allocator state advances per proposal; only the liveness test is
 // a lookup into the configuration's memoized live-pivot mask.
 func (c *Controller) Place(cfg *fabric.Config) (off fabric.Offset, ok bool) {
-	if c.health == nil || c.health.DeadCount() == 0 {
+	live := cfg.LivePivots(c.health)
+	if live == nil {
 		return c.alloc.Next(cfg), true
 	}
-	live := cfg.LivePivots(c.health)
 	g := c.health.Geometry()
 	for i := 0; i < c.geom.NumFUs(); i++ {
 		off := c.alloc.Next(cfg)

@@ -192,14 +192,10 @@ func (e *naiveEngine) finalizeTrace() {
 		e.trace = e.trace[:0]
 		return
 	}
-	var disabled func(fabric.Cell) bool
-	if e.health != nil {
-		disabled = e.health.Dead
-	}
 	cfg, consumed := mapper.Map(e.trace, mapper.Options{
-		Geom:     e.opts.Geom,
-		Lat:      fabric.DefaultLatencies(),
-		Disabled: disabled,
+		Geom: e.opts.Geom,
+		Lat:  fabric.DefaultLatencies(),
+		Dead: e.health.Mask(),
 	})
 	e.trace = e.trace[:0]
 	if cfg == nil || consumed < mapper.MinOps {

@@ -218,10 +218,9 @@ func (r *Report) OffloadRate() float64 {
 
 // Engine co-simulates one workload on the TransRec system.
 type Engine struct {
-	opts     Options
-	cache    *cfgcache.Cache
-	ctrl     *core.Controller
-	disabled func(fabric.Cell) bool
+	opts  Options
+	cache *cfgcache.Cache
+	ctrl  *core.Controller
 
 	// shapes is the materialised translation-time shape ladder (nil when
 	// ShapeTranslations is off); search tallies the ladder scans for the
@@ -234,7 +233,7 @@ type Engine struct {
 	search       searchcost.Counts
 	stateFlushed bool
 
-	// Health-keyed memos, both dropped whenever memoKey moves (syncMemos).
+	// Health-keyed memos, both dropped whenever memoDead moves (syncMemos).
 	// unplaceable holds configurations the controller found no live
 	// placement for, keyed by StartPC. refused holds captured traces the
 	// translator rejected — nothing mapped, too few ops consumed, or
@@ -243,7 +242,8 @@ type Engine struct {
 	unplaceable map[uint32]bool
 	refused     map[string]uint64
 	refusedKey  []byte
-	memoKey     [2]fabric.StateKey
+	memoDead    [2]fabric.Mask
+	memoTwo     bool
 
 	// Trace capture state.
 	trace []mapper.TraceEntry
@@ -331,19 +331,11 @@ func NewEngine(opts Options) (*Engine, error) {
 				ladder.Name, opts.Geom)
 		}
 	}
-	if health := opts.Health; health != nil {
-		// StaleTranslations withholds the mask from the mapper: new
-		// translations assume a pristine fabric, so clustered failures can
-		// make them unplaceable — the case the remap layer rescues.
-		if !opts.StaleTranslations {
-			e.disabled = health.Dead
-		}
-		// An engine-owned controller adopts the health map so placement
-		// avoids dead cells; a shared controller's health is the owner's
-		// business (the lifetime simulator attaches the same map to both).
-		if opts.Controller == nil {
-			ctrl.SetHealth(health)
-		}
+	// An engine-owned controller adopts the health map so placement avoids
+	// dead cells; a shared controller's health is the owner's business (the
+	// lifetime simulator attaches the same map to both).
+	if opts.Health != nil && opts.Controller == nil {
+		ctrl.SetHealth(opts.Health)
 	}
 	// Same ownership rule for the wear map: an engine-owned controller
 	// adopts it so wear-adaptive allocators see the aging history.
@@ -459,7 +451,7 @@ func (e *Engine) offload(cfg *fabric.Config) error {
 		// already have consumed the flush between this offload's cache hit
 		// and this check (stateFlushed): the looked-up configuration is
 		// stale all the same.
-		if e.cache.SyncState(fabric.KeyOf(e.opts.Health, e.ctrl.Wear(), nil)) || e.stateFlushed {
+		if e.cache.SyncState(e.opts.Health, e.ctrl.Wear()) || e.stateFlushed {
 			e.stateFlushed = false
 			e.observe(e.stepOnGPP())
 			return nil
@@ -615,23 +607,36 @@ func (e *Engine) gppCyclesFirst(cfg *fabric.Config, n int) uint64 {
 }
 
 // syncMemos drops the unplaceable and refused memos when the health they
-// were decided under moved: the mapper's mask or the controller's placement
-// map (one map wherever the controller is engine-owned or attached by the
-// lifetime simulator, so the second key is then zero). Wear is deliberately
-// not observed: it only orders ladder rungs already tied on consumed ops
-// and ExecCycles, the two values a refusal reads.
+// were decided under moved: the dead cells of the mapper's map or of the
+// controller's placement map, compared once when they are one map (memoTwo
+// false), as wherever the controller is engine-owned or attached by the
+// lifetime simulator. Wear is deliberately not observed: it only orders
+// ladder rungs already tied on consumed ops and ExecCycles, the two values
+// a refusal reads. This runs on every offload: Health.Matches reads only
+// the mask words the geometry uses, and a nil Options.Health, fixed for the
+// engine's life, is not compared.
 func (e *Engine) syncMemos() {
-	key := [2]fabric.StateKey{fabric.KeyOf(e.opts.Health, nil, nil)}
-	if h := e.ctrl.Health(); h != e.opts.Health {
-		key[1] = fabric.KeyOf(h, nil, nil)
-	}
-	// Compared per element: the compiler turns a whole-array compare into
-	// a runtime.memequal call, and this runs on every offload.
-	if key[0] != e.memoKey[0] || key[1] != e.memoKey[1] {
+	h, ch := e.opts.Health, e.ctrl.Health()
+	two := ch != h
+	if two != e.memoTwo || h != nil && !h.Matches(&e.memoDead[0]) || two && !ch.Matches(&e.memoDead[1]) {
 		clear(e.unplaceable)
 		clear(e.refused)
-		e.memoKey = key
+		e.memoDead = [2]fabric.Mask{h.Mask(), ch.Mask()}
+		e.memoTwo = two
 	}
+}
+
+// translationMask returns the dead cells the translator maps shape around,
+// in the identity frame. StaleTranslations withholds them: new
+// translations assume a pristine fabric, so clustered failures can make
+// them unplaceable — the case the remap layer rescues.
+func (e *Engine) translationMask(shape fabric.Geometry) fabric.Mask {
+	h := e.opts.Health
+	if e.opts.StaleTranslations || h == nil || h.DeadCount() == 0 {
+		return fabric.Mask{}
+	}
+	dead := h.Mask()
+	return dead.Window(fabric.Offset{}, shape, e.opts.Geom)
 }
 
 // stepOnGPP retires the instruction at the stream position on the GPP and
@@ -692,7 +697,7 @@ func (e *Engine) finalizeTrace() {
 		// wrongly flushed (wasting its ladder scan) at its own first
 		// offload. A configuration looked up before this flush is still
 		// stale; remember the flush so the offload path rejects it.
-		if e.cache.SyncState(fabric.KeyOf(e.opts.Health, e.ctrl.Wear(), nil)) {
+		if e.cache.SyncState(e.opts.Health, e.ctrl.Wear()) {
 			e.stateFlushed = true
 		}
 	}
@@ -722,9 +727,9 @@ func (e *Engine) finalizeTrace() {
 		cfg, consumed = e.translateShapes()
 	} else {
 		cfg, consumed = e.memo.Map(e.memo.Key(e.trace), mapper.Options{
-			Geom:     e.opts.Geom,
-			Lat:      fabric.DefaultLatencies(),
-			Disabled: e.disabled,
+			Geom: e.opts.Geom,
+			Lat:  fabric.DefaultLatencies(),
+			Dead: e.translationMask(e.opts.Geom),
 		})
 	}
 	if cfg == nil || consumed < mapper.MinOps || !e.profitable(cfg) {
@@ -767,10 +772,10 @@ func (e *Engine) translateShapes() (*fabric.Config, int) {
 	)
 	for _, shape := range e.shapes {
 		cfg, consumed := e.memo.Map(trace, mapper.Options{
-			Geom:     shape,
-			Lat:      fabric.DefaultLatencies(),
-			Disabled: e.disabled,
-			Probes:   &e.search.LadderProbes,
+			Geom:   shape,
+			Lat:    fabric.DefaultLatencies(),
+			Dead:   e.translationMask(shape),
+			Probes: &e.search.LadderProbes,
 		})
 		if cfg == nil {
 			continue

@@ -137,7 +137,7 @@ func TestShapeTranslationsRetranslateOnStateChange(t *testing.T) {
 		t.Fatalf("flushed %d times without a state change", before.Flushes)
 	}
 
-	// A death moves the health version: the next run must flush and
+	// A death moves the health key: the next run must flush and
 	// re-translate around the dead cell.
 	dead := fabric.Cell{Row: 0, Col: 0}
 	h.Kill(dead)

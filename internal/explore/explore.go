@@ -261,9 +261,8 @@ func (e *Explorer) syncWear() {
 		}
 		return
 	}
-	if k := fabric.KeyOf(nil, e.wear, nil); e.wearOld || k != e.wearSeen {
+	if moved := e.wearSeen.Update(nil, e.wear, nil); e.wearOld || moved {
 		e.wearY = e.wear.CopyYears(e.wearY)
-		e.wearSeen = k
 		e.wearOld = false
 	}
 }
@@ -308,11 +307,10 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 		}
 		e.lastCfg, e.lastSt = cfg, st
 	}
-	key := fabric.KeyOf(e.health, e.wear, nil)
-	stale := st.key != key
+	stale := st.key.Update(e.health, e.wear, nil)
 	recompute := stale || e.count >= st.nextAt
-	if !recompute && e.health != nil && e.health.DeadCount() > 0 &&
-		!e.health.PlacementOK(cfg.Cells(), st.off) {
+	live := cfg.LivePivots(e.health)
+	if !recompute && live != nil && !live[st.off.Row*e.geom.Cols+st.off.Col] {
 		// The footprint dead-hits the held pivot. If the last exploration
 		// under this exact health state already proved no live placement
 		// exists, rescanning is futile — the controller will fall back to
@@ -329,12 +327,10 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 			st.nextAt = e.count + e.recomputeEvery
 			return st.off
 		}
-		st.key = key
 		st.off = e.Explore(cfg)
 		st.explored = true
 		st.nextAt = e.count + e.recomputeEvery
-		st.noLive = e.health != nil && e.health.DeadCount() > 0 &&
-			!e.health.PlacementOK(cfg.Cells(), st.off)
+		st.noLive = live != nil && !live[st.off.Row*e.geom.Cols+st.off.Col]
 	}
 	return st.off
 }
@@ -368,10 +364,7 @@ type scanResult struct {
 func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	e.syncWear()
 	cells := cfg.Cells()
-	var dead []bool
-	if e.health != nil && e.health.DeadCount() > 0 {
-		dead = e.health.DeadMask()
-	}
+	live := cfg.LivePivots(e.health)
 	k := e.dutyScale()
 	e.counts.PivotScans++
 	e.counts.PivotProjections += uint64(e.geom.NumFUs())
@@ -387,13 +380,11 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	if cfg != e.lastCfg {
 		st = e.pivots[cfg]
 	}
-	if st != nil && st.explored {
-		if maxY, _, live := e.scoreYears(cells, st.off, dead, k); live {
-			seed = maxY
-		}
+	if st != nil && st.explored && (live == nil || live[st.off.Row*e.geom.Cols+st.off.Col]) {
+		seed, _ = e.scoreYears(cells, st.off, k)
 	}
 
-	sr := e.scanPivots(cells, dead, seed)
+	sr := e.scanPivots(cells, live, seed)
 	e.counts.PivotCells += sr.cells
 	if sr.idx < 0 {
 		return fabric.Offset{}
@@ -401,15 +392,12 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	return fabric.Offset{Row: sr.idx / e.geom.Cols, Col: sr.idx % e.geom.Cols}
 }
 
-// scanPivots evaluates every pivot and returns the argmin by (max
-// projected years, total projected years, row-major order). seed bounds
-// the pruning from the start; the bound then tightens to the scan's own
-// best. A pruned candidate still completes its liveness walk so the
-// counted work stays that of the full rescan.
-func (e *Explorer) scanPivots(cells []fabric.Cell, dead []bool, seed float64) scanResult {
-	if dead == nil {
-		return e.scanPivotsHealthy(cells, seed)
-	}
+// scanPivots evaluates every live pivot (every pivot when live is nil) and
+// returns the argmin by (max projected years, total projected years,
+// row-major order). seed bounds the pruning from the start; the bound then
+// tightens to the scan's own best. A pruned candidate still counts its
+// footprint, so the counted work stays that of the full rescan.
+func (e *Explorer) scanPivots(cells []fabric.Cell, live []bool, seed float64) scanResult {
 	sr := scanResult{idx: -1, maxY: math.Inf(1), sumY: math.Inf(1)}
 	thr := seed
 	cols := e.geom.Cols
@@ -423,69 +411,10 @@ func (e *Explorer) scanPivots(cells []fabric.Cell, dead []bool, seed float64) sc
 			pc = 0
 			pr++
 		}
-		maxY, sumY := 0.0, 0.0
-		live, pruned := true, false
-		for ci := 0; ci < len(cells); ci++ {
-			cell := cells[ci]
-			idx := rb[cell.Row] + cm[cell.Col]
-			if dead[idx] {
-				live = false
-				break
-			}
-			y := yProj[idx]
-			sumY += y
-			if y > maxY {
-				maxY = y
-				if y > thr {
-					// Cannot win: the final maximum is at least y. Finish
-					// the liveness walk so the pivot is classified — and
-					// counted — exactly as a full scan would.
-					pruned = true
-					for _, c2 := range cells[ci+1:] {
-						if dead[rb[c2.Row]+cm[c2.Col]] {
-							live = false
-							break
-						}
-					}
-					break
-				}
-			}
-		}
-		if !live {
+		if live != nil && !live[p] {
 			continue
 		}
 		sr.cells += uint64(len(cells))
-		if pruned {
-			continue
-		}
-		if sr.idx < 0 || maxY < sr.maxY || (maxY == sr.maxY && sumY < sr.sumY) {
-			sr.idx, sr.maxY, sr.sumY = p, maxY, sumY
-			if maxY < thr {
-				thr = maxY
-			}
-		}
-	}
-	return sr
-}
-
-// scanPivotsHealthy is scanPivots for a fully-live fabric: every pivot is a
-// live candidate, so the dead checks, the liveness walk after a prune and
-// the per-pivot live classification all drop out of the inner loop. The
-// steady-state scan (no failures yet) spends most of the simulation here.
-func (e *Explorer) scanPivotsHealthy(cells []fabric.Cell, seed float64) scanResult {
-	sr := scanResult{idx: -1, maxY: math.Inf(1), sumY: math.Inf(1)}
-	thr := seed
-	cols := e.geom.Cols
-	yProj := e.yProj
-	n := e.geom.NumFUs()
-	pr, pc := 0, 0
-	for p := 0; p < n; p++ {
-		rb := e.rowBase[pr:]
-		cm := e.colMod[pc:]
-		if pc++; pc == cols {
-			pc = 0
-			pr++
-		}
 		maxY, sumY := 0.0, 0.0
 		pruned := false
 		for _, cell := range cells {
@@ -510,13 +439,12 @@ func (e *Explorer) scanPivotsHealthy(cells []fabric.Cell, seed float64) scanResu
 			}
 		}
 	}
-	sr.cells = uint64(n) * uint64(len(cells))
 	return sr
 }
 
 // scoreYears evaluates one candidate: the maximum and total projected
-// stress-years over the footprint, and whether the placement is live.
-func (e *Explorer) scoreYears(cells []fabric.Cell, off fabric.Offset, dead []bool, k float64) (maxY, sumY float64, live bool) {
+// stress-years over the footprint.
+func (e *Explorer) scoreYears(cells []fabric.Cell, off fabric.Offset, k float64) (maxY, sumY float64) {
 	if uint(off.Row) >= uint(e.geom.Rows) || uint(off.Col) >= uint(e.geom.Cols) {
 		off = fabric.Offset{Row: off.Row % e.geom.Rows, Col: off.Col % e.geom.Cols}
 	}
@@ -524,16 +452,13 @@ func (e *Explorer) scoreYears(cells []fabric.Cell, off fabric.Offset, dead []boo
 	cm := e.colMod[off.Col:]
 	for _, cell := range cells {
 		idx := rb[cell.Row] + cm[cell.Col]
-		if dead != nil && dead[idx] {
-			return 0, 0, false
-		}
 		y := e.wearY[idx] + float64(e.stress[idx])*k
 		sumY += y
 		if y > maxY {
 			maxY = y
 		}
 	}
-	return maxY, sumY, true
+	return maxY, sumY
 }
 
 // Score returns the maximum projected ΔVt of placing cfg at off under the
@@ -545,7 +470,7 @@ func (e *Explorer) scoreYears(cells []fabric.Cell, off fabric.Offset, dead []boo
 // equals the maximum of per-cell evaluations.
 func (e *Explorer) Score(cfg *fabric.Config, off fabric.Offset) float64 {
 	e.syncWear()
-	maxY, _, _ := e.scoreYears(cfg.Cells(), off, nil, e.dutyScale())
+	maxY, _ := e.scoreYears(cfg.Cells(), off, e.dutyScale())
 	return e.model.Cond.DeltaVt(maxY, 1)
 }
 

@@ -47,11 +47,10 @@ type Config struct {
 
 	cells []Cell // cached occupied cells
 
-	// live is the pivot mask LivePivots last built, valid while liveHealth
-	// stays at version liveVer.
-	live       []bool
-	liveHealth *Health
-	liveVer    uint64
+	// live is the pivot mask LivePivots last built and liveKey the health
+	// content it was built for.
+	live    []bool
+	liveKey *liveKey
 
 	// Replay accelerator tables, computed once on first use: the engine
 	// replays hot configurations millions of times and batches its per-op
@@ -101,20 +100,47 @@ func (c *Config) Clone() *Config {
 // LivePivots returns the configuration's live-pivot mask under h: entry
 // r*Cols+c (h's geometry) reports whether loading the configuration at
 // Offset{r, c} keeps every op on a live FU, exactly as
-// h.PlacementOK(Cells(), Offset{r, c}). The mask is memoized for the health
-// map and version it was built for and rebuilt when either moves. The
-// returned slice must not be modified, and is only valid until the next
-// LivePivots call.
+// h.PlacementOK(Cells(), Offset{r, c}). It is nil, every pivot live, when
+// h is nil or has no dead cell. Rather than testing every pivot against
+// every cell, a build clears the pivot each (dead cell, occupied cell)
+// pair rules out, (dead − occupied) mod the geometry, so it costs dead
+// cells × cells instead of pivots × cells. The mask is memoized for the
+// geometry and dead cells it was built for, so any health map with the
+// same dead cells reads it without a rebuild. The returned slice must not
+// be modified, and is only valid until the next LivePivots call.
 func (c *Config) LivePivots(h *Health) []bool {
-	if c.liveHealth == h && c.liveVer == h.version {
+	if h == nil || h.deadCount == 0 {
+		return nil
+	}
+	if k := c.liveKey; k != nil && k.geom == h.geom && h.Matches(&k.dead) {
 		return c.live
 	}
-	if n := h.geom.NumFUs(); len(c.live) != n {
-		c.live = make([]bool, n)
+	if h.key == nil {
+		h.key = &liveKey{geom: h.geom, dead: h.dead}
 	}
-	h.LivePivots(c.Cells(), c.live)
-	c.liveHealth, c.liveVer = h, h.version
+	c.liveKey = h.key
+	rows, cols := h.geom.Rows, h.geom.Cols
+	if len(c.live) != rows*cols {
+		c.live = make([]bool, rows*cols)
+	}
+	for i := range c.live {
+		c.live[i] = true
+	}
+	cells := c.Cells()
+	h.dead.each(func(i int) {
+		dr, dc := i/cols, i%cols
+		for _, cell := range cells {
+			c.live[(dr-cell.Row%rows+rows)%rows*cols+(dc-cell.Col%cols+cols)%cols] = false
+		}
+	})
 	return c.live
+}
+
+// liveKey is the health content a live-pivot mask was built for, shared by
+// pointer so that a Config, cloned once per memo hit, stays small.
+type liveKey struct {
+	geom Geometry
+	dead Mask
 }
 
 func sortCells(cells []Cell) {

@@ -60,10 +60,19 @@ func DefaultCtxLines(rows int) int { return 2*rows + 2 }
 // reloading is fully hidden behind the per-offload startup.
 func DefaultCfgLines(cols int) int { return 4 }
 
+// MaxCells is the largest fabric Validate accepts, four times the paper's
+// largest design (BU, 8x32), and so the capacity of a Mask.
+const MaxCells = 1024
+
 // Validate checks the geometry for consistency.
 func (g Geometry) Validate() error {
 	if g.Rows < 1 || g.Cols < 1 {
 		return fmt.Errorf("fabric: geometry %dx%d must be at least 1x1", g.Rows, g.Cols)
+	}
+	// Each dimension is bounded before the product is taken, so it cannot
+	// overflow.
+	if g.Rows > MaxCells || g.Cols > MaxCells || g.Rows*g.Cols > MaxCells {
+		return fmt.Errorf("fabric: geometry %dx%d exceeds the limit of %d cells", g.Rows, g.Cols, MaxCells)
 	}
 	if g.CtxLines < 1 {
 		return fmt.Errorf("fabric: geometry needs at least one context line")

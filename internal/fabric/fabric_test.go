@@ -24,6 +24,20 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+// TestGeometryValidateCellCap pins the one fabric size cap: a Mask holds
+// MaxCells cells, so Validate rejects anything larger, bounding each
+// dimension before taking the product.
+func TestGeometryValidateCellCap(t *testing.T) {
+	if err := NewGeometry(32, 32).Validate(); err != nil {
+		t.Errorf("32x32 (%d cells) rejected: %v", MaxCells, err)
+	}
+	for _, g := range []Geometry{NewGeometry(33, 32), NewGeometry(1, 1025), NewGeometry(1<<20, 1<<20)} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("%dx%d accepted", g.Rows, g.Cols)
+		}
+	}
+}
+
 func TestGeometryDerived(t *testing.T) {
 	g := NewGeometry(4, 32)
 	if g.NumFUs() != 128 {

@@ -3,8 +3,8 @@ package fabric
 import "fmt"
 
 // Faults tracks each FU cell's per-execution intermittent-fault probability:
-// the third versioned fabric-state layer beside Health (dead/alive) and Wear
-// (accumulated stress). Aged transistors misbehave intermittently before
+// the third fabric-state layer beside Health (dead/alive) and Wear
+// (accumulated stress), versioned like Wear. Aged transistors misbehave intermittently before
 // they die — increased delay causes marginal timing paths to flip bits on
 // some executions — so the lifetime simulator derives each cell's
 // probability from its consumed lifetime once it crosses a configurable

@@ -9,18 +9,23 @@ import "fmt"
 // cross the end-of-life delay threshold.
 //
 // A Health is owned by one simulated fabric instance and is not safe for
-// concurrent mutation; scenario sweeps give every scenario its own Health.
+// concurrent use (Config.LivePivots caches in it); scenario sweeps give
+// every scenario its own Health.
+// Memos key on its dead cells by content (StateKey).
 type Health struct {
-	geom      Geometry
-	dead      []bool
+	// The fields a placement reads come first, so they share a cache line
+	// with the mask's first word.
 	deadCount int
-	version   uint64
+	// key is an immutable copy of the current dead set, which
+	// Config.LivePivots shares among the masks it builds. A change drops it.
+	key  *liveKey
+	geom Geometry
+	dead Mask
 }
 
-// NewHealth builds an all-alive health map for the geometry.
-func NewHealth(g Geometry) *Health {
-	return &Health{geom: g, dead: make([]bool, g.NumFUs())}
-}
+// NewHealth builds an all-alive health map for the geometry, which must
+// pass Validate.
+func NewHealth(g Geometry) *Health { return &Health{geom: g} }
 
 // NewHealthWithDead builds a health map with the given cells already failed.
 // Out-of-range cells are rejected.
@@ -49,12 +54,12 @@ func (h *Health) Kill(c Cell) bool {
 		return false
 	}
 	i := c.Row*h.geom.Cols + c.Col
-	if h.dead[i] {
+	if h.dead.Has(i) {
 		return false
 	}
-	h.dead[i] = true
+	h.dead[i>>6] |= 1 << (i & 63)
 	h.deadCount++
-	h.version++
+	h.key = nil
 	return true
 }
 
@@ -68,12 +73,12 @@ func (h *Health) Revive(c Cell) bool {
 		return false
 	}
 	i := c.Row*h.geom.Cols + c.Col
-	if !h.dead[i] {
+	if !h.dead.Has(i) {
 		return false
 	}
-	h.dead[i] = false
+	h.dead[i>>6] &^= 1 << (i & 63)
 	h.deadCount--
-	h.version++
+	h.key = nil
 	return true
 }
 
@@ -82,11 +87,8 @@ func (h *Health) Dead(c Cell) bool {
 	if !h.inRange(c) {
 		return true
 	}
-	return h.dead[c.Row*h.geom.Cols+c.Col]
+	return h.dead.Has(c.Row*h.geom.Cols + c.Col)
 }
-
-// Alive is the complement of Dead.
-func (h *Health) Alive(c Cell) bool { return !h.Dead(c) }
 
 // DeadCount returns the number of failed cells.
 func (h *Health) DeadCount() int { return h.deadCount }
@@ -103,57 +105,49 @@ func (h *Health) AliveFraction() float64 {
 // DeadCells lists the failed cells in row-major order.
 func (h *Health) DeadCells() []Cell {
 	out := make([]Cell, 0, h.deadCount)
-	for r := 0; r < h.geom.Rows; r++ {
-		for c := 0; c < h.geom.Cols; c++ {
-			if h.dead[r*h.geom.Cols+c] {
-				out = append(out, Cell{Row: r, Col: c})
-			}
-		}
-	}
+	h.dead.each(func(i int) {
+		out = append(out, Cell{Row: i / h.geom.Cols, Col: i % h.geom.Cols})
+	})
 	return out
 }
 
-// DeadMask exposes the row-major liveness bitmap for read-only scanning:
-// hot placement scans index it directly instead of paying a bounds check
-// and index computation per Dead call. The slice aliases the health map's
-// state — callers must not modify it, and must not hold it across
-// mutations they cannot observe (a StateKey guards that).
-func (h *Health) DeadMask() []bool { return h.dead }
+// Mask returns the dead-cell set. A nil map reads as all-alive.
+func (h *Health) Mask() Mask {
+	if h == nil {
+		return Mask{}
+	}
+	return h.dead
+}
 
-// PlacementOK reports whether shifting a configuration occupying the given
-// virtual cells by off would keep every op on a live FU.
-func (h *Health) PlacementOK(cells []Cell, off Offset) bool {
-	for _, c := range cells {
-		p := off.Apply(c, h.geom)
-		if h.dead[p.Row*h.geom.Cols+p.Col] {
+// Matches reports whether m holds exactly h's dead cells. It compares only
+// the words h's geometry uses, so m must come from a map of the same
+// geometry (or be empty). A nil map matches the empty set.
+func (h *Health) Matches(m *Mask) bool {
+	if h == nil {
+		var or uint64
+		for _, w := range m {
+			or |= w
+		}
+		return or == 0
+	}
+	n := (h.geom.Rows*h.geom.Cols + 63) >> 6
+	a, b := h.dead[:n], m[:n]
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// LivePivots answers PlacementOK for every pivot at once: dst[r*Cols+c]
-// becomes PlacementOK(cells, Offset{r, c}). dst must hold NumFUs entries.
-// Rather than testing every pivot against every cell, it clears the pivot
-// each (dead cell, occupied cell) pair rules out, (dead − occupied) mod the
-// geometry, so the cost is dead cells × cells instead of pivots × cells.
-func (h *Health) LivePivots(cells []Cell, dst []bool) {
-	for i := range dst {
-		dst[i] = true
-	}
-	if h.deadCount == 0 {
-		return
-	}
-	rows, cols := h.geom.Rows, h.geom.Cols
-	for i, dead := range h.dead {
-		if !dead {
-			continue
-		}
-		dr, dc := i/cols, i%cols
-		for _, c := range cells {
-			r := (dr - c.Row%rows + rows) % rows
-			col := (dc - c.Col%cols + cols) % cols
-			dst[r*cols+col] = false
+// PlacementOK reports whether shifting a configuration occupying the given
+// virtual cells by off would keep every op on a live FU.
+func (h *Health) PlacementOK(cells []Cell, off Offset) bool {
+	for _, c := range cells {
+		p := off.Apply(c, h.geom)
+		if h.dead.Has(p.Row*h.geom.Cols + p.Col) {
+			return false
 		}
 	}
+	return true
 }

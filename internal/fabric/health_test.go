@@ -21,7 +21,7 @@ func TestHealthKillAndQueries(t *testing.T) {
 	if h.Kill(Cell{Row: 5, Col: 0}) {
 		t.Error("out-of-range kill should be rejected")
 	}
-	if !h.Dead(Cell{Row: 1, Col: 2}) || h.Alive(Cell{Row: 1, Col: 2}) {
+	if !h.Dead(Cell{Row: 1, Col: 2}) {
 		t.Error("killed cell should read dead")
 	}
 	if h.Dead(Cell{Row: 0, Col: 0}) {
@@ -35,20 +35,6 @@ func TestHealthKillAndQueries(t *testing.T) {
 	}
 	if cells := h.DeadCells(); len(cells) != 1 || cells[0] != (Cell{Row: 1, Col: 2}) {
 		t.Errorf("dead cells %v", cells)
-	}
-}
-
-func TestHealthVersionBumpsOnChange(t *testing.T) {
-	h := NewHealth(NewGeometry(2, 4))
-	v0 := h.version
-	h.Kill(Cell{Row: 0, Col: 0})
-	if h.version == v0 {
-		t.Error("version must change on a kill")
-	}
-	v1 := h.version
-	h.Kill(Cell{Row: 0, Col: 0}) // idempotent
-	if h.version != v1 {
-		t.Error("version must not change on a no-op kill")
 	}
 }
 
@@ -91,22 +77,20 @@ func TestHealthRevive(t *testing.T) {
 		t.Error("reviving an alive cell should be a no-op")
 	}
 	h.Kill(c)
-	v := h.version
 	if !h.Revive(c) {
 		t.Fatal("reviving a dead cell should report a change")
 	}
 	if h.Dead(c) || h.DeadCount() != 0 {
 		t.Error("revived cell should read alive again")
 	}
-	if h.version == v {
-		t.Error("revive must bump the version")
+	if h.Mask() != (Mask{}) {
+		t.Error("revive must restore the pristine mask")
 	}
-	v = h.version
 	if h.Revive(c) {
 		t.Error("repeated revive should be idempotent")
 	}
-	if h.version != v {
-		t.Error("no-op revive must not move the version")
+	if h.Mask() != (Mask{}) {
+		t.Error("no-op revive must not move the mask")
 	}
 	if h.Revive(Cell{Row: 5, Col: 0}) {
 		t.Error("out-of-range revive should be rejected")
@@ -128,18 +112,20 @@ func randomConfig(r *rand.Rand, g Geometry, maxOps int) *Config {
 }
 
 // checkLivePivots compares every entry of cfg's mask under h with
-// PlacementOK for the same pivot.
+// PlacementOK for the same pivot. A nil mask, every pivot live, is for
+// maps without a dead cell.
 func checkLivePivots(t *testing.T, label string, cfg *Config, h *Health) {
 	t.Helper()
 	g := h.Geometry()
 	live := cfg.LivePivots(h)
-	if len(live) != g.NumFUs() {
-		t.Fatalf("%s: mask has %d entries, want %d", label, len(live), g.NumFUs())
+	if (live == nil) != (h.DeadCount() == 0) || live != nil && len(live) != g.NumFUs() {
+		t.Fatalf("%s: mask has %d entries with %d dead cells, want %d or nil without dead cells",
+			label, len(live), h.DeadCount(), g.NumFUs())
 	}
 	for r := 0; r < g.Rows; r++ {
 		for c := 0; c < g.Cols; c++ {
 			off := Offset{Row: r, Col: c}
-			if got, want := live[r*g.Cols+c], h.PlacementOK(cfg.Cells(), off); got != want {
+			if got, want := live == nil || live[r*g.Cols+c], h.PlacementOK(cfg.Cells(), off); got != want {
 				t.Fatalf("%s: pivot %v live = %v, PlacementOK = %v (cells %v, dead %v)",
 					label, off, got, want, cfg.Cells(), h.DeadCells())
 			}
@@ -169,9 +155,10 @@ func TestLivePivotsMatchesPlacementOK(t *testing.T) {
 	}
 }
 
-// TestLivePivotsInvalidation pins the memo key: a Kill or Revive moves the
-// health version and forces a rebuild, and so does switching to another
-// health map, even one whose version number is the same.
+// TestLivePivotsInvalidation pins the memo key: the mask is keyed on the
+// dead cells' content, not on which map holds them. Two maps with the same
+// dead cells share one table without a rebuild, a Kill undone by a Revive
+// gives the original answers, and a different dead set forces a rebuild.
 func TestLivePivotsInvalidation(t *testing.T) {
 	g := NewGeometry(2, 4)
 	cfg := &Config{Geom: g, Ops: []PlacedOp{{Seq: 0, Row: 0, Col: 0, Width: 2}}, UsedCols: 2}
@@ -184,12 +171,19 @@ func TestLivePivotsInvalidation(t *testing.T) {
 
 	a, b := NewHealth(g), NewHealth(g)
 	a.Kill(Cell{Row: 0, Col: 0})
-	b.Kill(Cell{Row: 1, Col: 3})
-	if a.version != b.version {
-		t.Fatalf("versions %d and %d: the case needs equal versions", a.version, b.version)
+	b.Kill(Cell{Row: 0, Col: 0})
+	live := cfg.LivePivots(a)
+	// Plant a wrong answer: only a rebuild would overwrite it.
+	live[0] = true
+	if got := cfg.LivePivots(b); &got[0] != &live[0] || !got[0] {
+		t.Fatal("a map with the same dead cells rebuilt the table")
 	}
+	live[0] = false
+
+	c := NewHealth(g)
+	c.Kill(Cell{Row: 1, Col: 3})
 	for i := 0; i < 3; i++ {
 		checkLivePivots(t, "map a", cfg, a)
-		checkLivePivots(t, "map b", cfg, b)
+		checkLivePivots(t, "map c", cfg, c)
 	}
 }

@@ -3,8 +3,9 @@ package fabric
 import "testing"
 
 // TestKeyOf pins the fabric-state key contract memos rely on: a nil layer
-// reads as zero, each mutation moves only its own layer's component, and a
-// mutation that changes nothing keeps the key.
+// reads as zero, each mutation moves only its own layer's component, a
+// mutation that changes nothing keeps the key, and Update agrees with
+// KeyOf.
 func TestKeyOf(t *testing.T) {
 	g := NewGeometry(2, 4)
 	c := Cell{Row: 1, Col: 2}
@@ -56,7 +57,7 @@ func TestKeyOf(t *testing.T) {
 			want := before
 			switch tc.moved {
 			case 1:
-				want.health = after.health
+				want.dead = after.dead
 			case 2:
 				want.wear = after.wear
 			case 3:
@@ -68,8 +69,26 @@ func TestKeyOf(t *testing.T) {
 			if tc.moved != 0 && after == before {
 				t.Errorf("key %+v did not move", before)
 			}
+			u := before
+			if moved := u.Update(h, w, f); moved != (after != before) || u != after {
+				t.Errorf("Update moved = %v to %+v, KeyOf gives %+v", moved, u, after)
+			}
 		})
 	}
+
+	t.Run("health by content", func(t *testing.T) {
+		a, b := NewHealth(g), NewHealth(g)
+		before := KeyOf(a, nil, nil)
+		a.Kill(c)
+		b.Kill(c)
+		if KeyOf(a, nil, nil) != KeyOf(b, nil, nil) {
+			t.Error("two maps with the same dead cells give different keys")
+		}
+		a.Revive(c)
+		if KeyOf(a, nil, nil) != before {
+			t.Error("a Kill undone by a Revive did not restore the key")
+		}
+	})
 
 	t.Run("nil layers", func(t *testing.T) {
 		if k := KeyOf(nil, nil, nil); k != (StateKey{}) {
@@ -82,7 +101,7 @@ func TestKeyOf(t *testing.T) {
 		if k := KeyOf(nil, w, nil); k != (StateKey{wear: w.version}) {
 			t.Errorf("wear-only key = %+v, want health and faults zero", k)
 		}
-		if k := KeyOf(h, nil, f); k != (StateKey{health: h.version, faults: f.version}) {
+		if k := KeyOf(h, nil, f); k != (StateKey{dead: h.Mask(), faults: f.version}) {
 			t.Errorf("key without wear = %+v, want wear zero", k)
 		}
 	})

@@ -22,10 +22,11 @@
 // the memoized retire stream), so epochs between state changes are
 // replayed from memo instead of re-simulated — multi-decade horizons cost
 // one co-simulation per distinct fabric state. For health-only allocators that
-// state is the Health version; wear-adaptive allocators (alloc.WearSetter)
-// also see the accumulated fabric.Wear map, so their memo key includes the
-// wear version — wear accrues every epoch, which correctly forces those
-// scenarios to re-simulate as the placement search adapts.
+// state is the set of dead cells, compared by content (fabric.Mask);
+// wear-adaptive allocators (alloc.WearSetter) also see the accumulated
+// fabric.Wear map, so their memo key includes the wear version — wear
+// accrues every epoch, which correctly forces those scenarios to
+// re-simulate as the placement search adapts.
 package lifetime
 
 import (
@@ -871,16 +872,12 @@ func emitEpochEvents(sc *Scenario, run *epochRun, rec EpochRecord, events []reco
 	// whose values are immutable, and wear/health keep evolving.
 	snap.Duty = append([]float64(nil), run.util.Duty...)
 	snap.WearYears = wear.CopyYears(nil)
-	for i, dead := range health.DeadMask() {
-		if dead {
-			snap.Dead = append(snap.Dead, i)
-		}
+	for _, c := range health.DeadCells() {
+		snap.Dead = append(snap.Dead, c.Row*sc.Geom.Cols+c.Col)
 	}
 	if mon != nil {
-		for i, dead := range mon.Observed().DeadMask() {
-			if dead {
-				snap.ObservedDead = append(snap.ObservedDead, i)
-			}
+		for _, c := range mon.Observed().DeadCells() {
+			snap.ObservedDead = append(snap.ObservedDead, c.Row*sc.Geom.Cols+c.Col)
 		}
 	}
 	sink.Emit(snap)

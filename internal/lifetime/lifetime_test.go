@@ -326,7 +326,7 @@ func TestEpochMemoKeyCoversRemapState(t *testing.T) {
 // TestEpochMemoKeyCoversShapeTranslationState pins the memo-key extension
 // for translation-time shape search: the engine's ladder search observes
 // the wear map (the tie-break) and the translation cache keys on the
-// (health, wear) versions, so a scenario with ShapeTranslations is
+// (health, wear) state, so a scenario with ShapeTranslations is
 // wear-adaptive even under a wear-blind allocator — while wear accrues,
 // epochs must re-simulate, never replay a stale shape decision from memo.
 func TestEpochMemoKeyCoversShapeTranslationState(t *testing.T) {

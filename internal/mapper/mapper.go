@@ -35,10 +35,12 @@ type Options struct {
 	// Lat gives per-class column spans; every mapped class must span at
 	// least one column (fabric.DefaultLatencies).
 	Lat fabric.LatencyTable
-	// Disabled marks failed FU cells the mapper must route around: the
-	// end-of-life degradation scenario of the paper's introduction, where
-	// dead FUs progressively limit ILP.
-	Disabled func(cell fabric.Cell) bool
+	// Dead marks failed FU cells the mapper must route around, in Geom's
+	// own frame (bit r*Geom.Cols+c for cell (r, c); fabric.Mask.Window
+	// builds it for a shape anchored on a larger fabric): the end-of-life
+	// degradation scenario of the paper's introduction, where dead FUs
+	// progressively limit ILP.
+	Dead fabric.Mask
 	// Probes, when non-nil, accumulates the number of FU cell probes
 	// (occupancy + health checks of the greedy row search) the placement
 	// performed. The shape searches pass a counter here so the
@@ -181,7 +183,7 @@ func newPlaceState(opt Options) *placeState {
 // release returns the state to the pool. Nothing in it is referenced by the
 // produced Config — PlacedOps carry their own data — so reuse is safe.
 func (s *placeState) release() {
-	s.opt = Options{} // drop the Disabled closure and Probes pointer
+	s.opt.Probes = nil // drop the caller's counter
 	statePool.Put(s)
 }
 
@@ -413,7 +415,7 @@ rowLoop:
 			if s.occ[base+col+w] {
 				continue rowLoop
 			}
-			if s.opt.Disabled != nil && s.opt.Disabled(fabric.Cell{Row: r, Col: col + w}) {
+			if s.opt.Dead.Has(base + col + w) {
 				continue rowLoop
 			}
 		}

@@ -14,28 +14,26 @@ import (
 //
 // A result is keyed on everything Map reads: the trace's content (PC,
 // instruction and direction of every entry; PCs collide across programs),
-// Geom, Lat, and the Disabled predicate's answer for every cell of
-// Geom — the only cells the greedy row search asks about. Wear, the anchor
-// and the caller are not in the key, so a stored result never goes stale
-// and one Memo serves every layer of a scenario.
+// Geom, Lat and the Dead mask. Wear, the anchor and the caller are not in
+// the key, so a stored result never goes stale and one Memo serves every
+// layer of a scenario.
 //
 // A hit re-adds the stored probe count to Options.Probes (the modelled
 // hardware keeps no such memo, so search-cost totals are those of a
 // re-mapping run) and returns a fresh *fabric.Config sharing the stored
 // ops and cells: callers key per-placement state on the pointer (the
-// explorer's held pivot, the live-pivot mask), so no two calls return the
-// same one.
+// explorer's held pivot), so no two calls return the same one.
 //
 // A nil *Memo maps directly. A Memo is not safe for concurrent use.
 type Memo struct {
-	traces  map[string]uint32  // encoded trace content -> id
-	opts    map[optsKey]uint32 // Geom, Lat -> id
-	masks   map[string]uint32  // dead-cell bitmask over Geom -> id
+	traces  map[string]uint32      // encoded trace content -> id
+	opts    map[optsKey]uint32     // Geom, Lat -> id
+	masks   map[fabric.Mask]uint32 // dead cells in Geom's frame -> id
 	results map[memoKey]memoResult
 	buf     []byte // encoding scratch, reused by every lookup
 }
 
-// optsKey is everything of Options that Map reads besides Disabled.
+// optsKey is everything of Options that Map reads besides Dead.
 type optsKey struct {
 	geom fabric.Geometry
 	lat  fabric.LatencyTable
@@ -67,7 +65,7 @@ func NewMemo() *Memo {
 	return &Memo{
 		traces:  make(map[string]uint32),
 		opts:    make(map[optsKey]uint32),
-		masks:   make(map[string]uint32),
+		masks:   make(map[fabric.Mask]uint32),
 		results: make(map[memoKey]memoResult),
 	}
 }
@@ -99,13 +97,11 @@ func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
 	if m == nil {
 		return Map(k.trace, opt)
 	}
-	okey := optsKey{geom: opt.Geom, lat: opt.Lat}
-	oid, seen := m.opts[okey]
-	if !seen {
-		oid = uint32(len(m.opts))
-		m.opts[okey] = oid
+	key := memoKey{
+		trace: k.id,
+		opts:  idOf(m.opts, optsKey{geom: opt.Geom, lat: opt.Lat}),
+		dead:  idOf(m.masks, opt.Dead),
 	}
-	key := memoKey{trace: k.id, opts: oid, dead: m.deadMask(opt)}
 	if r, hit := m.results[key]; hit {
 		if opt.Probes != nil {
 			*opt.Probes += r.probes
@@ -129,29 +125,14 @@ func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
 	return cfg, consumed
 }
 
-// deadMask interns the Disabled predicate's answers over the cells of
-// opt.Geom, one bit per cell in row-major order. A window with no dead
-// cell and a nil predicate share the empty mask.
-func (m *Memo) deadMask(opt Options) uint32 {
-	b := m.buf[:0]
-	dead := false
-	if n := opt.Geom.Rows * opt.Geom.Cols; opt.Disabled != nil && n > 0 {
-		for i := 0; i < n; i += 8 {
-			var bits byte
-			for j := i; j < min(i+8, n); j++ {
-				if opt.Disabled(fabric.Cell{Row: j / opt.Geom.Cols, Col: j % opt.Geom.Cols}) {
-					bits |= 1 << (j - i)
-				}
-			}
-			b = append(b, bits)
-			dead = dead || bits != 0
-		}
+// idOf returns k's id in ids, assigning the next one on first sight.
+func idOf[K comparable](ids map[K]uint32, k K) uint32 {
+	id, ok := ids[k]
+	if !ok {
+		id = uint32(len(ids))
+		ids[k] = id
 	}
-	if !dead {
-		b = b[:0]
-	}
-	m.buf = b
-	return intern(m.masks, b)
+	return id
 }
 
 // intern returns b's id in ids, assigning the next one on first sight. The

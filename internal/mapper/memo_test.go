@@ -50,10 +50,10 @@ func suiteTraces(t *testing.T, perKernel int) [][]TraceEntry {
 	return out
 }
 
-// anchoredMask kills a random set of physical cells and returns the
-// predicate the remap rescue builds for one anchor: shape cell c is
-// disabled when the physical cell it lands on under anchor is dead.
-func anchoredMask(r *rand.Rand, phys fabric.Geometry) func(fabric.Cell) bool {
+// anchoredMask kills a random set of physical cells and returns the dead
+// mask the remap rescue builds for one anchor, as a function of the shape:
+// shape cell c is dead when the physical cell it lands on under anchor is.
+func anchoredMask(r *rand.Rand, phys fabric.Geometry) func(shape fabric.Geometry) fabric.Mask {
 	h := fabric.NewHealth(phys)
 	for i, n := 0, r.Intn(6); i < n; i++ {
 		h.Kill(fabric.Cell{Row: r.Intn(phys.Rows), Col: r.Intn(phys.Cols)})
@@ -65,7 +65,8 @@ func anchoredMask(r *rand.Rand, phys fabric.Geometry) func(fabric.Cell) bool {
 		}
 	}
 	anchor := fabric.Offset{Row: r.Intn(phys.Rows), Col: r.Intn(phys.Cols)}
-	return func(c fabric.Cell) bool { return h.Dead(anchor.Apply(c, phys)) }
+	dead := h.Mask()
+	return func(shape fabric.Geometry) fabric.Mask { return dead.Window(anchor, shape, phys) }
 }
 
 type mapping struct {
@@ -129,12 +130,12 @@ func TestMemoMatchesMap(t *testing.T) {
 	for ti, trace := range traces {
 		k := memo.Key(trace)
 		for mi := 0; mi < 3; mi++ {
-			disabled := anchoredMask(r, phys)
-			if mi == 0 {
-				disabled = nil
-			}
+			window := anchoredMask(r, phys)
 			for _, shape := range shapes {
-				opt := Options{Geom: shape, Lat: fabric.DefaultLatencies(), Disabled: disabled}
+				opt := Options{Geom: shape, Lat: fabric.DefaultLatencies()}
+				if mi > 0 {
+					opt.Dead = window(shape)
+				}
 				want := mapDirect(trace, opt)
 				first := mapMemo(memo, k, opt)
 				sameMapping(t, "first", first, want)
@@ -154,8 +155,8 @@ func TestMemoMatchesMap(t *testing.T) {
 
 // TestMemoKeysOnContent pins the key's parts one at a time: the same PCs
 // with another instruction, the same trace into another shape or around
-// another dead cell, each maps afresh, while a mask that differs only
-// outside the shape's window shares the stored result.
+// another dead cell, each maps afresh, while the same dead cell seen
+// through another anchor of another fabric shares the stored result.
 func TestMemoKeysOnContent(t *testing.T) {
 	trace := []TraceEntry{
 		alu(0x1000, isa.T0, isa.A0, isa.A1),
@@ -164,17 +165,13 @@ func TestMemoKeysOnContent(t *testing.T) {
 	}
 	other := append([]TraceEntry(nil), trace...)
 	other[1].Inst = isa.Inst{Op: isa.MUL, Rd: isa.T1, Rs1: isa.T0, Rs2: isa.A2}
-	deadAt := func(cells ...fabric.Cell) func(fabric.Cell) bool {
-		return func(c fabric.Cell) bool {
-			for _, d := range cells {
-				if c == d {
-					return true
-				}
-			}
-			return false
-		}
-	}
 	g := fabric.NewGeometry(2, 4)
+	deadAt := func(phys fabric.Geometry, c fabric.Cell, anchor fabric.Offset) fabric.Mask {
+		h := fabric.NewHealth(phys)
+		h.Kill(c)
+		dead := h.Mask()
+		return dead.Window(anchor, g, phys)
+	}
 	base := Options{Geom: g, Lat: fabric.DefaultLatencies()}
 	memo := NewMemo()
 	same := func(o Options) Options { return o }
@@ -191,12 +188,12 @@ func TestMemoKeysOnContent(t *testing.T) {
 			o.Geom = fabric.NewGeometry(1, 4)
 			return o
 		}, true},
-		{"dead cell in window", trace, func(o Options) Options {
-			o.Disabled = deadAt(fabric.Cell{Row: 0, Col: 0})
+		{"dead cell", trace, func(o Options) Options {
+			o.Dead = deadAt(g, fabric.Cell{}, fabric.Offset{})
 			return o
 		}, true},
-		{"dead cell outside window", trace, func(o Options) Options {
-			o.Disabled = deadAt(fabric.Cell{Row: 5, Col: 9})
+		{"same dead cell through another anchor", trace, func(o Options) Options {
+			o.Dead = deadAt(fabric.NewGeometry(4, 8), fabric.Cell{Row: 2, Col: 3}, fabric.Offset{Row: 2, Col: 3})
 			return o
 		}, false},
 		{"other latencies", trace, func(o Options) Options {
@@ -214,27 +211,46 @@ func TestMemoKeysOnContent(t *testing.T) {
 	}
 }
 
-// TestMapAsksOnlyInsideGeom pins the premise the memo's key rests on: Map
-// queries Disabled only for cells inside opt.Geom, so the predicate's
-// answers over those cells determine the placement.
-func TestMapAsksOnlyInsideGeom(t *testing.T) {
-	phys := fabric.NewGeometry(2, 16)
-	r := rand.New(rand.NewSource(5))
-	queries := 0
-	for _, trace := range suiteTraces(t, 4) {
-		for _, shape := range fabric.DefaultShapeLadder().Shapes(phys) {
-			inner := anchoredMask(r, phys)
-			recording := func(c fabric.Cell) bool {
-				queries++
-				if c.Row < 0 || c.Row >= shape.Rows || c.Col < 0 || c.Col >= shape.Cols {
-					t.Fatalf("Map asked about %v outside %v", c, shape)
-				}
-				return inner(c)
-			}
-			Map(trace, Options{Geom: shape, Lat: fabric.DefaultLatencies(), Disabled: recording})
+// TestTinyFabricsEveryDeadMask enumerates every dead mask of the 2x2, 2x3
+// and 2x4 fabrics and maps the suite's traces, cut to their first six
+// entries, around each: no op lands on a dead cell, and Memo.Map returns
+// Map's ops, consumed count and probes on the miss and on a repeat call.
+func TestTinyFabricsEveryDeadMask(t *testing.T) {
+	seen := make(map[string]bool)
+	var traces [][]TraceEntry
+	for _, trace := range suiteTraces(t, 12) {
+		trace = trace[:min(len(trace), 6)]
+		if k := fmt.Sprint(trace); !seen[k] {
+			seen[k] = true
+			traces = append(traces, trace)
 		}
 	}
-	if queries == 0 {
-		t.Fatal("Map never consulted Disabled")
+	placed := 0
+	for _, cols := range []int{2, 3, 4} {
+		g := fabric.NewGeometry(2, cols)
+		memo := NewMemo()
+		for bits := 0; bits < 1<<g.NumFUs(); bits++ {
+			opt := Options{Geom: g, Lat: fabric.DefaultLatencies()}
+			opt.Dead[0] = uint64(bits)
+			for _, trace := range traces {
+				want := mapDirect(trace, opt)
+				k := memo.Key(trace)
+				sameMapping(t, "first", mapMemo(memo, k, opt), want)
+				sameMapping(t, "repeat", mapMemo(memo, k, opt), want)
+				if want.cfg == nil {
+					continue
+				}
+				placed++
+				for _, c := range want.cfg.Cells() {
+					if opt.Dead.Has(c.Row*g.Cols + c.Col) {
+						t.Fatalf("%v, dead mask %b: op placed on dead cell %v", g, bits, c)
+					}
+				}
+			}
+		}
 	}
+	if placed == 0 {
+		t.Fatal("nothing placed")
+	}
+	t.Logf("%d traces, %d placements", len(traces), placed)
 }

@@ -239,9 +239,8 @@ func NewMonitor(g fabric.Geometry, p Policy, truth *fabric.Health, faults *fabri
 func (m *Monitor) Policy() Policy { return m.policy }
 
 // Observed is the runtime's health belief: the map the placement stack
-// consumes instead of ground truth. Quarantines Kill it, reinstatements
-// Revive it, and its version moves accordingly, so placement caches keyed
-// on health versions stay correct.
+// consumes instead of ground truth. Quarantines Kill it and reinstatements
+// Revive it; placement caches key on its dead cells, so they follow both.
 func (m *Monitor) Observed() *fabric.Health { return m.observed }
 
 // FabricDistrusted reports the fail-stop latch: once set, every offload

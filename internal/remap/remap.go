@@ -193,16 +193,11 @@ func Trace(cfg *fabric.Config) []mapper.TraceEntry {
 // not even the first op fits. A nil health map reshapes on a pristine
 // fabric — the architectural-equivalence property tests use exactly that.
 func Reshape(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Offset, phys fabric.Geometry, health *fabric.Health, lat fabric.LatencyTable) (*fabric.Config, int) {
-	var disabled func(fabric.Cell) bool
-	if health != nil && health.DeadCount() > 0 {
-		disabled = func(c fabric.Cell) bool {
-			return health.Dead(anchor.Apply(c, phys))
-		}
-	}
+	dead := health.Mask()
 	return mapper.Map(Trace(cfg), mapper.Options{
-		Geom:     shape,
-		Lat:      lat,
-		Disabled: disabled,
+		Geom: shape,
+		Lat:  lat,
+		Dead: dead.Window(anchor, shape, phys),
 	})
 }
 
@@ -228,9 +223,8 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 		}
 		return cfg, off, true
 	}
-	if key := fabric.KeyOf(m.health, m.wear, nil); key != m.rescueKey {
+	if m.rescueKey.Update(m.health, m.wear, nil) {
 		clear(m.rescues)
-		m.rescueKey = key
 	}
 	// The keep-the-translation marker's offset follows the explorer's live
 	// pivot, not a cached one. The marker is only ever written when a pivot
@@ -283,6 +277,7 @@ func (m *Remapper) search(cfg *fabric.Config) rescue {
 
 	m.counts.RemapCandidates += uint64(len(m.shapes) * m.geom.NumFUs())
 	trace := m.memo.Key(Trace(cfg))
+	dead := m.health.Mask()
 
 	var (
 		best         rescue
@@ -293,11 +288,9 @@ func (m *Remapper) search(cfg *fabric.Config) rescue {
 		for a := 0; a < m.geom.NumFUs(); a++ {
 			anchor := fabric.Offset{Row: a / m.geom.Cols, Col: a % m.geom.Cols}
 			mc, consumed := m.memo.Map(trace, mapper.Options{
-				Geom: shape,
-				Lat:  fabric.DefaultLatencies(),
-				Disabled: func(c fabric.Cell) bool {
-					return m.health.Dead(anchor.Apply(c, m.geom))
-				},
+				Geom:   shape,
+				Lat:    fabric.DefaultLatencies(),
+				Dead:   dead.Window(anchor, shape, m.geom),
 				Probes: &m.counts.RemapProbes,
 			})
 			if mc == nil || consumed < minOps {

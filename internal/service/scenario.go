@@ -20,15 +20,11 @@ type ResultJSON = lifetime.Result
 // Trace) carry no JSON name, so a decoded request leaves them zero.
 type ScenarioRequest = agingcgra.LifetimeConfig
 
-// Per-scenario work bounds, enforced on the defaulted request before
-// anything sized by it is built. The fabric state is allocated per cell and
-// an out-of-memory error is fatal to the process, so the cell bound is 4x
-// the paper's largest design (BU, 8x32). Every epoch holds a pool worker
-// and keeps a timeline record, so the epoch bound caps both.
-const (
-	maxScenarioCells  = 1024
-	maxScenarioEpochs = 10000
-)
+// maxScenarioEpochs bounds a scenario's epochs, enforced on the defaulted
+// request before anything sized by it is built: every epoch holds a pool
+// worker and keeps a timeline record. The fabric's own cell cap
+// (fabric.MaxCells) bounds its size.
+const maxScenarioEpochs = 10000
 
 // normalized fills defaulted fields with their effective values and drops
 // fields that cannot affect the outcome, so equivalent requests share one
@@ -68,13 +64,12 @@ func normalized(r ScenarioRequest) ScenarioRequest {
 	return r
 }
 
-// checkWork rejects a scenario beyond the per-scenario work bounds. Each
-// dimension is bounded before the product is taken, so it cannot overflow.
+// checkWork rejects a scenario beyond the per-scenario work bounds: a
+// geometry Validate rejects, which covers the cell cap, or too many epochs.
 func checkWork(r ScenarioRequest) error {
 	n := normalized(r)
-	if n.Rows > maxScenarioCells || n.Cols > maxScenarioCells || n.Rows*n.Cols > maxScenarioCells {
-		return fmt.Errorf("fabric %dx%d exceeds the per-scenario limit of %d cells",
-			n.Rows, n.Cols, maxScenarioCells)
+	if err := agingcgra.NewGeometry(n.Rows, n.Cols).Validate(); err != nil {
+		return err
 	}
 	// ceil(x) > N exactly when x > N, for an integer N.
 	if n.EpochYears > 0 && n.MaxYears/n.EpochYears > maxScenarioEpochs {
