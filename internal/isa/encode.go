@@ -120,7 +120,9 @@ func Encode(i Inst) (uint32, error) {
 			(u>>1)&0xf<<8 | (u>>11)&1<<7 | e.opcode
 		return w, nil
 	case FormatU:
-		if imm < -(1<<19) || imm >= 1<<20 {
+		// The field is the 20 raw upper bits, as Decode returns them: a
+		// negative immediate would not survive the round trip.
+		if imm < 0 || imm >= 1<<20 {
 			return 0, fmt.Errorf("isa: immediate %d out of U-range for %v", imm, i.Op)
 		}
 		return uint32(imm)&0xfffff<<12 | rd<<7 | e.opcode, nil

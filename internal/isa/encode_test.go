@@ -55,6 +55,7 @@ func TestEncodeRangeErrors(t *testing.T) {
 		{Op: BEQ, Rs1: A0, Rs2: A1, Imm: 8192},
 		{Op: JAL, Rd: RA, Imm: 1 << 21},
 		{Op: LUI, Rd: A0, Imm: 1 << 20},
+		{Op: LUI, Rd: A0, Imm: -1}, // the field is unsigned
 	}
 	for _, in := range bad {
 		if w, err := Encode(in); err == nil {

@@ -1,6 +1,9 @@
 package isa_test
 
 import (
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"agingcgra/internal/isa"
@@ -81,6 +84,65 @@ func FuzzEncodeDecode(f *testing.F) {
 		w3, err := isa.Encode(back)
 		if err != nil || w3 != w2 {
 			t.Fatalf("encode not a fixed point: %#08x vs %#08x (err %v)", w2, w3, err)
+		}
+	})
+}
+
+// lineErr is the shape of every Assemble error: the 1-based source line,
+// then the reason.
+var lineErr = regexp.MustCompile(`^line ([0-9]+): `)
+
+// FuzzAssemble fuzzes the assembler with arbitrary source. Assemble must
+// never panic; it either rejects the source with an error naming a line
+// of it, or every instruction it emits reaches the encode → decode fixed
+// point, so a program that assembles is one the machine-word form carries
+// exactly. The seed corpus is the benchmark suite's sources, assembled
+// against the union of their data symbols. CI runs this as a short
+// -fuzztime smoke.
+func FuzzAssemble(f *testing.F) {
+	symbols := map[string]uint32{}
+	for _, b := range prog.All() {
+		for name, addr := range b.Symbols {
+			if _, ok := symbols[name]; !ok {
+				symbols[name] = addr
+			}
+		}
+		f.Add(b.Source)
+	}
+	f.Add("")
+	f.Add("_start:\n\tli a0, 0x12345678\n\tla a1, 8\n\tbnez a0, _start\n\thalt\n")
+	// Once accepted: Encode took a negative U immediate, which Decode
+	// returns as its unsigned 20 bits.
+	f.Add("lui a0, -1")
+
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := isa.Assemble(src, isa.AsmOptions{Symbols: symbols})
+		if err != nil {
+			m := lineErr.FindStringSubmatch(err.Error())
+			if m == nil {
+				t.Fatalf("error without a line number: %v", err)
+			}
+			lines := strings.Count(src, "\n") + 1
+			if n, _ := strconv.Atoi(m[1]); n < 1 || n > lines {
+				t.Fatalf("error names line %d of a %d-line source: %v", n, lines, err)
+			}
+			return
+		}
+		for i, inst := range p.Text {
+			w, err := isa.Encode(inst)
+			if err != nil {
+				t.Fatalf("text[%d]: assembled %v, which cannot encode: %v", i, inst, err)
+			}
+			back, err := isa.Decode(w)
+			if err != nil {
+				t.Fatalf("text[%d]: %v encodes to %#08x, which cannot decode: %v", i, inst, w, err)
+			}
+			if back != inst {
+				t.Fatalf("text[%d]: %v -> %#08x -> %v", i, inst, w, back)
+			}
+			if w2, err := isa.Encode(back); err != nil || w2 != w {
+				t.Fatalf("text[%d]: re-encode %v -> %#08x, want %#08x (err %v)", i, back, w2, w, err)
+			}
 		}
 	})
 }

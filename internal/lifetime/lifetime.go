@@ -30,6 +30,7 @@
 package lifetime
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -118,24 +119,30 @@ type Scenario struct {
 	Refs *dse.RefCache
 	// EpochMemo optionally shares epoch co-simulation outcomes across
 	// scenarios and requests through a content-addressed store: the
-	// fleet-scale service's generalization of the per-run epoch memo. It is
-	// consulted only when Fingerprint is set and the scenario has no
-	// recovery monitor — runEpoch mutates the monitor's cross-epoch state
-	// (suspect counters, quarantines, probation streaks), so a store hit
-	// that skipped it would diverge from a fresh computation; recovery
-	// scenarios keep the run-local fixed-point memo only. Store hits are
-	// byte-identical to fresh computation (they are not marked Replayed),
-	// so a warm and a cold store produce identical timelines.
+	// fleet-scale service's generalization of the per-run epoch memo. An
+	// epoch is stored under exactly what its co-simulation reads: the
+	// Fingerprint plus the content of the observed fabric state at epoch
+	// start (the dead set, and for wear-adaptive scenarios the wear map's
+	// exact bits). Epoch length, horizon, operating point and injected dead
+	// cells only steer which states a run reaches, so scenarios that differ
+	// in them share every state they both reach. The store is consulted
+	// only when Fingerprint is set and the scenario has no recovery monitor
+	// — runEpoch mutates the monitor's cross-epoch state (suspect counters,
+	// quarantines, probation streaks), so a store hit that skipped it would
+	// diverge from a fresh computation; recovery scenarios keep the
+	// run-local fixed-point memo only. Store hits are byte-identical to
+	// fresh computation (they are not marked Replayed), so a warm and a
+	// cold store produce identical timelines.
 	EpochMemo *memostore.Store
-	// Fingerprint content-addresses the scenario for EpochMemo sharing. The
-	// caller must derive it from every outcome-affecting scenario parameter
-	// — geometry, allocator, mix, size, epoch length, operating-point
-	// profile, engine options, initial dead cells — with one deliberate
-	// exception: MaxYears may be excluded, because the epoch co-simulation
-	// never observes the horizon (two scenarios differing only in horizon
-	// share a trajectory prefix, which is exactly the sharing the store
-	// exists for). An under-descriptive fingerprint silently replays wrong
-	// epochs; when in doubt, include more. Empty disables the shared store.
+	// Fingerprint content-addresses the scenario's co-simulation inputs for
+	// EpochMemo sharing: the caller must derive it from every one of them —
+	// geometry, allocator, mix, size and engine options. EpochYears,
+	// MaxYears, Cond, Profile and InitialDead may be left out: the
+	// co-simulation never reads them, and their effect on an epoch is the
+	// fabric state it starts from, which the store key carries by content.
+	// A wider fingerprint is still sound but shares less; an
+	// under-descriptive one silently replays wrong epochs, so when in doubt,
+	// include more. Empty disables the shared store.
 	Fingerprint string
 	// Trace receives the run's observability event stream (see
 	// internal/trace): per-epoch resolution summaries, aging deaths, fault
@@ -443,13 +450,18 @@ type stateKey struct {
 }
 
 // epochMemoKey addresses one epoch outcome in the cross-request shared
-// store: the scenario's content fingerprint plus the observed-state key.
-// Versions are only comparable within one deterministic trajectory, which
-// is what the fingerprint pins — two scenarios with the same fingerprint
-// replay the same trajectory, so equal keys mean equal state content.
+// store: the scenario's co-simulation fingerprint plus the content of the
+// state the epoch observes. Health is content already (the dead mask in
+// st). A wear version is comparable only within one trajectory, and
+// scenarios sharing a fingerprint may follow different ones (another
+// operating point accrues other wear in as many steps), so a wear-adaptive
+// scenario adds the wear map itself: each cell's stress-years as exact
+// float64 bits, 8 bytes per cell. Faults and the monitor never reach the
+// shared store.
 type epochMemoKey struct {
-	fp string
-	st stateKey
+	fp   string
+	st   stateKey
+	wear string
 }
 
 // epochRun is the co-simulation outcome of one epoch: a pure function of
@@ -571,6 +583,9 @@ func Run(sc Scenario) (*Result, error) {
 
 	var last *epochRun
 	var lastKey stateKey
+	// Scratch for the shared store's wear key.
+	var wearYears []float64
+	var wearBits []byte
 	years := 0.0
 	epochs := int(math.Ceil(sc.MaxYears/sc.EpochYears - 1e-9))
 
@@ -604,9 +619,17 @@ func Run(sc Scenario) (*Result, error) {
 			// runEpoch is then side-effect-free on cross-epoch state (the
 			// controller and allocator are fresh per epoch, wear and health
 			// mutate outside), so substituting a stored outcome for the
-			// same (fingerprint, state-version) key is indistinguishable
+			// same (fingerprint, state content) key is indistinguishable
 			// from computing it.
-			v, err := sc.EpochMemo.GetOrCompute(epochMemoKey{fp: sc.Fingerprint, st: key}, func() (any, error) {
+			mk := epochMemoKey{fp: sc.Fingerprint, st: key}
+			if observedWear != nil {
+				wearYears, wearBits = observedWear.CopyYears(wearYears), wearBits[:0]
+				for _, y := range wearYears {
+					wearBits = binary.LittleEndian.AppendUint64(wearBits, math.Float64bits(y))
+				}
+				mk.wear = string(wearBits)
+			}
+			v, err := sc.EpochMemo.GetOrCompute(mk, func() (any, error) {
 				return runEpoch(&sc, health, wear, nil)
 			})
 			if err != nil {

@@ -2,8 +2,10 @@ package lifetime
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
+	"agingcgra/internal/aging"
 	"agingcgra/internal/dse"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/memostore"
@@ -59,8 +61,8 @@ func TestSharedEpochMemoWarmEqualsCold(t *testing.T) {
 	}
 }
 
-// TestSharedEpochMemoSharesAcrossHorizons pins the one deliberate
-// fingerprint exclusion: scenarios differing only in MaxYears share a
+// TestSharedEpochMemoSharesAcrossHorizons pins the simplest case of the
+// fingerprint's exclusions: scenarios differing only in MaxYears share a
 // trajectory prefix, so a longer run reuses the shorter run's epochs and
 // still matches its own cold computation byte for byte.
 func TestSharedEpochMemoSharesAcrossHorizons(t *testing.T) {
@@ -110,5 +112,128 @@ func TestSharedEpochMemoIgnoredWithRecovery(t *testing.T) {
 	st := store.Stats()
 	if st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("recovery scenario touched the shared epoch store: %+v", st)
+	}
+}
+
+// atKelvin returns sc at a constant operating point of k kelvin.
+func atKelvin(sc Scenario, k float64) Scenario {
+	sc.Cond = aging.DefaultConditions()
+	sc.Cond.TemperatureK = k
+	return sc
+}
+
+// runThroughStore runs every scenario cold and then against one shared
+// store, in order, and requires each store-assisted run to equal its own
+// cold run byte for byte. It returns the store's counters.
+func runThroughStore(t *testing.T, scs []Scenario) memostore.Stats {
+	t.Helper()
+	store := memostore.New(0)
+	for i, sc := range scs {
+		cold, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.EpochMemo = store
+		warm, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(cold)
+		b, _ := json.Marshal(warm)
+		if string(a) != string(b) {
+			t.Errorf("scenario %d (%s): store-assisted run differs from its cold run", i, cold.Name)
+		}
+	}
+	return store.Stats()
+}
+
+// TestSharedEpochMemoSharesAcrossOperatingPoints pins the fingerprint's
+// contract: it covers the co-simulation inputs only, so scenarios that
+// differ in temperature, phase profile, epoch length or injected dead
+// cells share one store. Each group below goes through one store, which
+// must see hits (every group shares at least the states its runs start
+// from), and every run must still equal its own cold run. The dead-pattern
+// group also puts a healthy run and two dead-column runs under one
+// fingerprint: their dead masks differ, so they must not collide.
+func TestSharedEpochMemoSharesAcrossOperatingPoints(t *testing.T) {
+	hot := aging.DefaultConditions()
+	hot.TemperatureK = 365
+	twoPhase := []Phase{
+		{UntilYears: 2, Cond: aging.DefaultConditions()},
+		{UntilYears: math.Inf(1), Cond: hot},
+	}
+	column, err := fabric.PatternCells("column:3", fabric.NewGeometry(2, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name    string
+		factory dse.AllocatorFactory
+	}{
+		{"baseline", dse.BaselineFactory},
+		{"utilization-aware", dse.ProposedFactory},
+	} {
+		base := Scenario{
+			Geom:        fabric.NewGeometry(2, 8),
+			Factory:     f.factory,
+			Mix:         []string{"crc32"},
+			EpochYears:  0.5,
+			MaxYears:    6,
+			Fingerprint: "test-operating-points-crc32-2x8-" + f.name,
+		}
+		profiled := base
+		profiled.Profile = twoPhase
+		quarter := atKelvin(base, 350)
+		quarter.EpochYears = 0.25
+		dead := func(k float64) Scenario {
+			sc := atKelvin(base, k)
+			sc.InitialDead = column
+			return sc
+		}
+		for _, g := range []struct {
+			name string
+			scs  []Scenario
+		}{
+			{"temperature", []Scenario{atKelvin(base, 335), atKelvin(base, 350), atKelvin(base, 365)}},
+			{"profile", []Scenario{atKelvin(base, 350), profiled}},
+			{"epoch length", []Scenario{atKelvin(base, 350), quarter}},
+			{"dead pattern", []Scenario{atKelvin(base, 350), dead(335), dead(365)}},
+		} {
+			t.Run(f.name+"/"+g.name, func(t *testing.T) {
+				if st := runThroughStore(t, g.scs); st.Hits == 0 {
+					t.Fatalf("no scenario reused another's epochs: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// TestSharedEpochMemoKeysWearOnContent pins the wear half of the shared
+// key. Wear-adaptive scenarios (the explorer; shape-aware translation)
+// read the wear map, and at another operating point the same number of
+// epochs accrues the same wear version with different content, so the
+// shared key must carry the content. Runs at three temperatures go through
+// one store; each must equal its own cold run, and the fresh-fabric epoch
+// they all start from must be shared.
+func TestSharedEpochMemoKeysWearOnContent(t *testing.T) {
+	explore := Scenario{
+		Geom:        fabric.NewGeometry(2, 8),
+		Factory:     dse.ExploreFactory,
+		Mix:         []string{"crc32"},
+		EpochYears:  0.5,
+		MaxYears:    6,
+		Fingerprint: "test-wear-content-crc32-2x8-explore",
+	}
+	shaped := explore
+	shaped.Factory = dse.BaselineFactory
+	shaped.Engine.ShapeTranslations = true
+	shaped.Fingerprint = "test-wear-content-crc32-2x8-baseline-shaped"
+	for _, base := range []Scenario{explore, shaped} {
+		t.Run(base.Fingerprint, func(t *testing.T) {
+			st := runThroughStore(t, []Scenario{atKelvin(base, 335), atKelvin(base, 350), atKelvin(base, 365)})
+			if st.Hits == 0 {
+				t.Fatalf("no run reused the fresh-fabric epoch: %+v", st)
+			}
+		})
 	}
 }

@@ -7,10 +7,11 @@
 // epoch is. The *keying discipline* is the caller's contract, and it is the
 // same rule the per-run epoch memo established in PRs 2–6: a key must cover
 // every input the cached computation's outcome is a pure function of
-// (scenario fingerprint, health content, wear version, faults/monitor
-// versions — whichever of those the computation observes). A key that
-// under-describes its inputs returns stale values silently; nothing in this
-// package can detect that.
+// (co-simulation fingerprint, health content, wear content — whichever of
+// those the computation observes; a version is comparable only within one
+// trajectory, and a shared store serves many). A key that under-describes
+// its inputs returns stale values silently; nothing in this package can
+// detect that.
 //
 // Invariants later PRs must preserve:
 //

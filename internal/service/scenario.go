@@ -89,16 +89,24 @@ func fingerprint(r ScenarioRequest) string {
 	return marshalKey(normalized(r))
 }
 
-// epochFingerprint content-addresses the scenario for the shared epoch
-// store. It drops Name (a label, invisible to the co-simulation) and
-// MaxYears (the epoch loop never observes the horizon, so scenarios that
-// differ only in horizon share a trajectory prefix — the sharing the store
-// exists for). Only called for fault-free, recovery-free scenarios, where
-// Seed/Faults/Recovery are already normalized away.
+// epochFingerprint content-addresses the scenario's co-simulation inputs
+// for the shared epoch store. It drops the fields an epoch's co-simulation
+// never reads: Name (a label); MaxYears, EpochYears, TemperatureK, Vdd and
+// Profile (they shape the trajectory — when cells die, how much wear
+// accrues — and the simulator keys each epoch on that state's content, not
+// on the conditions that led to it); and DeadPattern (the dead cells are
+// the health content in the state key). So devices that differ only in
+// operating point, horizon or dead pattern share every epoch whose state
+// they reach. The drop list is a deny-list: a field added later is keyed
+// until someone shows the co-simulation ignores it. Only called for
+// fault-free, recovery-free scenarios, where Seed/Faults/Recovery are
+// already normalized away.
 func epochFingerprint(r ScenarioRequest) string {
 	n := normalized(r)
 	n.Name = ""
-	n.MaxYears = 0
+	n.MaxYears, n.EpochYears = 0, 0
+	n.TemperatureK, n.Vdd, n.Profile = 0, 0, nil
+	n.DeadPattern = ""
 	return marshalKey(n)
 }
 

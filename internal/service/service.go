@@ -9,10 +9,12 @@
 //     requests share backpressure instead of each spawning goroutines;
 //   - a result store (memostore.Store): full-request fingerprint →
 //     *lifetime.Result, so a repeated scenario is served from memory;
-//   - an epoch store (memostore.Store): (epoch fingerprint, state-version
-//     key) → epoch outcome, shared through lifetime.Scenario.EpochMemo, so
-//     scenarios that differ only in horizon (or repeat across requests)
-//     reuse each other's epoch co-simulations;
+//   - an epoch store (memostore.Store): (co-simulation fingerprint,
+//     observed-state content) → epoch outcome, shared through
+//     lifetime.Scenario.EpochMemo, so scenarios that differ in horizon,
+//     epoch length, operating point or dead pattern (or repeat across
+//     requests) reuse each other's epoch co-simulations wherever they
+//     reach the same fabric state;
 //   - a GPP-reference memo (dse.RefCache), shared the same way.
 //
 // Contract: every response is a pure function of (request body, seed) — a

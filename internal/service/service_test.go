@@ -382,3 +382,60 @@ func TestPoolClosedErrorMapsTo503AndCanceledTo499(t *testing.T) {
 		t.Fatalf("generic -> %d", got)
 	}
 }
+
+// profileFleet is a fleet over every (mix, pattern, temperature) combo of
+// crc32/sha × {healthy, column:3} × the two given temperatures, on a 2x8
+// fabric over a 2-year horizon.
+func profileFleet(k1, k2 int) string {
+	return fmt.Sprintf(`{
+	  "devices": 64, "seed": 3,
+	  "base": {"rows": 2, "cols": 8, "max_years": 2},
+	  "mixes": [{"benchmarks": ["crc32"]}, {"benchmarks": ["sha"]}],
+	  "profiles": [{"phases": [{"until_years": 2, "temperature_k": %d}]},
+	               {"phases": [{"until_years": 2, "temperature_k": %d}]}],
+	  "patterns": [{"pattern": "healthy"}, {"pattern": "column:3"}]
+	}`, k1, k2)
+}
+
+// TestFleetSharesEpochsAcrossProfiles pins the epoch store's work counter:
+// the fingerprint leaves out the operating point and the dead pattern, so
+// a fleet's combos that differ only in temperature or pattern share every
+// epoch whose fabric state they both reach. The exact miss count is a pure
+// function of the body; a change that re-adds work fails here on any
+// machine. The response must also not depend on what warmed the store:
+// a server warmed by the same fleet at other temperatures answers with
+// the cold server's bytes.
+func TestFleetSharesEpochsAcrossProfiles(t *testing.T) {
+	body := profileFleet(335, 365)
+	s, ts := newTestServer(t, Options{Workers: 1})
+	code, cold := post(t, ts, "/v1/fleet", body)
+	if code != http.StatusOK {
+		t.Fatalf("fleet: %d %s", code, cold)
+	}
+	var resp FleetResponse
+	if err := json.Unmarshal([]byte(cold), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Combos != 8 {
+		t.Fatalf("fleet drew %d combos, want all 8", resp.Combos)
+	}
+	if st := s.epochs.Stats(); st.Misses != 8 {
+		t.Fatalf("epoch store: %d misses, want 8: %+v", st.Misses, st)
+	}
+
+	w, tsw := newTestServer(t, Options{Workers: 1})
+	if code, out := post(t, tsw, "/v1/fleet", profileFleet(340, 360)); code != http.StatusOK {
+		t.Fatalf("warm-up fleet: %d %s", code, out)
+	}
+	before := w.epochs.Stats().Hits
+	code, warm := post(t, tsw, "/v1/fleet", body)
+	if code != http.StatusOK {
+		t.Fatalf("fleet on warm store: %d %s", code, warm)
+	}
+	if w.epochs.Stats().Hits == before {
+		t.Fatal("fleet at new temperatures never hit the warmed epoch store")
+	}
+	if warm != cold {
+		t.Fatalf("warm-store response differs from cold:\n%s\n%s", warm, cold)
+	}
+}
