@@ -25,6 +25,21 @@ type Allocator interface {
 	Next(cfg *fabric.Config) fabric.Offset
 }
 
+// LiveSkipper is implemented by allocators that can skip proposals landing
+// on dead pivots without materialising each one. NextLive consumes
+// proposals exactly as up to limit calls of Next(cfg) would, stopping after
+// the first whose pivot is live: live is indexed row-major over Geometry(),
+// with the offset wrapped around both dimensions, and live[r*Cols+c]
+// reports whether pivot (r, c) keeps cfg on live FUs. It returns that
+// pivot, or ok false once limit proposals (none when limit < 1) found
+// none, leaving the allocator where those Next calls would have. A mask
+// over another geometry must not be passed: the caller falls back to Next
+// instead.
+type LiveSkipper interface {
+	Geometry() fabric.Geometry
+	NextLive(cfg *fabric.Config, live []bool, limit int) (off fabric.Offset, ok bool)
+}
+
 // StressObserver is implemented by allocators that adapt to accumulated
 // stress; the engine feeds back every committed execution.
 type StressObserver interface {
@@ -190,16 +205,21 @@ type UtilizationAware struct {
 	// period is how many executions share one pivot position before the
 	// pivot advances (1 = move every execution, the paper's default).
 	period uint64
-	// perConfig tracks an independent pivot per configuration StartPC
-	// instead of one global pivot.
-	perConfig bool
+	// perCount, when non-nil (WithPerConfigPivot), counts the proposals of
+	// each configuration StartPC, which then walks its own pivot instead
+	// of the global one.
+	perCount map[uint32]uint64
 
 	// pos and sub walk the global pivot: seq[pos] is the current position,
 	// already proposed sub times in its period. Stepping them avoids the two
 	// divisions of the closed form seq[(n/period)%len(seq)] per proposal.
-	pos      int
-	sub      uint64
-	perCount map[uint32]uint64
+	pos int
+	sub uint64
+	// cell[i] is seq[i]'s row-major index in the geometry, wrapped around
+	// both dimensions: the live-mask slot NextLive tests. It is built by
+	// the first NextLive, so an allocator that never meets a dead cell (or
+	// is built only to validate a name) does not pay for it.
+	cell []int
 }
 
 // Option configures the UtilizationAware allocator.
@@ -221,16 +241,15 @@ func WithPeriod(n uint64) Option {
 
 // WithPerConfigPivot gives each configuration its own pivot walk.
 func WithPerConfigPivot() Option {
-	return func(u *UtilizationAware) { u.perConfig = true }
+	return func(u *UtilizationAware) { u.perCount = make(map[uint32]uint64) }
 }
 
 // NewUtilizationAware builds the proposed allocator for a fabric geometry.
 func NewUtilizationAware(g fabric.Geometry, opts ...Option) *UtilizationAware {
 	u := &UtilizationAware{
-		geom:     g,
-		pattern:  Snake{},
-		period:   1,
-		perCount: make(map[uint32]uint64),
+		geom:    g,
+		pattern: Snake{},
+		period:  1,
 	}
 	for _, o := range opts {
 		o(u)
@@ -245,7 +264,7 @@ func NewUtilizationAware(g fabric.Geometry, opts ...Option) *UtilizationAware {
 // Name implements Allocator.
 func (u *UtilizationAware) Name() string {
 	name := "utilization-aware/" + u.pattern.Name()
-	if u.perConfig {
+	if u.perCount != nil {
 		name += "/per-config"
 	}
 	if u.period > 1 {
@@ -256,7 +275,7 @@ func (u *UtilizationAware) Name() string {
 
 // Next implements Allocator.
 func (u *UtilizationAware) Next(cfg *fabric.Config) fabric.Offset {
-	if u.perConfig && cfg != nil {
+	if u.perCount != nil && cfg != nil {
 		n := u.perCount[cfg.StartPC]
 		u.perCount[cfg.StartPC] = n + 1
 		return u.seq[(n/u.period)%uint64(len(u.seq))]
@@ -269,6 +288,70 @@ func (u *UtilizationAware) Next(cfg *fabric.Config) fabric.Offset {
 		}
 	}
 	return off
+}
+
+// Geometry implements LiveSkipper: the geometry the allocator was built for.
+func (u *UtilizationAware) Geometry() fabric.Geometry { return u.geom }
+
+// NextLive implements LiveSkipper. Instead of proposing one pivot per call,
+// it steps whole periods: every proposal left at a dead position is
+// consumed at once, so a walk costs one mask load per position visited.
+func (u *UtilizationAware) NextLive(cfg *fabric.Config, live []bool, limit int) (fabric.Offset, bool) {
+	if limit <= 0 {
+		return fabric.Offset{}, false
+	}
+	if u.cell == nil {
+		g := u.geom
+		u.cell = make([]int, len(u.seq))
+		for i, off := range u.seq {
+			u.cell[i] = off.Row%g.Rows*g.Cols + off.Col%g.Cols
+		}
+	}
+	if u.perCount != nil && cfg != nil {
+		n := u.perCount[cfg.StartPC]
+		pos, sub := int((n/u.period)%uint64(len(u.seq))), n%u.period
+		off, used, ok := u.skipDead(&pos, &sub, live, uint64(limit))
+		u.perCount[cfg.StartPC] = n + used
+		return off, ok
+	}
+	off, _, ok := u.skipDead(&u.pos, &u.sub, live, uint64(limit))
+	return off, ok
+}
+
+// skipDead walks the pivot position (*pos, proposed *sub times in its
+// period) for at most limit (at least 1) proposals, until one lands on a
+// live pivot. It advances the position past every proposal consumed and
+// returns the live pivot, how many proposals were consumed, and whether one
+// was live.
+func (u *UtilizationAware) skipDead(pos *int, sub *uint64, live []bool, limit uint64) (off fabric.Offset, used uint64, ok bool) {
+	// Proposals are numbered from the first of seq[p]'s period: the walk
+	// may consume those in [head, end), and each later position's period
+	// begins at start. A dead position costs one mask load.
+	p, head, cell, period := *pos, *sub, u.cell, u.period
+	end := head + limit
+	var s uint64 // proposals made at the position the walk ends on
+	for start := uint64(0); ; start += period {
+		if live[cell[p]] {
+			n := max(start, head) // the live proposal
+			off, ok, used, s = u.seq[p], true, n+1-head, n+1-start
+			break
+		}
+		if start+period >= end { // the limit runs out at this dead position
+			used, s = limit, end-start
+			break
+		}
+		if p++; p == len(cell) {
+			p = 0
+		}
+	}
+	if s == period { // the walk ended on its position's last proposal
+		s = 0
+		if p++; p == len(cell) {
+			p = 0
+		}
+	}
+	*pos, *sub = p, s
+	return off, used, ok
 }
 
 // Pattern returns the movement pattern in use.

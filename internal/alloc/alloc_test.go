@@ -144,6 +144,27 @@ func TestUtilizationAwarePeriod(t *testing.T) {
 	}
 }
 
+// TestNextLiveWithoutBudget pins NextLive's limit: no proposal is
+// consumed, even a live one, when the limit allows none.
+func TestNextLiveWithoutBudget(t *testing.T) {
+	g := fabric.NewGeometry(2, 4)
+	live := make([]bool, g.NumFUs())
+	for i := range live {
+		live[i] = true
+	}
+	cfg := &fabric.Config{StartPC: 0x1000, Geom: g}
+	for _, u := range []*UtilizationAware{NewUtilizationAware(g), NewUtilizationAware(g, WithPeriod(3), WithPerConfigPivot())} {
+		for _, limit := range []int{0, -1} {
+			if _, ok := u.NextLive(cfg, live, limit); ok {
+				t.Errorf("%s: NextLive with limit %d found a pivot", u.Name(), limit)
+			}
+		}
+		if got, want := u.Next(cfg), NewUtilizationAware(g).Next(cfg); got != want {
+			t.Errorf("%s: first proposal after NextLive(limit 0) = %v, want %v", u.Name(), got, want)
+		}
+	}
+}
+
 func TestUtilizationAwarePerConfig(t *testing.T) {
 	g := fabric.NewGeometry(2, 4)
 	u := NewUtilizationAware(g, WithPerConfigPivot())

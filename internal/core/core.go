@@ -155,6 +155,7 @@ func (u *UtilizationMap) Min() float64 {
 type Controller struct {
 	geom    fabric.Geometry
 	alloc   alloc.Allocator
+	skipper alloc.LiveSkipper // alloc's skip walk, nil when it has none
 	tracker *Tracker
 	health  *fabric.Health
 	wear    *fabric.Wear
@@ -168,7 +169,13 @@ func NewController(g fabric.Geometry, a alloc.Allocator) (*Controller, error) {
 	if a == nil {
 		return nil, fmt.Errorf("core: nil allocator")
 	}
-	return &Controller{geom: g, alloc: a, tracker: NewTracker(g)}, nil
+	// A skip walk indexes the live mask over its allocator's geometry, so
+	// an allocator built for another one keeps the Next-by-Next walk.
+	skipper, _ := a.(alloc.LiveSkipper)
+	if skipper != nil && skipper.Geometry() != g {
+		skipper = nil
+	}
+	return &Controller{geom: g, alloc: a, skipper: skipper, tracker: NewTracker(g)}, nil
 }
 
 // Allocator returns the strategy in use.
@@ -214,15 +221,22 @@ func (c *Controller) Wear() *fabric.Wear { return c.wear }
 // must fall back to the GPP. The caller must follow up with Commit once the
 // residency duration is known (it depends on early exits).
 //
-// Every proposal still goes through the allocator's Next, one call each,
-// because allocator state advances per proposal; only the liveness test is
-// a lookup into the configuration's memoized live-pivot mask.
+// The skip walk is the allocator's when it implements alloc.LiveSkipper
+// for the geometry of the controller and of the health map, which index
+// the live mask: it consumes the dead proposals without materialising
+// them. Otherwise every proposal goes through the allocator's Next, one
+// call each, because allocator state advances per proposal. Either way
+// the liveness test is a lookup into the configuration's memoized
+// live-pivot mask.
 func (c *Controller) Place(cfg *fabric.Config) (off fabric.Offset, ok bool) {
 	live := cfg.LivePivots(c.health)
 	if live == nil {
 		return c.alloc.Next(cfg), true
 	}
 	g := c.health.Geometry()
+	if c.skipper != nil && g == c.geom {
+		return c.skipper.NextLive(cfg, live, g.NumFUs())
+	}
 	for i := 0; i < c.geom.NumFUs(); i++ {
 		off := c.alloc.Next(cfg)
 		r, col := off.Row, off.Col

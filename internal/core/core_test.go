@@ -325,8 +325,27 @@ func TestPlaceMatchesReferenceWalk(t *testing.T) {
 		"snake":            func() alloc.Allocator { return alloc.NewUtilizationAware(g) },
 		"snake/period=3":   func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPeriod(3)) },
 		"snake/per-config": func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPerConfigPivot()) },
-		"health-aware":     func() alloc.Allocator { return alloc.NewHealthAware(g, 4) },
-		"explore":          func() alloc.Allocator { return explore.New(g) },
+		// The two axis-only sequences are shorter than NumFUs, so a
+		// refused placement wraps them several times.
+		"horizontal-only": func() alloc.Allocator {
+			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.HorizontalOnly{}))
+		},
+		"vertical-only": func() alloc.Allocator {
+			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.VerticalOnly{}))
+		},
+		"shuffled": func() alloc.Allocator {
+			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.Shuffled{}))
+		},
+		"diagonal/per-config/period=3": func() alloc.Allocator {
+			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.Diagonal{}), alloc.WithPeriod(3), alloc.WithPerConfigPivot())
+		},
+		// Allocators built for another geometry than the controller's
+		// propose pivots that wrap into it: the live mask is indexed over
+		// the controller's geometry, not theirs.
+		"snake/built-for-8x4": func() alloc.Allocator { return alloc.NewUtilizationAware(fabric.NewGeometry(8, 4)) },
+		"snake/built-for-6x8": func() alloc.Allocator { return alloc.NewUtilizationAware(fabric.NewGeometry(6, 8)) },
+		"health-aware":        func() alloc.Allocator { return alloc.NewHealthAware(g, 4) },
+		"explore":             func() alloc.Allocator { return explore.New(g) },
 	}
 	// Footprints of different sizes, one from a smaller remap shape, with
 	// distinct StartPCs so the per-config walks diverge.

@@ -230,8 +230,11 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 		{"utilization-aware", func(g fabric.Geometry) alloc.Allocator { return alloc.NewUtilizationAware(g) }},
 	}
 	geom := fabric.NewGeometry(2, 16)
-	// The healthy case keeps the bare workload/allocator subtest name.
-	patterns := []string{"", "column:5", "columns:0+8"}
+	// The healthy case keeps the bare workload/allocator subtest name. The
+	// last three leave so few live pivots that most retires run on the GPP:
+	// refused-trace repeats, unplaceable fallbacks and traces cut at
+	// maxTraceLen.
+	patterns := []string{"", "column:5", "columns:0+8", "quadrant", "checkerboard", "survivor-row"}
 
 	for _, name := range workloads {
 		b, ok := prog.ByName(name)

@@ -11,7 +11,10 @@
 // according to where each dynamic instruction logically executed. This
 // trace-driven split keeps architectural state trivially correct while
 // modelling the performance and aging behaviour the paper measures, and
-// lets every co-simulation of a program share one recording.
+// lets every co-simulation of a program share one recording. The GPP path
+// works on the stream's words directly: a retire is priced from tables
+// indexed by its word, and the trace the DBT captures is a range of the
+// stream, turned into mapper entries only when it is mapped.
 package dbt
 
 import (
@@ -237,16 +240,23 @@ type Engine struct {
 	// unplaceable holds configurations the controller found no live
 	// placement for, keyed by StartPC. refused holds captured traces the
 	// translator rejected — nothing mapped, too few ops consumed, or
-	// unprofitable — keyed by the trace's (PC, taken) bytes (built into
+	// unprofitable — keyed by the trace's stream words (built into
 	// refusedKey) and valued by the ladder probes the refused scan counted.
+	// Within one program a stream word is exactly a (PC, taken) pair, and
+	// ensureTables drops the memo when the program changes.
 	unplaceable map[uint32]bool
 	refused     map[string]uint64
 	refusedKey  []byte
 	memoDead    [2]fabric.Mask
 	memoTwo     bool
 
-	// Trace capture state.
-	trace []mapper.TraceEntry
+	// Trace capture state. The captured trace is the stream range
+	// [traceStart, traceStart+traceLen): the GPP retires a trace's
+	// instructions consecutively, so the range names it without copying.
+	// trace materialises the range as mapper entries, only when it is
+	// mapped (the refused memo missed).
+	traceStart, traceLen int
+	trace                []mapper.TraceEntry
 	// memo maps captured traces (nil: map each one directly).
 	memo *mapper.Memo
 
@@ -260,33 +270,47 @@ type Engine struct {
 	residentOff fabric.Offset
 	hasResident bool
 
-	// Per-text-index timing/class tables for the GPP attribution path,
-	// built once per program: cycle cost for the not-taken and taken
-	// outcomes and the instruction class, so the per-retirement accounting
-	// is three array loads instead of two switch dispatches.
+	// Per-stream-word tables for the GPP path, built once per program and
+	// indexed by the retire word (text index<<1 | taken): wordCycles is the
+	// retire's cycle cost and wordInfo its instruction class, with stopBit
+	// set when the retire ends a trace. A GPP step is then three array
+	// loads, with no instruction decode or switch dispatch.
 	tabProg    *isa.Program
-	cycNT, cyc []uint64
-	class      []isa.Class
+	wordCycles []uint64
+	wordInfo   []uint8
 
 	rep Report
 }
 
-// ensureTables (re)builds the per-instruction attribution tables for p.
+// stopBit marks, in wordInfo, a retire that terminates the captured trace:
+// an indirect jump, a system call, or a taken backward control transfer
+// (superblock formation: a loop body becomes one configuration). The low
+// bits hold the instruction's isa.Class, so every class must stay below it.
+const stopBit = 1 << 7
+
+// A class count past stopBit would make this array length negative.
+var _ [stopBit - len(ClassCounts{})]struct{}
+
+// ensureTables (re)builds the per-stream-word attribution tables for p.
 func (e *Engine) ensureTables(p *isa.Program) {
 	if e.tabProg == p {
 		return
 	}
 	e.tabProg = p
-	// Refused-trace keys name PCs, not instructions: they hold for one
-	// program only.
+	// Refused-trace keys name stream words, which index one program's text.
 	clear(e.refused)
-	e.cycNT = make([]uint64, len(p.Text))
-	e.cyc = make([]uint64, len(p.Text))
-	e.class = make([]isa.Class, len(p.Text))
+	e.wordCycles = make([]uint64, 2*len(p.Text))
+	e.wordInfo = make([]uint8, 2*len(p.Text))
 	for i, in := range p.Text {
-		e.cycNT[i] = e.opts.Timing.CyclesFor(in, false)
-		e.cyc[i] = e.opts.Timing.CyclesFor(in, true)
-		e.class[i] = in.Op.Class()
+		for taken := 0; taken < 2; taken++ {
+			w := i<<1 | taken
+			e.wordCycles[w] = e.opts.Timing.CyclesFor(in, taken == 1)
+			e.wordInfo[w] = uint8(in.Op.Class())
+			backEdge := taken == 1 && in.IsControl() && in.Imm < 0
+			if in.Op == isa.JALR || in.Op == isa.ECALL || backEdge {
+				e.wordInfo[w] |= stopBit
+			}
+		}
 	}
 }
 
@@ -377,8 +401,8 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 	// Index the configuration cache densely over the text segment so the
 	// two per-retired-instruction residency probes (Lookup below and
-	// Contains in observe) are array loads instead of map operations, and
-	// precompute the per-instruction timing/class attribution tables.
+	// Contains in captureStep) are array loads instead of map operations,
+	// and precompute the per-stream-word attribution tables.
 	p := s.Prog
 	e.cache.EnableDense(p.TextBase, len(p.Text))
 	e.ensureTables(p)
@@ -406,7 +430,7 @@ func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 			continue
 		}
 		// Steps 1-3: execute on the GPP while the DBT captures the trace.
-		e.observe(e.stepOnGPP())
+		e.captureStep()
 	}
 	e.finalizeTrace()
 	e.rep.Geom = e.opts.Geom
@@ -453,7 +477,7 @@ func (e *Engine) offload(cfg *fabric.Config) error {
 		// stale all the same.
 		if e.cache.SyncState(e.opts.Health, e.ctrl.Wear()) || e.stateFlushed {
 			e.stateFlushed = false
-			e.observe(e.stepOnGPP())
+			e.captureStep()
 			return nil
 		}
 	}
@@ -641,43 +665,42 @@ func (e *Engine) translationMask(shape fabric.Geometry) fabric.Mask {
 
 // stepOnGPP retires the instruction at the stream position on the GPP and
 // attributes its cycles, instruction count and class: the shared
-// accounting of the normal GPP path and the unplaceable-configuration
-// fallback (which skips the trace builder, since its region is already
-// translated).
-func (e *Engine) stepOnGPP() gpp.Retire {
-	r := e.stream.Retire(e.pos)
+// accounting of every GPP path, the trace-capturing step and the fallbacks
+// that skip the trace builder because their region is already translated.
+// It returns the retired stream word.
+func (e *Engine) stepOnGPP() uint32 {
+	w := e.stream.Retires[e.pos]
 	e.pos++
-	if r.Taken {
-		e.rep.GPPCycles += e.cyc[r.Index]
-	} else {
-		e.rep.GPPCycles += e.cycNT[r.Index]
-	}
+	e.rep.GPPCycles += e.wordCycles[w]
 	e.rep.GPPInstrs++
-	e.rep.GPPClasses[e.class[r.Index]]++
-	return r
+	e.rep.GPPClasses[e.wordInfo[w]&^stopBit]++
+	return w
 }
 
-// observe feeds one retired instruction to the DBT's trace builder. Traces
-// end at indirect jumps, system calls, backward-taken control transfers
-// (superblock formation: a loop body becomes one configuration), window
-// exhaustion, or when the next PC is already translated.
-func (e *Engine) observe(r gpp.Retire) {
-	e.trace = append(e.trace, mapper.TraceEntry{PC: r.PC, Inst: r.Inst, Taken: r.Taken})
-	backEdge := r.Taken && r.Inst.IsControl() && r.Inst.Imm < 0
-	terminator := r.Inst.Op == isa.JALR ||
-		r.Inst.Op == isa.ECALL ||
-		backEdge ||
-		len(e.trace) >= maxTraceLen ||
-		e.cache.Contains(r.NextPC)
-	if terminator {
+// captureStep retires one instruction on the GPP and feeds it to the DBT's
+// trace builder by extending the captured stream range. Traces end at
+// indirect jumps, system calls, backward-taken control transfers (stopBit),
+// window exhaustion, or when the next PC is already translated; a halted
+// core's next PC stays on its final instruction.
+func (e *Engine) captureStep() {
+	w := e.stepOnGPP()
+	if e.traceLen == 0 {
+		e.traceStart = e.pos - 1
+	}
+	e.traceLen++
+	next := e.pos - 1
+	if e.pos < len(e.stream.Retires) {
+		next = e.pos
+	}
+	if e.wordInfo[w]&stopBit != 0 || e.traceLen >= maxTraceLen || e.cache.Contains(e.stream.PC(next)) {
 		e.finalizeTrace()
 	}
 }
 
-// finalizeTrace maps the captured trace and inserts the configuration if it
-// is big enough and projected profitable. Under ShapeTranslations the
-// mapping is a search over the candidate shape ladder instead of a single
-// identity-shape placement.
+// finalizeTrace maps the captured stream range and inserts the
+// configuration if it is big enough and projected profitable. Under
+// ShapeTranslations the mapping is a search over the candidate shape ladder
+// instead of a single identity-shape placement.
 //
 // A trace the translator already refused under the current health is not
 // mapped again (the refused memo): the outcome is a pure function of the
@@ -685,8 +708,9 @@ func (e *Engine) observe(r gpp.Retire) {
 // re-runs the scan and refuses again — so a memo hit re-adds the scan's
 // search counts and the Report is the one a re-mapping engine produces.
 func (e *Engine) finalizeTrace() {
-	defer func() { e.trace = e.trace[:0] }()
-	if len(e.trace) < mapper.MinOps {
+	n := e.traceLen
+	e.traceLen = 0
+	if n < mapper.MinOps {
 		return
 	}
 	if e.shapes != nil {
@@ -701,14 +725,10 @@ func (e *Engine) finalizeTrace() {
 			e.stateFlushed = true
 		}
 	}
+	words := e.stream.Retires[e.traceStart : e.traceStart+n]
 	key := e.refusedKey[:0]
-	for _, t := range e.trace {
-		key = binary.LittleEndian.AppendUint32(key, t.PC)
-		if t.Taken {
-			key = append(key, 1)
-		} else {
-			key = append(key, 0)
-		}
+	for _, w := range words {
+		key = binary.LittleEndian.AppendUint32(key, w)
 	}
 	e.refusedKey = key
 	e.syncMemos()
@@ -719,6 +739,12 @@ func (e *Engine) finalizeTrace() {
 			e.search.LadderProbes += probes
 		}
 		return
+	}
+	p := e.tabProg
+	e.trace = e.trace[:0]
+	for _, w := range words {
+		i := w >> 1
+		e.trace = append(e.trace, mapper.TraceEntry{PC: p.TextBase + i<<2, Inst: p.Text[i], Taken: w&1 == 1})
 	}
 	var cfg *fabric.Config
 	var consumed int

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"agingcgra/internal/fabric"
+	"agingcgra/internal/gpp"
 	"agingcgra/internal/isa"
-	"agingcgra/internal/mapper"
 	"agingcgra/internal/prog"
 	"agingcgra/internal/searchcost"
 )
@@ -72,12 +72,11 @@ func TestRefusedTranslationMemoInvalidatedByHealth(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	// A run of stores gains nothing from the fabric (one GPP cycle each,
 	// four columns each on the CGRA): the profitability gate refuses it.
-	trace := make([]mapper.TraceEntry, 6)
-	for i := range trace {
-		trace[i] = mapper.TraceEntry{
-			PC:   0x1000 + 4*uint32(i),
-			Inst: isa.Inst{Op: isa.SW, Rs1: isa.A1, Rs2: isa.A0, Imm: 4 * int32(i)},
-		}
+	p := &isa.Program{TextBase: 0x1000, Text: make([]isa.Inst, 6)}
+	trace := &gpp.Stream{Prog: p}
+	for i := range p.Text {
+		p.Text[i] = isa.Inst{Op: isa.SW, Rs1: isa.A1, Rs2: isa.A0, Imm: 4 * int32(i)}
+		trace.Retires = append(trace.Retires, uint32(i)<<1)
 	}
 	h := fabric.NewHealth(g)
 	e, err := NewEngine(Options{Geom: g, Health: h, ShapeTranslations: true})
@@ -86,8 +85,7 @@ func TestRefusedTranslationMemoInvalidatedByHealth(t *testing.T) {
 	}
 	finalize := func() searchcost.Counts {
 		before := e.search
-		e.trace = append(e.trace[:0], trace...)
-		e.finalizeTrace()
+		captureTrace(e, trace)
 		return e.search.Sub(before)
 	}
 
@@ -108,8 +106,7 @@ func TestRefusedTranslationMemoInvalidatedByHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.trace = append(ref.trace[:0], trace...)
-	ref.finalizeTrace()
+	captureTrace(ref, trace)
 	if ref.search.LadderProbes == first.LadderProbes {
 		t.Fatalf("the dead cell does not change the scan's probes (%d); the test cannot tell a re-map from a memo hit",
 			first.LadderProbes)
@@ -133,20 +130,18 @@ func TestRefusedTranslationMemoKeyCoversBranchDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both paths run one program, so the memo is not dropped between them.
+	p := &isa.Program{TextBase: 0x1000}
+	for i := 0; i < 4; i++ {
+		p.Text = append(p.Text, isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs1: isa.T0, Rs2: isa.A0})
+	}
+	p.Text = append(p.Text, isa.Inst{Op: isa.BEQ, Rs1: isa.T0, Rs2: isa.A0, Imm: 16})
 	capture := func(taken bool) {
-		e.trace = e.trace[:0]
-		for i := 0; i < 4; i++ {
-			e.trace = append(e.trace, mapper.TraceEntry{
-				PC:   0x1000 + 4*uint32(i),
-				Inst: isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs1: isa.T0, Rs2: isa.A0},
-			})
+		s := &gpp.Stream{Prog: p, Retires: []uint32{0 << 1, 1 << 1, 2 << 1, 3 << 1, 4 << 1}}
+		if taken {
+			s.Retires[4] |= 1
 		}
-		e.trace = append(e.trace, mapper.TraceEntry{
-			PC:    0x1010,
-			Inst:  isa.Inst{Op: isa.BEQ, Rs1: isa.T0, Rs2: isa.A0, Imm: 16},
-			Taken: taken,
-		})
-		e.finalizeTrace()
+		captureTrace(e, s)
 	}
 	capture(false)
 	if e.rep.Translations != 0 || len(e.refused) != 1 {
@@ -158,10 +153,19 @@ func TestRefusedTranslationMemoKeyCoversBranchDirections(t *testing.T) {
 	}
 }
 
+// captureTrace makes the whole of s the engine's captured trace, as the
+// GPP path captures a stream range, and finalizes it.
+func captureTrace(e *Engine, s *gpp.Stream) {
+	e.ensureTables(s.Prog)
+	e.stream = s
+	e.traceStart, e.traceLen = 0, len(s.Retires)
+	e.finalizeTrace()
+}
+
 // TestRefusedTranslationMemoDroppedOnProgramChange pins the memo's scope:
-// its keys name PCs, not instructions, and a suite's programs share one
-// text base, so an engine reused for another program must start that
-// program with the memo a fresh engine would have.
+// its keys are stream words, which index one program's text, and a suite's
+// programs share one text base, so an engine reused for another program
+// must start that program with the memo a fresh engine would have.
 func TestRefusedTranslationMemoDroppedOnProgramChange(t *testing.T) {
 	b, _ := prog.ByName("stringsearch")
 	c, err := b.NewCore(prog.Tiny)

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -173,6 +174,12 @@ func (a *assembler) instSize(mnem string, args []string) (int, error) {
 			return 0, fmt.Errorf("li needs 2 operands")
 		}
 		v, err := a.evalImm(args[1])
+		var unknown unknownSymbolError
+		if errors.As(err, &unknown) {
+			// The expansion's size depends on the value, so it must be
+			// known here, before the labels that follow are.
+			return 0, fmt.Errorf("li needs a constant, a predefined symbol or an earlier label, not %q; use la for an address", unknown.name)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -243,10 +250,15 @@ func (a *assembler) evalImm(s string) (int32, error) {
 	}
 	addr, ok := a.prog.Symbols[strings.TrimSpace(name)]
 	if !ok {
-		return 0, fmt.Errorf("unknown symbol %q", name)
+		return 0, unknownSymbolError{name}
 	}
 	return int32(addr) + int32(off), nil
 }
+
+// unknownSymbolError reports an immediate naming no symbol defined so far.
+type unknownSymbolError struct{ name string }
+
+func (e unknownSymbolError) Error() string { return fmt.Sprintf("unknown symbol %q", e.name) }
 
 // memOperand parses "off(reg)" with off optionally empty or symbolic.
 func (a *assembler) memOperand(s string) (int32, Reg, error) {
@@ -301,11 +313,11 @@ func (a *assembler) emit(mnem string, args []string, pc uint32) ([]Inst, error) 
 
 	switch mnem {
 	case "nop":
-		return one(Inst{Op: ADDI}, nil)
+		return one(Inst{Op: ADDI}, argCount(mnem, args, 0))
 	case "halt", "ecall":
-		return one(Inst{Op: ECALL}, nil)
+		return one(Inst{Op: ECALL}, argCount(mnem, args, 0))
 	case "ret":
-		return one(Inst{Op: JALR, Rd: X0, Rs1: RA}, nil)
+		return one(Inst{Op: JALR, Rd: X0, Rs1: RA}, argCount(mnem, args, 0))
 
 	case "li":
 		if err := argCount(mnem, args, 2); err != nil {

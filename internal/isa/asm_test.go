@@ -221,11 +221,31 @@ func TestAssembleErrors(t *testing.T) {
 		"beq a0, a1, nowhere",
 		"li a0",
 		"dup:\ndup:\nnop",
+		// The zero-operand mnemonics check their operand count too.
+		"nop a0, a1",
+		"halt a0",
+		"ecall a0",
+		"ret ra",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src, AsmOptions{}); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
 		}
+	}
+}
+
+// TestAssembleLiForwardLabel pins li's symbol rule: the size of its
+// expansion depends on the value, so a label defined later is rejected with
+// an error naming the line and pointing to la, while an earlier label and
+// la's fixed two-instruction form both resolve.
+func TestAssembleLiForwardLabel(t *testing.T) {
+	_, err := Assemble("li a0, y\ny:\nhalt\n", AsmOptions{})
+	if err == nil || !strings.Contains(err.Error(), "line 1") || !strings.Contains(err.Error(), "use la") {
+		t.Fatalf("forward li error = %v, want line 1 and a pointer to la", err)
+	}
+	p := mustAssemble(t, "la a0, y\ny:\nli a1, y\nhalt\n", AsmOptions{TextBase: 0x100})
+	if got := p.Text[2]; got != (Inst{Op: ADDI, Rd: A1, Rs1: X0, Imm: 0x108}) {
+		t.Errorf("li of an earlier label = %v, want addi a1, zero, 0x108", got)
 	}
 }
 

@@ -114,6 +114,10 @@ func FuzzAssemble(f *testing.F) {
 	// Once accepted: Encode took a negative U immediate, which Decode
 	// returns as its unsigned 20 bits.
 	f.Add("lui a0, -1")
+	// li of a label defined later (rejected, pointing to la) and operands
+	// on a zero-operand mnemonic (rejected).
+	f.Add("li a0, y\ny:\nhalt\n")
+	f.Add("nop a0, a1")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := isa.Assemble(src, isa.AsmOptions{Symbols: symbols})
