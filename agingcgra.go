@@ -80,31 +80,51 @@ func AllocatorNames() []string {
 	}
 }
 
+// allocators is the name table of NewAllocator: every selectable name and
+// alias with its constructor. Validation reads the same table
+// (checkAllocator), so a name is valid exactly when it builds.
+var allocators = map[string]func(Geometry) Allocator{
+	"":                             newBaseline,
+	"baseline":                     newBaseline,
+	"utilization-aware":            newSnake,
+	"proposed":                     newSnake,
+	"snake":                        newSnake,
+	"utilization-aware-rowmajor":   patterned(alloc.RowMajor{}),
+	"utilization-aware-diagonal":   patterned(alloc.Diagonal{}),
+	"utilization-aware-horizontal": patterned(alloc.HorizontalOnly{}),
+	"utilization-aware-vertical":   patterned(alloc.VerticalOnly{}),
+	"utilization-aware-shuffled":   patterned(alloc.Shuffled{}),
+	"health-aware":                 func(g Geometry) Allocator { return alloc.NewHealthAware(g, 16) },
+	"explore":                      newExplorer,
+	"wear-aware":                   newExplorer,
+	"explorer":                     newExplorer,
+	"remap":                        newRemapper,
+	"shape-adaptive":               newRemapper,
+}
+
+func newBaseline(Geometry) Allocator   { return alloc.Baseline{} }
+func newSnake(g Geometry) Allocator    { return alloc.NewUtilizationAware(g) }
+func newExplorer(g Geometry) Allocator { return explore.New(g) }
+func newRemapper(g Geometry) Allocator { return remap.New(g) }
+func patterned(p alloc.Pattern) func(Geometry) Allocator {
+	return func(g Geometry) Allocator { return alloc.NewUtilizationAware(g, alloc.WithPattern(p)) }
+}
+
+// checkAllocator reports whether name selects an allocator, without
+// building one.
+func checkAllocator(name string) error {
+	if _, ok := allocators[name]; !ok {
+		return fmt.Errorf("agingcgra: unknown allocator %q (want one of %v)", name, AllocatorNames())
+	}
+	return nil
+}
+
 // NewAllocator builds a named allocation strategy for a geometry.
 func NewAllocator(name string, g Geometry) (Allocator, error) {
-	switch name {
-	case "", "baseline":
-		return alloc.Baseline{}, nil
-	case "utilization-aware", "proposed", "snake":
-		return alloc.NewUtilizationAware(g), nil
-	case "utilization-aware-rowmajor":
-		return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.RowMajor{})), nil
-	case "utilization-aware-diagonal":
-		return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.Diagonal{})), nil
-	case "utilization-aware-horizontal":
-		return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.HorizontalOnly{})), nil
-	case "utilization-aware-vertical":
-		return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.VerticalOnly{})), nil
-	case "utilization-aware-shuffled":
-		return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.Shuffled{})), nil
-	case "health-aware":
-		return alloc.NewHealthAware(g, 16), nil
-	case "explore", "wear-aware", "explorer":
-		return explore.New(g), nil
-	case "remap", "shape-adaptive":
-		return remap.New(g), nil
+	if err := checkAllocator(name); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("agingcgra: unknown allocator %q (want one of %v)", name, AllocatorNames())
+	return allocators[name](g), nil
 }
 
 // Config describes a TransRec system instance.
@@ -336,7 +356,7 @@ func (c LifetimeConfig) Scenario() (lifetime.Scenario, error) {
 	if err := g.Validate(); err != nil {
 		return lifetime.Scenario{}, err
 	}
-	if _, err := NewAllocator(c.Allocator, g); err != nil {
+	if err := checkAllocator(c.Allocator); err != nil {
 		return lifetime.Scenario{}, err
 	}
 	if c.ShapeTranslations && c.StaleTranslations {

@@ -42,6 +42,24 @@ func TestAllocatorRegistry(t *testing.T) {
 			t.Errorf("alias %q rejected: %v", alias, err)
 		}
 	}
+	// LifetimeConfig.Scenario validates against the table NewAllocator
+	// builds from: every name of it resolves, and an unknown name fails
+	// with NewAllocator's error text, which the service's 400 bodies carry.
+	for name := range allocators {
+		if _, err := (LifetimeConfig{Allocator: name}).Scenario(); err != nil {
+			t.Errorf("Scenario with allocator %q: %v", name, err)
+		}
+	}
+	const unknown = `agingcgra: unknown allocator "bogus" (want one of [baseline utilization-aware ` +
+		`utilization-aware-rowmajor utilization-aware-diagonal utilization-aware-horizontal ` +
+		`utilization-aware-vertical utilization-aware-shuffled health-aware explore remap])`
+	_, errBuild := NewAllocator("bogus", g)
+	_, errScenario := LifetimeConfig{Allocator: "bogus"}.Scenario()
+	for _, err := range []error{errBuild, errScenario} {
+		if err == nil || err.Error() != unknown {
+			t.Errorf("unknown allocator: error %v, want %s", err, unknown)
+		}
+	}
 }
 
 func TestBenchmarksList(t *testing.T) {

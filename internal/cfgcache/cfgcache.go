@@ -4,7 +4,8 @@
 //
 // Two invariants carry the rest of the system:
 //
-//   - Probe cost: the hot loop probes twice per retired instruction, so
+//   - Probe cost: the hot loop probes once or twice per retired
+//     instruction (CountMiss stands in for a probe known to miss), so
 //     Cache maintains a dense table indexed by (PC − TextBase)/4 kept in
 //     exact sync with the authoritative LRU map — a lookup is one array
 //     load, and the map remains the fallback for out-of-window PCs.
@@ -166,6 +167,10 @@ func (c *Cache) Lookup(pc uint32) (*fabric.Config, bool) {
 	c.moveToFront(e)
 	return e.cfg, true
 }
+
+// CountMiss counts a Lookup the caller knows would miss — its PC failed a
+// Contains probe and nothing was inserted since — without probing again.
+func (c *Cache) CountMiss() { c.stats.Misses++ }
 
 // Contains reports residency without touching stats or recency.
 func (c *Cache) Contains(pc uint32) bool {

@@ -257,6 +257,10 @@ type Engine struct {
 	// mapped (the refused memo missed).
 	traceStart, traceLen int
 	trace                []mapper.TraceEntry
+	// nextMissed records that captureStep found the next PC not resident
+	// and inserted nothing since, so the main loop's probe of it would
+	// miss: the loop counts the miss without probing again.
+	nextMissed bool
 	// memo maps captured traces (nil: map each one directly).
 	memo *mapper.Memo
 
@@ -400,8 +404,9 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 // shared across engines and goroutines.
 func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 	// Index the configuration cache densely over the text segment so the
-	// two per-retired-instruction residency probes (Lookup below and
-	// Contains in captureStep) are array loads instead of map operations,
+	// per-retired-instruction residency probes (Lookup below, unless
+	// captureStep's Contains already missed on the same PC) are array
+	// loads instead of map operations,
 	// and precompute the per-stream-word attribution tables.
 	p := s.Prog
 	e.cache.EnableDense(p.TextBase, len(p.Text))
@@ -419,9 +424,12 @@ func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 	if e.opts.Recovery != nil {
 		monStart = e.opts.Recovery.SearchCounts()
 	}
-	e.stream, e.pos = s, 0
+	e.stream, e.pos, e.nextMissed = s, 0, false
 	for e.pos < len(s.Retires) {
-		if cfg, ok := e.cache.Lookup(s.PC(e.pos)); ok {
+		if e.nextMissed {
+			e.nextMissed = false
+			e.cache.CountMiss()
+		} else if cfg, ok := e.cache.Lookup(s.PC(e.pos)); ok {
 			// Step 5-7 of Fig. 2: offload to the CGRA.
 			e.finalizeTrace()
 			if err := e.offload(cfg); err != nil {
@@ -681,7 +689,9 @@ func (e *Engine) stepOnGPP() uint32 {
 // trace builder by extending the captured stream range. Traces end at
 // indirect jumps, system calls, backward-taken control transfers (stopBit),
 // window exhaustion, or when the next PC is already translated; a halted
-// core's next PC stays on its final instruction.
+// core's next PC stays on its final instruction. When the next PC is not
+// resident and the trace goes on, nothing is inserted before the main
+// loop probes that PC, so the probe is known to miss (nextMissed).
 func (e *Engine) captureStep() {
 	w := e.stepOnGPP()
 	if e.traceLen == 0 {
@@ -694,7 +704,9 @@ func (e *Engine) captureStep() {
 	}
 	if e.wordInfo[w]&stopBit != 0 || e.traceLen >= maxTraceLen || e.cache.Contains(e.stream.PC(next)) {
 		e.finalizeTrace()
+		return
 	}
+	e.nextMissed = true
 }
 
 // finalizeTrace maps the captured stream range and inserts the
@@ -765,7 +777,7 @@ func (e *Engine) finalizeTrace() {
 		e.refused[string(key)] = e.search.LadderProbes - probesBefore
 		return
 	}
-	e.cache.Insert(cfg)
+	e.cache.Insert(e.memo.Keep(cfg))
 	e.rep.Translations++
 }
 
@@ -784,7 +796,8 @@ func (e *Engine) finalizeTrace() {
 // backstop for placements the identity-frame mask cannot serve. The scan
 // is counted for the derived search-cost model: every rung is mapped and
 // its probes counted, with no running-best gate. The rungs map through the
-// engine's memo, which hashes the trace once per scan.
+// engine's memo, which hashes the trace once per scan; the returned
+// winner is borrowed from it.
 func (e *Engine) translateShapes() (*fabric.Config, int) {
 	e.search.LadderScans++
 	e.search.LadderCandidates += uint64(len(e.shapes))

@@ -66,3 +66,60 @@ func TestMappingMemoLeavesReportUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheKeepsItsOwnConfigurations pins that the configuration cache
+// never holds a configuration the mapping memo stores. loopProgram's two
+// traces are placed whole on a fabric with one dead cell, so each resident
+// configuration's ops are its captured trace, and mapping them again
+// through the memo returns the stored configuration. Two engines share the
+// memo — the first fills it, every translation of the second is a hit —
+// on the single-shape path and the shape ladder. Each resident
+// configuration shares the stored one's ops (a clone of it) but is never
+// the stored pointer, and no two engines keep the same pointer.
+func TestCacheKeepsItsOwnConfigurations(t *testing.T) {
+	g := fabric.NewGeometry(2, 16)
+	for _, shapes := range []bool{false, true} {
+		h, err := fabric.NewHealthWithDead(g, []fabric.Cell{{Row: 1, Col: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo := mapper.NewMemo()
+		kept := make(map[*fabric.Config]bool)
+		for _, pass := range []string{"miss", "hit"} {
+			e, err := NewEngine(Options{Geom: g, Health: h, ShapeTranslations: shapes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.UseMemo(memo)
+			if _, err := e.Run(loopCore(t), 1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			resident := e.Cache().Configs()
+			if len(resident) != 2 {
+				t.Fatalf("shapes=%v %s: %d resident configurations, want loopProgram's 2", shapes, pass, len(resident))
+			}
+			for _, cfg := range resident {
+				trace := make([]mapper.TraceEntry, len(cfg.Ops))
+				for i, op := range cfg.Ops {
+					trace[i] = mapper.TraceEntry{PC: op.PC, Inst: op.Inst, Taken: op.Taken}
+				}
+				dead := h.Mask()
+				stored, _ := memo.Map(memo.Key(trace), mapper.Options{
+					Geom: cfg.Geom,
+					Lat:  fabric.DefaultLatencies(),
+					Dead: dead.Window(fabric.Offset{}, cfg.Geom, g),
+				})
+				if stored == nil || &stored.Ops[0] != &cfg.Ops[0] {
+					t.Fatalf("shapes=%v %s: the configuration at %#x is not a copy of the memo's", shapes, pass, cfg.StartPC)
+				}
+				if cfg == stored {
+					t.Fatalf("shapes=%v %s: the cache holds the memo's configuration at %#x", shapes, pass, cfg.StartPC)
+				}
+				if kept[cfg] {
+					t.Fatalf("shapes=%v %s: two engines keep the configuration at %#x", shapes, pass, cfg.StartPC)
+				}
+				kept[cfg] = true
+			}
+		}
+	}
+}

@@ -137,7 +137,7 @@ func (c *Config) LivePivots(h *Health) []bool {
 }
 
 // liveKey is the health content a live-pivot mask was built for, shared by
-// pointer so that a Config, cloned once per memo hit, stays small.
+// pointer so that a Config, cloned for every kept memo result, stays small.
 type liveKey struct {
 	geom Geometry
 	dead Mask

@@ -20,9 +20,12 @@ import (
 //
 // A hit re-adds the stored probe count to Options.Probes (the modelled
 // hardware keeps no such memo, so search-cost totals are those of a
-// re-mapping run) and returns a fresh *fabric.Config sharing the stored
-// ops and cells: callers key per-placement state on the pointer (the
-// explorer's held pivot), so no two calls return the same one.
+// re-mapping run) and returns the stored *fabric.Config itself. Every
+// configuration Map returns is borrowed: callers read it and must not
+// change it, and a caller that keeps one — inserts it in a cache, hands it
+// to the controller, keys state on its pointer (the explorer's held pivot)
+// — keeps Keep's clone instead, so no two kept configurations share a
+// pointer.
 //
 // A nil *Memo maps directly. A Memo is not safe for concurrent use.
 type Memo struct {
@@ -45,8 +48,7 @@ type memoKey struct {
 	trace, opts, dead uint32
 }
 
-// memoResult is one stored Map outcome. cfg is the configuration the first
-// call returned, nil when nothing was placed; later calls get clones.
+// memoResult is one stored Map outcome; cfg is nil when nothing was placed.
 type memoResult struct {
 	cfg      *fabric.Config
 	consumed int
@@ -91,8 +93,8 @@ func (m *Memo) Key(trace []TraceEntry) TraceKey {
 }
 
 // Map returns what Map(trace, opt) returns for the keyed trace, mapping it
-// only the first time this (trace, Geom, Lat, dead mask) is seen.
-// That first call returns Map's own configuration; every later one a clone.
+// only the first time this (trace, Geom, Lat, dead mask) is seen. Every
+// call returns the stored configuration, borrowed.
 func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
 	if m == nil {
 		return Map(k.trace, opt)
@@ -106,23 +108,30 @@ func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
 		if opt.Probes != nil {
 			*opt.Probes += r.probes
 		}
-		if r.cfg == nil {
-			return nil, r.consumed
-		}
-		return r.cfg.Clone(), r.consumed
+		return r.cfg, r.consumed
 	}
 	var probes uint64
 	o := opt
 	o.Probes = &probes
 	cfg, consumed := Map(k.trace, o)
 	if cfg != nil {
-		cfg.Cells() // computed once, shared by every clone
+		cfg.Cells() // computed once, shared by every borrower and clone
 	}
 	m.results[key] = memoResult{cfg: cfg, consumed: consumed, probes: probes}
 	if opt.Probes != nil {
 		*opt.Probes += probes
 	}
 	return cfg, consumed
+}
+
+// Keep returns a configuration the caller may keep in place of cfg, which
+// Map returned: a clone sharing cfg's immutable ops and cells when cfg is
+// the memo's, cfg itself from a nil Memo, which stores nothing.
+func (m *Memo) Keep(cfg *fabric.Config) *fabric.Config {
+	if m == nil || cfg == nil {
+		return cfg
+	}
+	return cfg.Clone()
 }
 
 // idOf returns k's id in ids, assigning the next one on first sight.

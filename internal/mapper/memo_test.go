@@ -114,8 +114,9 @@ func sameMapping(t *testing.T, what string, got, want mapping) {
 // TestMemoMatchesMap is the memo's differential test: for the suite
 // kernels' traces at every default-ladder shape on 2×16, under random
 // anchored dead masks, Memo.Map returns what Map returns — ops, used
-// columns, consumed entries and probes — on the miss and on every hit, and
-// each hit is a distinct configuration. One memo serves every kernel, so a
+// columns, consumed entries and probes — on the miss and on every hit.
+// Every hit lends the stored configuration, and Keep turns it into a
+// distinct one with the same placement. One memo serves every kernel, so a
 // key that aliased two programs or two masks would fail here.
 func TestMemoMatchesMap(t *testing.T) {
 	phys := fabric.NewGeometry(2, 16)
@@ -142,8 +143,15 @@ func TestMemoMatchesMap(t *testing.T) {
 				again := mapMemo(memo, memo.Key(trace), opt)
 				sameMapping(t, "hit", again, want)
 				hits++
-				if want.cfg != nil && first.cfg == again.cfg {
-					t.Fatalf("trace %d shape %v: two calls returned the same *Config", ti, shape)
+				if first.cfg != again.cfg {
+					t.Fatalf("trace %d shape %v: a hit returned %p, not the stored %p", ti, shape, again.cfg, first.cfg)
+				}
+				if want.cfg != nil {
+					kept := mapping{cfg: memo.Keep(again.cfg), consumed: again.consumed, probes: again.probes}
+					if kept.cfg == again.cfg {
+						t.Fatalf("trace %d shape %v: Keep returned the memo's own *Config", ti, shape)
+					}
+					sameMapping(t, "kept", kept, want)
 				}
 			}
 		}

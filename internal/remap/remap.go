@@ -36,10 +36,12 @@
 // trace, the shape and which cells of the shape's window are dead in the
 // anchor's frame, never on wear, so a scan maps only the (shape, window
 // mask) pairs no earlier scan of the scenario saw and otherwise only
-// re-scores. Every viable candidate is mapped, counted and scored — no
-// running-best gate short-circuits the per-candidate work, and memo hits
-// re-add the probes a mapping run counts — so the searchcost counters are
-// sums over a fixed candidate set. The scan is serial.
+// re-scores. Candidates are borrowed from the memo, uncloned; the rescue
+// keeps a clone of its winner alone (mapper.Memo.Keep). Every viable
+// candidate is mapped, counted and scored — no running-best gate
+// short-circuits the per-candidate work, and memo hits re-add the probes a
+// mapping run counts — so the searchcost counters are sums over a fixed
+// candidate set. The scan is serial.
 package remap
 
 import (
@@ -250,6 +252,7 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 			r = rescue{ok: true} // keep the translation
 		}
 	}
+	r.cfg = m.memo.Keep(r.cfg) // the winner is the memo's; the rescue keeps its own
 	m.rescues[cfg.StartPC] = r
 	if r.ok && r.cfg == nil {
 		return cfg, off, true
@@ -263,7 +266,8 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 // score break by shape order then row-major anchor, so the search is
 // deterministic. Every viable candidate — mappable, long enough, live — is
 // mapped, counted and scored, with no running-best gate, so the searchcost
-// counters are sums over a fixed candidate set.
+// counters are sums over a fixed candidate set. The returned configuration
+// is borrowed from the memo.
 func (m *Remapper) search(cfg *fabric.Config) rescue {
 	minOps := m.minOps
 	if n := len(cfg.Ops); n < minOps {

@@ -609,45 +609,91 @@ func TestReshapeWrapAroundAnchor(t *testing.T) {
 // candidate directly, one filling an empty memo and one reading a memo a
 // previous remapper filled (every candidate a hit) choose the same
 // placement and report byte-identical searchcost Counts, since hits re-add
-// the probes. The hit's configuration is a fresh pointer.
+// the probes. Two more passes share that memo: one under wear skewed the
+// other way, whose stored candidates must be re-scored into the direct
+// remapper's new choice, and one around dead columns, which must map
+// afresh. No pass hands out a configuration the memo stores, or one an
+// earlier pass handed out.
 func TestRescueThroughMemoMatchesDirect(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	cfg := mapHealthy(t, independentALUs(8), g)
-	h, err := fabric.NewHealthWithDead(g, fabric.DeadQuadrantCells(g))
+	quadrant, err := fabric.NewHealthWithDead(g, fabric.DeadQuadrantCells(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := fabric.NewWear(g)
-	for c := 0; c < 8; c++ {
-		w.Add(fabric.Cell{Row: 1, Col: c}, 2)
+	columns, err := fabric.NewHealthWithDead(g, []fabric.Cell{{Row: 0, Col: 0}, {Row: 1, Col: 0}, {Row: 0, Col: 8}, {Row: 1, Col: 8}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rescue := func(memo *mapper.Memo) (*fabric.Config, fabric.Offset, *Remapper) {
+	// skewed wears columns [from, to) of row, leaving the rest fresh.
+	skewed := func(row, from, to int) *fabric.Wear {
+		w := fabric.NewWear(g)
+		for c := from; c < to; c++ {
+			w.Add(fabric.Cell{Row: row, Col: c}, 2)
+		}
+		return w
+	}
+	rescue := func(memo *mapper.Memo, h *fabric.Health, w *fabric.Wear) (*fabric.Config, fabric.Offset, *Remapper) {
 		m := New(g)
 		m.UseMemo(memo)
 		m.SetHealth(h)
 		m.SetWear(w)
 		mc, off, ok := m.RemapConfig(cfg, fabric.Offset{}, false)
 		if !ok {
-			t.Fatal("no shape rescues the configuration off the dead quadrant")
+			t.Fatal("no shape rescues the configuration")
 		}
 		return mc, off, m
 	}
-	want, wantOff, direct := rescue(nil)
 	memo := mapper.NewMemo()
-	var prev *fabric.Config
-	for _, pass := range []string{"miss", "hit"} {
-		got, off, m := rescue(memo)
+	handed := make(map[*fabric.Config]string)
+	var first *fabric.Config
+	var firstOff fabric.Offset
+	for _, pass := range []struct {
+		name string
+		h    *fabric.Health
+		w    *fabric.Wear
+	}{
+		{"miss", quadrant, skewed(1, 0, 8)},
+		{"hit", quadrant, skewed(1, 0, 8)},
+		{"hit under other wear", quadrant, skewed(1, 8, 16)},
+		{"other dead cells", columns, skewed(1, 0, 8)},
+	} {
+		want, wantOff, direct := rescue(nil, pass.h, pass.w)
+		got, off, m := rescue(memo, pass.h, pass.w)
 		if off != wantOff || got.Geom != want.Geom || got.UsedCols != want.UsedCols ||
 			!reflect.DeepEqual(got.Ops, want.Ops) {
-			t.Fatalf("%s: rescue %v at %v, direct rescue %v at %v", pass, got.Geom, off, want.Geom, wantOff)
+			t.Fatalf("%s: rescue %v at %v, direct rescue %v at %v", pass.name, got.Geom, off, want.Geom, wantOff)
 		}
-		if got == want || got == prev {
-			t.Fatalf("%s: the rescue handed out a configuration pointer twice", pass)
-		}
-		prev = got
 		if m.SearchCounts() != direct.SearchCounts() {
 			t.Fatalf("%s: searchcost counts diverge:\nmemo:   %+v\ndirect: %+v",
-				pass, m.SearchCounts(), direct.SearchCounts())
+				pass.name, m.SearchCounts(), direct.SearchCounts())
+		}
+		if p, ok := handed[got]; ok {
+			t.Fatalf("%s: the rescue handed out %s's configuration again", pass.name, p)
+		}
+		handed[got] = pass.name
+		dead := pass.h.Mask()
+		stored, _ := memo.Map(memo.Key(Trace(cfg)), mapper.Options{
+			Geom: got.Geom,
+			Lat:  fabric.DefaultLatencies(),
+			Dead: dead.Window(off, got.Geom, g),
+		})
+		if stored == nil {
+			t.Fatalf("%s: the memo stores no placement for the winner's window", pass.name)
+		}
+		if stored == got {
+			t.Fatalf("%s: the rescue handed out the memo's stored configuration", pass.name)
+		}
+		switch pass.name {
+		case "miss":
+			first, firstOff = got, off
+		case "hit":
+		default:
+			// A pass that chose the first pass's placement could not tell a
+			// stale candidate list or score from a fresh one.
+			if off == firstOff && got.Geom == first.Geom && reflect.DeepEqual(got.Ops, first.Ops) {
+				t.Fatalf("%s: chose the first pass's placement, %v at %v, again", pass.name, got.Geom, off)
+			}
 		}
 	}
 }
