@@ -5,10 +5,10 @@
 // Two invariants carry the rest of the system:
 //
 //   - Probe cost: the hot loop probes once or twice per retired
-//     instruction (CountMiss stands in for a probe known to miss), so
-//     Cache maintains a dense table indexed by (PC − TextBase)/4 kept in
-//     exact sync with the authoritative LRU map — a lookup is one array
-//     load, and the map remains the fallback for out-of-window PCs.
+//     instruction (CountMiss stands in for a probe known to miss), so the
+//     cache is one table with a slot per instruction of the program's text
+//     segment, indexed by (PC − TextBase)/4 — a probe is one array load.
+//     Every probed PC is a retired one, so it lies in the text segment.
 //   - State keying: a cached artifact is a decision taken under one
 //     fabric state. Cache.SyncState flushes translations wholesale when
 //     the observed fabric.StateKey moves (the shape-translating DBT's
@@ -16,7 +16,12 @@
 //     different state than the caller currently observes.
 package cfgcache
 
-import "agingcgra/internal/fabric"
+import (
+	"cmp"
+	"slices"
+
+	"agingcgra/internal/fabric"
+)
 
 // Stats counts cache events.
 type Stats struct {
@@ -29,38 +34,33 @@ type Stats struct {
 	Flushes uint64
 }
 
-// HitRate returns hits / (hits + misses), or 0 when empty.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Insertions += o.Insertions
+	s.Evictions += o.Evictions
+	s.Flushes += o.Flushes
 }
 
-type entry struct {
-	cfg        *fabric.Config
-	prev, next *entry
+// slot holds the configuration resident for one text-segment PC (nil when
+// none is) and the clock value of its last hit or insert.
+type slot struct {
+	cfg   *fabric.Config
+	stamp uint64
 }
 
-// Cache is a PC-indexed configuration cache. The zero value is not usable;
-// call New.
+// Cache is a PC-indexed configuration cache over one program's text
+// segment. The zero value is not usable; call New.
 type Cache struct {
 	capacity int
-	entries  map[uint32]*entry
-	// head is the most recently used or inserted entry; tail is the
-	// eviction candidate.
-	head, tail *entry
-	stats      Stats
-
-	// dense, when non-nil, is a direct translation table over a contiguous
-	// window of word-aligned PCs starting at denseBase: slot (pc-denseBase)/4
-	// holds the resident entry for pc, or nil. The map stays authoritative
-	// (it backs replacement and out-of-window PCs); the dense table is a
-	// probe accelerator the engine attaches over the text segment so the
-	// per-retired-instruction residency checks become one array load.
-	dense     []*entry
-	denseBase uint32
+	base     uint32
+	slots    []slot
+	resident int
+	// clock orders the slots' stamps: the least recently used resident
+	// configuration holds the smallest.
+	clock uint64
+	stats Stats
 
 	// State keying for shape-aware translation (SyncState): the fabric
 	// state the resident translations' shape decisions were taken under,
@@ -68,16 +68,14 @@ type Cache struct {
 	state fabric.StateKey
 }
 
-// New builds an LRU cache holding at most capacity configurations.
-func New(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[uint32]*entry, capacity),
-	}
+// New builds an LRU cache holding at most capacity configurations, for the
+// text segment of n word-aligned instructions starting at base.
+func New(capacity int, base uint32, n int) *Cache {
+	return &Cache{capacity: capacity, base: base, slots: make([]slot, n)}
 }
+
+// at returns pc's slot; pc must lie in the text segment.
+func (c *Cache) at(pc uint32) *slot { return &c.slots[(pc-c.base)>>2] }
 
 // SyncState keys the resident translations on the fabric state their shape
 // decisions were taken under: when the observed key moves off the recorded
@@ -89,7 +87,7 @@ func New(capacity int) *Cache {
 // state. Engines translating shape-unaware never call this and keep the
 // plain PC-keyed behaviour.
 func (c *Cache) SyncState(h *fabric.Health, w *fabric.Wear) (flushed bool) {
-	if c.state.Update(h, w, nil) && len(c.entries) > 0 {
+	if c.state.Update(h, w, nil) && c.resident > 0 {
 		c.Clear()
 		c.stats.Flushes++
 		return true
@@ -97,75 +95,24 @@ func (c *Cache) SyncState(h *fabric.Health, w *fabric.Wear) (flushed bool) {
 	return false
 }
 
-// Capacity returns the configured entry limit.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the number of resident configurations.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.resident }
 
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// EnableDense attaches (or re-attaches) a dense translation table covering
-// n word-aligned instructions starting at base — typically the program's
-// text segment. Already-resident in-window configurations are indexed;
-// calling it again with the same window is a no-op so it is cheap to invoke
-// at the top of every run.
-func (c *Cache) EnableDense(base uint32, n int) {
-	if n <= 0 {
-		return
-	}
-	if c.dense != nil && c.denseBase == base && len(c.dense) == n {
-		return
-	}
-	c.denseBase = base
-	c.dense = make([]*entry, n)
-	for pc, e := range c.entries {
-		if i, ok := c.denseSlot(pc); ok {
-			c.dense[i] = e
-		}
-	}
-}
-
-// denseSlot maps pc to its dense-table index, if the table covers it.
-func (c *Cache) denseSlot(pc uint32) (int, bool) {
-	if c.dense == nil {
-		return 0, false
-	}
-	// pc < denseBase wraps to a huge offset and fails the length check.
-	off := pc - c.denseBase
-	if off&3 != 0 {
-		return 0, false
-	}
-	i := int(off >> 2)
-	if i >= len(c.dense) {
-		return 0, false
-	}
-	return i, true
-}
-
-// probe finds the entry for pc without touching stats or recency, through
-// the dense table when it covers pc.
-func (c *Cache) probe(pc uint32) (*entry, bool) {
-	if i, ok := c.denseSlot(pc); ok {
-		e := c.dense[i]
-		return e, e != nil
-	}
-	e, ok := c.entries[pc]
-	return e, ok
-}
-
 // Lookup finds the configuration starting at pc, updating hit/miss counts
 // and recency.
 func (c *Cache) Lookup(pc uint32) (*fabric.Config, bool) {
-	e, ok := c.probe(pc)
-	if !ok {
+	s := c.at(pc)
+	if s.cfg == nil {
 		c.stats.Misses++
 		return nil, false
 	}
 	c.stats.Hits++
-	c.moveToFront(e)
-	return e.cfg, true
+	c.clock++
+	s.stamp = c.clock
+	return s.cfg, true
 }
 
 // CountMiss counts a Lookup the caller knows would miss — its PC failed a
@@ -173,107 +120,55 @@ func (c *Cache) Lookup(pc uint32) (*fabric.Config, bool) {
 func (c *Cache) CountMiss() { c.stats.Misses++ }
 
 // Contains reports residency without touching stats or recency.
-func (c *Cache) Contains(pc uint32) bool {
-	_, ok := c.probe(pc)
-	return ok
-}
+func (c *Cache) Contains(pc uint32) bool { return c.at(pc).cfg != nil }
 
-// Insert stores a configuration, evicting if necessary. Re-inserting an
-// existing StartPC replaces the old configuration.
+// Insert stores a configuration, evicting the least recently used one if
+// the cache is full. Re-inserting an existing StartPC replaces the old
+// configuration.
 func (c *Cache) Insert(cfg *fabric.Config) {
-	if cfg == nil {
-		return
-	}
-	if e, ok := c.entries[cfg.StartPC]; ok {
-		e.cfg = cfg
-		c.moveToFront(e)
-		c.stats.Insertions++
-		return
-	}
-	if len(c.entries) >= c.capacity {
-		c.evict()
-	}
-	e := &entry{cfg: cfg}
-	c.entries[cfg.StartPC] = e
-	if i, ok := c.denseSlot(cfg.StartPC); ok {
-		c.dense[i] = e
-	}
-	c.pushFront(e)
-	c.stats.Insertions++
-}
-
-// Remove drops the configuration starting at pc, if resident.
-func (c *Cache) Remove(pc uint32) {
-	if e, ok := c.entries[pc]; ok {
-		c.unlink(e)
-		delete(c.entries, pc)
-		if i, ok := c.denseSlot(pc); ok {
-			c.dense[i] = nil
+	s := c.at(cfg.StartPC)
+	if s.cfg == nil {
+		if c.resident >= c.capacity {
+			c.evict()
 		}
+		c.resident++
 	}
+	s.cfg = cfg
+	c.clock++
+	s.stamp = c.clock
+	c.stats.Insertions++
 }
 
 // Clear drops every entry, keeping statistics.
 func (c *Cache) Clear() {
-	c.entries = make(map[uint32]*entry, c.capacity)
-	c.head, c.tail = nil, nil
-	if c.dense != nil {
-		clear(c.dense)
-	}
+	clear(c.slots)
+	c.resident = 0
 }
 
 // Configs returns the resident configurations from most to least recent.
 func (c *Cache) Configs() []*fabric.Config {
-	out := make([]*fabric.Config, 0, len(c.entries))
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.cfg)
+	out := make([]*fabric.Config, 0, c.resident)
+	for _, s := range c.slots {
+		if s.cfg != nil {
+			out = append(out, s.cfg)
+		}
 	}
+	slices.SortFunc(out, func(a, b *fabric.Config) int {
+		return cmp.Compare(c.at(b.StartPC).stamp, c.at(a.StartPC).stamp)
+	})
 	return out
 }
 
+// evict drops the resident configuration with the oldest stamp. No shipped
+// workload fills the cache, so the O(slots) scan stays off the hot path.
 func (c *Cache) evict() {
-	if c.tail == nil {
-		return
+	var victim *slot
+	for i := range c.slots {
+		if s := &c.slots[i]; s.cfg != nil && (victim == nil || s.stamp < victim.stamp) {
+			victim = s
+		}
 	}
-	victim := c.tail
-	c.unlink(victim)
-	delete(c.entries, victim.cfg.StartPC)
-	if i, ok := c.denseSlot(victim.cfg.StartPC); ok {
-		c.dense[i] = nil
-	}
+	*victim = slot{}
+	c.resident--
 	c.stats.Evictions++
-}
-
-func (c *Cache) pushFront(e *entry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) moveToFront(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }

@@ -56,13 +56,14 @@ func newNaiveEngine(opts Options) (*naiveEngine, error) {
 	}
 	return &naiveEngine{
 		opts:   opts,
-		cache:  cfgcache.New(cacheCapacity),
 		ctrl:   ctrl,
 		health: opts.Health,
 	}, nil
 }
 
 func (e *naiveEngine) run(c *gpp.Core, limit uint64) (*Report, error) {
+	p := c.Program()
+	e.cache = cfgcache.New(cacheCapacity, p.TextBase, len(p.Text))
 	for !c.Halted() {
 		if c.RetiredCount() >= limit {
 			return nil, errLimit

@@ -20,6 +20,7 @@ package dbt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/cfgcache"
@@ -243,7 +244,7 @@ type Engine struct {
 	// unprofitable — keyed by the trace's stream words (built into
 	// refusedKey) and valued by the ladder probes the refused scan counted.
 	// Within one program a stream word is exactly a (PC, taken) pair, and
-	// ensureTables drops the memo when the program changes.
+	// ensureTables drops both memos when the program changes.
 	unplaceable map[uint32]bool
 	refused     map[string]uint64
 	refusedKey  []byte
@@ -295,14 +296,26 @@ const stopBit = 1 << 7
 // A class count past stopBit would make this array length negative.
 var _ [stopBit - len(ClassCounts{})]struct{}
 
-// ensureTables (re)builds the per-stream-word attribution tables for p.
+// ensureTables (re)builds the per-stream-word attribution tables and the
+// configuration cache for p. Every suite program shares one text base and
+// the cache, the unplaceable memo and the refused memo are keyed by PC or
+// stream word, so a program with other text starts them afresh; a
+// re-assembled copy of the same text keeps them.
 func (e *Engine) ensureTables(p *isa.Program) {
-	if e.tabProg == p {
+	q := e.tabProg
+	e.tabProg = p
+	if q == p || q != nil && q.TextBase == p.TextBase && slices.Equal(q.Text, p.Text) {
 		return
 	}
-	e.tabProg = p
-	// Refused-trace keys name stream words, which index one program's text.
+	if e.cache != nil {
+		// The report's cache counts span every program the engine ran.
+		e.rep.Cache.Add(e.cache.Stats())
+	}
+	e.cache = cfgcache.New(cacheCapacity, p.TextBase, len(p.Text))
+	clear(e.unplaceable)
 	clear(e.refused)
+	// The fabric holds the last program's configuration, whatever its PC.
+	e.hasResident = false
 	e.wordCycles = make([]uint64, 2*len(p.Text))
 	e.wordInfo = make([]uint8, 2*len(p.Text))
 	for i, in := range p.Text {
@@ -341,7 +354,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		opts:  opts,
-		cache: cfgcache.New(cacheCapacity),
 		ctrl:  ctrl,
 		trace: make([]mapper.TraceEntry, 0, maxTraceLen),
 	}
@@ -380,7 +392,8 @@ func (e *Engine) UseMemo(m *mapper.Memo) { e.memo = m }
 // Controller exposes the aging-mitigation controller.
 func (e *Engine) Controller() *core.Controller { return e.ctrl }
 
-// Cache exposes the configuration cache.
+// Cache exposes the configuration cache of the last program run (nil
+// before the first run).
 func (e *Engine) Cache() *cfgcache.Cache { return e.cache }
 
 // Run records the core's retire stream (gpp.Record, up to limit retires in
@@ -403,14 +416,11 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 // and returns the report. It never writes to the stream, which may be
 // shared across engines and goroutines.
 func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
-	// Index the configuration cache densely over the text segment so the
+	// Size the configuration cache over the text segment, so the
 	// per-retired-instruction residency probes (Lookup below, unless
 	// captureStep's Contains already missed on the same PC) are array
-	// loads instead of map operations,
-	// and precompute the per-stream-word attribution tables.
-	p := s.Prog
-	e.cache.EnableDense(p.TextBase, len(p.Text))
-	e.ensureTables(p)
+	// loads, and precompute the per-stream-word attribution tables.
+	e.ensureTables(s.Prog)
 	// The allocator may be shared across a suite of engines (one fabric),
 	// so its search counters are attributed to this run as a delta.
 	var allocStart searchcost.Counts
@@ -445,7 +455,6 @@ func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 	e.rep.AllocatorName = e.ctrl.Allocator().Name()
 	e.rep.TotalCycles = e.rep.GPPCycles + e.rep.CGRACycles
 	e.rep.TotalInstrs = e.rep.GPPInstrs + e.rep.CGRAInstrs
-	e.rep.Cache = e.cache.Stats()
 	e.rep.Util = e.ctrl.Utilization()
 	e.rep.Search = e.search
 	if instrumented != nil {
@@ -455,6 +464,7 @@ func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 		e.rep.Search.Add(e.opts.Recovery.SearchCounts().Sub(monStart))
 	}
 	rep := e.rep
+	rep.Cache.Add(e.cache.Stats())
 	return &rep, nil
 }
 

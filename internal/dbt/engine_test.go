@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"slices"
 	"testing"
 
 	"agingcgra/internal/alloc"
@@ -358,5 +359,85 @@ func TestEngineLimit(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	if _, err := NewEngine(Options{}); err == nil {
 		t.Error("zero geometry accepted")
+	}
+}
+
+// TestReusedEngineMatchesFreshPerProgram runs one engine over a pair of
+// suite programs and checks that the second program's share of the report
+// equals a fresh engine's report for it. The suite shares one text base,
+// so an engine keeping the first program's PC-keyed translations or
+// unplaceable memo would offload them in the second and account the first
+// program's instruction classes there. Stale translations around dead
+// columns fill the unplaceable memo. Under the baseline allocator's fixed
+// pivot a configuration of the first program left on the fabric would
+// spare the second a reconfiguration event.
+func TestReusedEngineMatchesFreshPerProgram(t *testing.T) {
+	g := fabric.NewGeometry(2, 16)
+	dead, err := fabric.PatternCells("columns:0+8", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// counts flattens the report's event counts.
+	counts := func(r *Report) []uint64 {
+		c := r.Cache
+		out := []uint64{r.GPPCycles, r.CGRACycles, r.Translations, r.Offloads, r.ReconfigEvents,
+			r.GPPFallbacks, c.Hits, c.Misses, c.Insertions, c.Evictions, c.Flushes}
+		out = append(out, r.GPPClasses[:]...)
+		return append(out, r.CGRAClasses[:]...)
+	}
+	run := func(e *Engine, b *prog.Benchmark) []uint64 {
+		t.Helper()
+		c, err := b.NewCore(prog.Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(c, b.MaxInstructions)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		return counts(rep)
+	}
+
+	suite := prog.All()
+	for _, tc := range []struct {
+		rotate, stale bool
+	}{{false, false}, {false, true}, {true, false}, {true, true}} {
+		newEngine := func() *Engine {
+			opts := Options{Geom: g}
+			if tc.rotate {
+				opts.Allocator = alloc.NewUtilizationAware(g)
+			}
+			if tc.stale {
+				opts.StaleTranslations = true
+				if opts.Health, err = fabric.NewHealthWithDead(g, dead); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e, err := NewEngine(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		fresh := make([][]uint64, len(suite))
+		for i, b := range suite {
+			fresh[i] = run(newEngine(), b)
+		}
+		for i, a := range suite {
+			// Every benchmark follows two others, and precedes two.
+			for _, j := range []int{(i + 1) % len(suite), (i + 3) % len(suite)} {
+				b := suite[j]
+				e := newEngine()
+				first := run(e, a)
+				got := run(e, b)
+				for k := range got {
+					got[k] -= first[k]
+				}
+				if !slices.Equal(got, fresh[j]) {
+					t.Errorf("%+v: %s after %s: reused engine's share\n got  %v\n want %v",
+						tc, b.Name, a.Name, got, fresh[j])
+				}
+			}
+		}
 	}
 }
