@@ -123,7 +123,10 @@ func TestRunTraceAtAnyWorkerCount(t *testing.T) {
 // terminator is implied by the loop's next cache hit: no dbt test does.
 // The other cases run crc32 under the default four allocators: shape
 // search, the fine-ladder remap rescue and stale translations around dead
-// columns, a dead quadrant, and faults with recovery.
+// columns, a dead quadrant, and faults with recovery. The two mix cases
+// run several benchmarks, one name repeated, on one fabric per epoch: they
+// pin how the programs of a mix share the controller's wear, health and
+// allocator state. A case's own -bench overrides the crc32 default.
 func TestRunExploreShapeFaultsGolden(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -141,6 +144,10 @@ func TestRunExploreShapeFaultsGolden(t *testing.T) {
 			[]string{"-dead", "quadrant"}},
 		{"faults-recovery.json.golden",
 			[]string{"-faults", "-recovery"}},
+		{"mix-explore-shape-faults.json.golden",
+			[]string{"-bench", "crc32,sha,crc32", "-allocators", "explore", "-shape-translations", "-faults", "-recovery"}},
+		{"mix-stale-dead-columns-0-8.json.golden",
+			[]string{"-bench", "sha,crc32,sha", "-stale-translations", "-dead", "columns:0+8"}},
 	}
 	for _, tc := range cases {
 		t.Run(strings.TrimSuffix(tc.golden, ".json.golden"), func(t *testing.T) {
