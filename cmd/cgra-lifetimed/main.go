@@ -43,6 +43,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h printed the usage
+		}
 		fmt.Fprintln(os.Stderr, "cgra-lifetimed:", err)
 		os.Exit(1)
 	}

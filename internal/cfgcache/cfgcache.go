@@ -2,18 +2,12 @@
 // CGRA configurations indexed by the PC of their first instruction (Fig. 2,
 // step 3/4 of the paper), with bounded capacity and LRU replacement.
 //
-// Two invariants carry the rest of the system:
-//
-//   - Probe cost: the hot loop probes once or twice per retired
-//     instruction (CountMiss stands in for a probe known to miss), so the
-//     cache is one table with a slot per instruction of the program's text
-//     segment, indexed by (PC − TextBase)/4 — a probe is one array load.
-//     Every probed PC is a retired one, so it lies in the text segment.
-//   - State keying: a cached artifact is a decision taken under one
-//     fabric state. Cache.SyncState flushes translations wholesale when
-//     the observed fabric.StateKey moves (the shape-translating DBT's
-//     contract), so the cache never serves an entry recorded under a
-//     different state than the caller currently observes.
+// The hot loop probes once or twice per retired instruction (CountMiss
+// stands in for a probe known to miss), so the cache is one table with a
+// slot per instruction of the program's text segment, indexed by
+// (PC − TextBase)/4 — a probe is one array load. Every probed PC is a
+// retired one, so it lies in the text segment. The cache knows nothing of
+// the fabric state; a caller whose entries go stale empties it with Clear.
 package cfgcache
 
 import (
@@ -29,18 +23,9 @@ type Stats struct {
 	Misses     uint64
 	Insertions uint64
 	Evictions  uint64
-	// Flushes counts wholesale state invalidations (SyncState observing a
-	// moved fabric-state key under shape-aware translation).
+	// Flushes counts Clear calls: wholesale invalidations, such as the
+	// shape-translating DBT's when the fabric state moves.
 	Flushes uint64
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Insertions += o.Insertions
-	s.Evictions += o.Evictions
-	s.Flushes += o.Flushes
 }
 
 // slot holds the configuration resident for one text-segment PC (nil when
@@ -61,11 +46,6 @@ type Cache struct {
 	// configuration holds the smallest.
 	clock uint64
 	stats Stats
-
-	// State keying for shape-aware translation (SyncState): the fabric
-	// state the resident translations' shape decisions were taken under,
-	// at first that of a pristine, unworn fabric.
-	state fabric.StateKey
 }
 
 // New builds an LRU cache holding at most capacity configurations, for the
@@ -76,24 +56,6 @@ func New(capacity int, base uint32, n int) *Cache {
 
 // at returns pc's slot; pc must lie in the text segment.
 func (c *Cache) at(pc uint32) *slot { return &c.slots[(pc-c.base)>>2] }
-
-// SyncState keys the resident translations on the fabric state their shape
-// decisions were taken under: when the observed key moves off the recorded
-// one, every resident translation's shape was chosen for a fabric that no
-// longer exists — a death changes which shapes place, a wear advance
-// changes which shape the wear tie-break prefers — so the cache flushes
-// wholesale and reports it, and the engine lets the trace builder
-// re-translate against the new state. An empty cache only records the
-// state. Engines translating shape-unaware never call this and keep the
-// plain PC-keyed behaviour.
-func (c *Cache) SyncState(h *fabric.Health, w *fabric.Wear) (flushed bool) {
-	if c.state.Update(h, w, nil) && c.resident > 0 {
-		c.Clear()
-		c.stats.Flushes++
-		return true
-	}
-	return false
-}
 
 // Len returns the number of resident configurations.
 func (c *Cache) Len() int { return c.resident }
@@ -139,10 +101,11 @@ func (c *Cache) Insert(cfg *fabric.Config) {
 	c.stats.Insertions++
 }
 
-// Clear drops every entry, keeping statistics.
+// Clear drops every entry and counts a flush; the other statistics stay.
 func (c *Cache) Clear() {
 	clear(c.slots)
 	c.resident = 0
+	c.stats.Flushes++
 }
 
 // Configs returns the resident configurations from most to least recent.

@@ -78,8 +78,8 @@ func TestClear(t *testing.T) {
 	if c.Len() != 0 || c.Contains(base+4) || c.Contains(base+8) {
 		t.Error("Clear failed")
 	}
-	if c.Stats().Insertions != 2 {
-		t.Errorf("insertions = %d after Clear, want 2 (Clear keeps statistics)", c.Stats().Insertions)
+	if st := c.Stats(); st.Insertions != 2 || st.Flushes != 1 {
+		t.Errorf("stats = %+v after Clear, want 2 insertions kept and 1 flush counted", st)
 	}
 	// Cache still usable after Clear.
 	c.Insert(cfg(base + 12))
@@ -153,53 +153,5 @@ func TestManyInsertionsStayBounded(t *testing.T) {
 	}
 	if got := c.Stats().Evictions; got != window-8 {
 		t.Errorf("evictions = %d, want %d", got, window-8)
-	}
-}
-
-// TestSyncStateFlushesOnVersionMove pins the translation-cache state
-// keying behind shape-aware translation: the first SyncState only records
-// the fabric-state key, an unchanged state keeps every entry, and any
-// health or wear move flushes wholesale and counts a flush.
-func TestSyncStateFlushesOnVersionMove(t *testing.T) {
-	g := fabric.NewGeometry(2, 4)
-	h, w := fabric.NewHealth(g), fabric.NewWear(g)
-	c := New(8, base, 16)
-	h.Kill(fabric.Cell{Row: 0, Col: 0})
-	if c.SyncState(h, w) {
-		t.Error("first SyncState flushed; it should only record the state")
-	}
-	c.Insert(cfg(base))
-	c.Insert(cfg(base + 8))
-	if c.SyncState(h, w) {
-		t.Error("unchanged state flushed")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-
-	h.Kill(fabric.Cell{Row: 1, Col: 2})
-	if !c.SyncState(h, w) {
-		t.Error("a death did not flush")
-	}
-	if c.Len() != 0 {
-		t.Errorf("len = %d after health flush, want 0", c.Len())
-	}
-	if c.Contains(base) {
-		t.Error("the cache still reports a flushed translation")
-	}
-
-	c.Insert(cfg(base))
-	w.Add(fabric.Cell{Row: 0, Col: 1}, 0.5)
-	if !c.SyncState(h, w) {
-		t.Error("wear version move did not flush")
-	}
-	if got := c.Stats().Flushes; got != 2 {
-		t.Errorf("flushes = %d, want 2", got)
-	}
-
-	// An empty cache observing a move records it without counting a flush.
-	h.Kill(fabric.Cell{Row: 1, Col: 3})
-	if c.SyncState(h, w) {
-		t.Error("empty cache reported a flush")
 	}
 }

@@ -5,6 +5,12 @@
 // itself with the aging-mitigation controller deciding where each
 // configuration lands.
 //
+// An Engine is one chip: it owns its controller, so every program run on
+// it (RunStream) accumulates stress and allocator state on one fabric, as
+// the applications of a deployed system do. Everything else a run
+// decides — the configuration cache, the translator's memos, the resident
+// configuration and the Report — starts clean with each run.
+//
 // Functional execution happens once per program, on the gpp.Core
 // interpreter, whose recorded retire stream (gpp.Stream) the engine then
 // walks: it attributes cycles and NBTI stress to the GPP or the CGRA
@@ -20,7 +26,6 @@ package dbt
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/cfgcache"
@@ -67,16 +72,11 @@ type Options struct {
 	// configuration columns ahead of the execution wave (CfgLines >
 	// ColumnsPerCycle), hiding the reload entirely.
 	ExposeReconfig bool
-	// Controller, when non-nil, is shared with the engine instead of
-	// creating a fresh one. Sharing lets a suite of applications accumulate
-	// stress on one fabric, as a deployed chip would; the Allocator option
-	// is ignored in that case.
-	Controller *core.Controller
 	// Health marks failed FUs the DBT must map around (the
-	// graceful-degradation extension): a mutable fabric health map shared
-	// between the mapper (which places new translations only on live
-	// cells) and the aging-mitigation controller (which skips pivot offsets
-	// that would rotate a configuration onto a dead FU).
+	// graceful-degradation extension): a mutable fabric health map the
+	// engine's controller adopts, read by the mapper (which places new
+	// translations only on live cells) and by placement (which skips pivot
+	// offsets that would rotate a configuration onto a dead FU).
 	Health *fabric.Health
 	// StaleTranslations models a DBT whose translation memory predates the
 	// failures: new translations are mapped for the pristine fabric (no
@@ -88,14 +88,14 @@ type Options struct {
 	// (false) re-translates against current health, modelling a DBT flushed
 	// on every failure event.
 	StaleTranslations bool
-	// Wear is the fabric's accumulated cross-epoch NBTI stress map.
-	// Wear-adaptive allocators (alloc.WearSetter) receive it through the
-	// controller and re-explore their placement whenever its version
+	// Wear is the fabric's accumulated cross-epoch NBTI stress map, adopted
+	// by the engine's controller. Wear-adaptive allocators (alloc.WearSetter)
+	// receive it and re-explore their placement whenever its version
 	// changes; the engine then observes the new pivot through the resident
 	// (StartPC, Offset) identity and accounts a reconfiguration event,
 	// exactly as it does when a kill forces the placement off a dead cell.
-	// Wear never affects placeability — a worn FU still computes — so the
-	// unplaceable and refused memos below stay keyed on health alone.
+	// Wear never affects placeability — a worn FU still computes — so only
+	// shape-aware translation keys the engine's state on it.
 	Wear *fabric.Wear
 	// ShapeTranslations enables translation-time shape search: instead of
 	// mapping every hot trace at the identity full-fabric shape, the DBT
@@ -105,12 +105,12 @@ type Options struct {
 	// cells it would occupy — fresh translations are born shape- and
 	// health-aware instead of relying on the allocation-time remap rescue.
 	// Because the chosen shape is a decision taken under one fabric state,
-	// the translation cache is then keyed on the health and wear maps'
-	// fabric.StateKey (cfgcache.Cache.SyncState): any move flushes the
-	// translations wholesale and the trace builder re-captures against the
-	// new state. Mutually exclusive with StaleTranslations —
-	// shape-aware translation is precisely the regime where the DBT's
-	// translation memory follows the fabric state instead of predating it.
+	// the engine's state key then covers the wear map as well as health
+	// (syncState): any move flushes the translations wholesale and the trace
+	// builder re-captures against the new state. Mutually exclusive with
+	// StaleTranslations — shape-aware translation is precisely the regime
+	// where the DBT's translation memory follows the fabric state instead of
+	// predating it.
 	ShapeTranslations bool
 	// Ladder is the candidate shape ladder the translation-time search
 	// walks (zero value: fabric.DefaultShapeLadder, the same ladder the
@@ -228,28 +228,28 @@ type Engine struct {
 
 	// shapes is the materialised translation-time shape ladder (nil when
 	// ShapeTranslations is off); search tallies the ladder scans for the
-	// derived cost model. stateFlushed records that a SyncState flush
+	// derived cost model. stateFlushed records that a syncState flush
 	// happened in finalizeTrace after the current offload's configuration
 	// was already looked up — that configuration's shape decision is stale
-	// and the offload must take the GPP path even though the cache state
-	// is already resynced.
+	// and the offload must take the GPP path even though the state key is
+	// already resynced.
 	shapes       []fabric.Geometry
 	search       searchcost.Counts
 	stateFlushed bool
 
-	// Health-keyed memos, both dropped whenever memoDead moves (syncMemos).
-	// unplaceable holds configurations the controller found no live
-	// placement for, keyed by StartPC. refused holds captured traces the
-	// translator rejected — nothing mapped, too few ops consumed, or
-	// unprofitable — keyed by the trace's stream words (built into
-	// refusedKey) and valued by the ladder probes the refused scan counted.
-	// Within one program a stream word is exactly a (PC, taken) pair, and
-	// ensureTables drops both memos when the program changes.
+	// state is the fabric.StateKey the run's memoized decisions were taken
+	// under (syncState); both memos drop whenever it moves. unplaceable
+	// holds configurations the controller found no live placement for,
+	// keyed by StartPC. refused holds captured traces the translator
+	// rejected — nothing mapped, too few ops consumed, or unprofitable —
+	// keyed by the trace's stream words (built into refusedKey) and valued
+	// by the ladder probes the refused scan counted. Within one program a
+	// stream word is exactly a (PC, taken) pair, and every run starts both
+	// memos empty.
+	state       fabric.StateKey
 	unplaceable map[uint32]bool
 	refused     map[string]uint64
 	refusedKey  []byte
-	memoDead    [2]fabric.Mask
-	memoTwo     bool
 
 	// Trace capture state. The captured trace is the stream range
 	// [traceStart, traceStart+traceLen): the GPP retires a trace's
@@ -275,11 +275,12 @@ type Engine struct {
 	residentOff fabric.Offset
 	hasResident bool
 
-	// Per-stream-word tables for the GPP path, built once per program and
-	// indexed by the retire word (text index<<1 | taken): wordCycles is the
-	// retire's cycle cost and wordInfo its instruction class, with stopBit
-	// set when the retire ends a trace. A GPP step is then three array
-	// loads, with no instruction decode or switch dispatch.
+	// Per-stream-word tables for the GPP path, built once per program (the
+	// only state a run inherits from the last one) and indexed by the retire
+	// word (text index<<1 | taken): wordCycles is the retire's cycle cost
+	// and wordInfo its instruction class, with stopBit set when the retire
+	// ends a trace. A GPP step is then three array loads, with no
+	// instruction decode or switch dispatch.
 	tabProg    *isa.Program
 	wordCycles []uint64
 	wordInfo   []uint8
@@ -296,26 +297,21 @@ const stopBit = 1 << 7
 // A class count past stopBit would make this array length negative.
 var _ [stopBit - len(ClassCounts{})]struct{}
 
-// ensureTables (re)builds the per-stream-word attribution tables and the
-// configuration cache for p. Every suite program shares one text base and
-// the cache, the unplaceable memo and the refused memo are keyed by PC or
-// stream word, so a program with other text starts them afresh; a
-// re-assembled copy of the same text keeps them.
-func (e *Engine) ensureTables(p *isa.Program) {
-	q := e.tabProg
-	e.tabProg = p
-	if q == p || q != nil && q.TextBase == p.TextBase && slices.Equal(q.Text, p.Text) {
-		return
-	}
-	if e.cache != nil {
-		// The report's cache counts span every program the engine ran.
-		e.rep.Cache.Add(e.cache.Stats())
-	}
+// reset starts a run of p clean: an empty configuration cache sized over
+// p's text segment (so the per-retired-instruction residency probes are
+// array loads), empty memos, no resident configuration, and a zeroed
+// Report and search tally. Only the per-stream-word attribution tables
+// carry over, when the program does.
+func (e *Engine) reset(p *isa.Program) {
 	e.cache = cfgcache.New(cacheCapacity, p.TextBase, len(p.Text))
 	clear(e.unplaceable)
 	clear(e.refused)
-	// The fabric holds the last program's configuration, whatever its PC.
-	e.hasResident = false
+	e.hasResident, e.stateFlushed = false, false
+	e.rep, e.search = Report{}, searchcost.Counts{}
+	if e.tabProg == p {
+		return
+	}
+	e.tabProg = p
 	e.wordCycles = make([]uint64, 2*len(p.Text))
 	e.wordInfo = make([]uint8, 2*len(p.Text))
 	for i, in := range p.Text {
@@ -337,16 +333,9 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err := opts.Geom.Validate(); err != nil {
 		return nil, err
 	}
-	ctrl := opts.Controller
-	if ctrl == nil {
-		var err error
-		ctrl, err = core.NewController(opts.Geom, opts.Allocator)
-		if err != nil {
-			return nil, err
-		}
-	} else if ctrl.Tracker().Geometry() != opts.Geom {
-		return nil, fmt.Errorf("dbt: shared controller geometry %v does not match engine geometry %v",
-			ctrl.Tracker().Geometry(), opts.Geom)
+	ctrl, err := core.NewController(opts.Geom, opts.Allocator)
+	if err != nil {
+		return nil, err
 	}
 	if opts.ShapeTranslations && opts.StaleTranslations {
 		return nil, fmt.Errorf("dbt: ShapeTranslations and StaleTranslations are mutually exclusive: " +
@@ -371,15 +360,12 @@ func NewEngine(opts Options) (*Engine, error) {
 				ladder.Name, opts.Geom)
 		}
 	}
-	// An engine-owned controller adopts the health map so placement avoids
-	// dead cells; a shared controller's health is the owner's business (the
-	// lifetime simulator attaches the same map to both).
-	if opts.Health != nil && opts.Controller == nil {
+	// The controller adopts the health map so placement avoids dead cells,
+	// and the wear map so wear-adaptive allocators see the aging history.
+	if opts.Health != nil {
 		ctrl.SetHealth(opts.Health)
 	}
-	// Same ownership rule for the wear map: an engine-owned controller
-	// adopts it so wear-adaptive allocators see the aging history.
-	if opts.Wear != nil && opts.Controller == nil {
+	if opts.Wear != nil {
 		ctrl.SetWear(opts.Wear)
 	}
 	return e, nil
@@ -389,11 +375,12 @@ func NewEngine(opts Options) (*Engine, error) {
 // sharing it map each (trace, shape, dead mask) once.
 func (e *Engine) UseMemo(m *mapper.Memo) { e.memo = m }
 
-// Controller exposes the aging-mitigation controller.
+// Controller exposes the aging-mitigation controller: the fabric every run
+// of the engine accumulates stress on.
 func (e *Engine) Controller() *core.Controller { return e.ctrl }
 
-// Cache exposes the configuration cache of the last program run (nil
-// before the first run).
+// Cache exposes the configuration cache of the last run (nil before the
+// first run).
 func (e *Engine) Cache() *cfgcache.Cache { return e.cache }
 
 // Run records the core's retire stream (gpp.Record, up to limit retires in
@@ -413,23 +400,20 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 }
 
 // RunStream co-simulates a recorded retire stream on the TransRec system
-// and returns the report. It never writes to the stream, which may be
-// shared across engines and goroutines.
+// and returns the report of this run alone; only the fabric's stress and
+// allocator state carry over from earlier runs. It never writes to the
+// stream, which may be shared across engines and goroutines.
 func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
-	// Size the configuration cache over the text segment, so the
-	// per-retired-instruction residency probes (Lookup below, unless
-	// captureStep's Contains already missed on the same PC) are array
-	// loads, and precompute the per-stream-word attribution tables.
-	e.ensureTables(s.Prog)
-	// The allocator may be shared across a suite of engines (one fabric),
-	// so its search counters are attributed to this run as a delta.
+	e.reset(s.Prog)
+	// The allocator persists across the engine's runs, so its search
+	// counters are attributed to this run as a delta.
 	var allocStart searchcost.Counts
 	instrumented, _ := e.ctrl.Allocator().(searchcost.Instrumented)
 	if instrumented != nil {
 		allocStart = instrumented.SearchCounts()
 	}
 	// Same delta convention for the recovery monitor's checker/retry work:
-	// the monitor persists across the epoch's engines.
+	// the monitor persists across the engine's runs.
 	var monStart searchcost.Counts
 	if e.opts.Recovery != nil {
 		monStart = e.opts.Recovery.SearchCounts()
@@ -463,8 +447,8 @@ func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
 	if e.opts.Recovery != nil {
 		e.rep.Search.Add(e.opts.Recovery.SearchCounts().Sub(monStart))
 	}
+	e.rep.Cache = e.cache.Stats()
 	rep := e.rep
-	rep.Cache.Add(e.cache.Stats())
 	return &rep, nil
 }
 
@@ -484,22 +468,19 @@ func (e *Engine) offload(cfg *fabric.Config) error {
 		e.stepOnGPP()
 		return nil
 	}
-	if e.opts.ShapeTranslations {
-		// The resident translations' shapes were decided under one
-		// (health, wear) state; if either map moved, every decision is
-		// stale — flush wholesale and retire this instruction on the GPP
-		// with the trace builder engaged, so the region re-translates
-		// against the new state. finalizeTrace may
-		// already have consumed the flush between this offload's cache hit
-		// and this check (stateFlushed): the looked-up configuration is
-		// stale all the same.
-		if e.cache.SyncState(e.opts.Health, e.ctrl.Wear()) || e.stateFlushed {
-			e.stateFlushed = false
-			e.captureStep()
-			return nil
-		}
+	// The memos read below must be the current state's. Under shape
+	// translation the resident translations' shapes were decided under one
+	// (health, wear) state; if either map moved, every decision is stale —
+	// the cache flushed, and this instruction retires on the GPP with the
+	// trace builder engaged, so the region re-translates against the new
+	// state. finalizeTrace may already have consumed the flush between this
+	// offload's cache hit and this check (stateFlushed): the looked-up
+	// configuration is stale all the same.
+	if e.syncState() || e.stateFlushed {
+		e.stateFlushed = false
+		e.captureStep()
+		return nil
 	}
-	e.syncMemos()
 	if e.unplaceable[cfg.StartPC] {
 		e.rep.GPPFallbacks++
 		e.stepOnGPP()
@@ -648,24 +629,31 @@ func (e *Engine) gppCyclesFirst(cfg *fabric.Config, n int) uint64 {
 	return cycles
 }
 
-// syncMemos drops the unplaceable and refused memos when the health they
-// were decided under moved: the dead cells of the mapper's map or of the
-// controller's placement map, compared once when they are one map (memoTwo
-// false), as wherever the controller is engine-owned or attached by the
-// lifetime simulator. Wear is deliberately not observed: it only orders
-// ladder rungs already tied on consumed ops and ExecCycles, the two values
-// a refusal reads. This runs on every offload: Health.Matches reads only
-// the mask words the geometry uses, and a nil Options.Health, fixed for the
-// engine's life, is not compared.
-func (e *Engine) syncMemos() {
-	h, ch := e.opts.Health, e.ctrl.Health()
-	two := ch != h
-	if two != e.memoTwo || h != nil && !h.Matches(&e.memoDead[0]) || two && !ch.Matches(&e.memoDead[1]) {
-		clear(e.unplaceable)
-		clear(e.refused)
-		e.memoDead = [2]fabric.Mask{h.Mask(), ch.Mask()}
-		e.memoTwo = two
+// syncState keys the run's decisions on the fabric state they were taken
+// under: the controller's health map, plus its wear map under shape
+// translation, where wear orders the ladder rungs. When the key moves, the
+// unplaceable and refused memos drop, and under shape translation a
+// non-empty cache flushes wholesale (every resident shape was chosen for a
+// fabric that no longer exists), which syncState reports. Without shape
+// translation wear is not observed: the memos' outcomes read only live
+// cells, consumed ops and ExecCycles, and the cache keeps its plain
+// PC-keyed behaviour. This runs on every offload: Health.Matches reads
+// only the mask words the geometry uses.
+func (e *Engine) syncState() (flushed bool) {
+	var w *fabric.Wear
+	if e.shapes != nil {
+		w = e.ctrl.Wear()
 	}
+	if !e.state.Update(e.ctrl.Health(), w, nil) {
+		return false
+	}
+	clear(e.unplaceable)
+	clear(e.refused)
+	if e.shapes == nil || e.cache.Len() == 0 {
+		return false
+	}
+	e.cache.Clear()
+	return true
 }
 
 // translationMask returns the dead cells the translator maps shape around,
@@ -673,7 +661,7 @@ func (e *Engine) syncMemos() {
 // translations assume a pristine fabric, so clustered failures can make
 // them unplaceable — the case the remap layer rescues.
 func (e *Engine) translationMask(shape fabric.Geometry) fabric.Mask {
-	h := e.opts.Health
+	h := e.ctrl.Health()
 	if e.opts.StaleTranslations || h == nil || h.DeadCount() == 0 {
 		return fabric.Mask{}
 	}
@@ -735,17 +723,15 @@ func (e *Engine) finalizeTrace() {
 	if n < mapper.MinOps {
 		return
 	}
-	if e.shapes != nil {
-		// Key the insert on the state the shape decision is about to be
-		// taken under: if the state moved since the resident entries
-		// were decided, they are stale and flush here — otherwise this
-		// fresh translation would be recorded under the old state and
-		// wrongly flushed (wasting its ladder scan) at its own first
-		// offload. A configuration looked up before this flush is still
-		// stale; remember the flush so the offload path rejects it.
-		if e.cache.SyncState(e.opts.Health, e.ctrl.Wear()) {
-			e.stateFlushed = true
-		}
+	// Key the translation on the state it is about to be taken under: if
+	// the state moved since the resident shapes were decided, they are
+	// stale and flush here — otherwise this fresh translation would be
+	// recorded under the old state and wrongly flushed (wasting its ladder
+	// scan) at its own first offload. A configuration looked up before this
+	// flush is still stale; remember the flush so the offload path rejects
+	// it.
+	if e.syncState() {
+		e.stateFlushed = true
 	}
 	words := e.stream.Retires[e.traceStart : e.traceStart+n]
 	key := e.refusedKey[:0]
@@ -753,7 +739,6 @@ func (e *Engine) finalizeTrace() {
 		key = binary.LittleEndian.AppendUint32(key, w)
 	}
 	e.refusedKey = key
-	e.syncMemos()
 	if probes, ok := e.refused[string(key)]; ok {
 		if e.shapes != nil {
 			e.search.LadderScans++

@@ -276,58 +276,82 @@ func TestEngineOnRealBenchmark(t *testing.T) {
 	}
 }
 
-// TestUnplaceableConfigFallsBackToGPP kills the whole fabric between two
-// runs sharing one engine: the cached configurations (translated healthy)
-// have no live placement left, so the baseline allocator cannot move them
-// and every offload must fall back to the GPP — with the architectural
-// result still correct and all cycles attributed to the GPP.
+// hookAllocator is the baseline allocator with fabric events at chosen
+// proposals: at[n] runs when Next is called the n-th time, so a test can
+// move the fabric state between two offloads of one run, the way a
+// quarantine moves the observed health map.
+type hookAllocator struct {
+	alloc.Baseline
+	calls int
+	at    map[int]func()
+}
+
+func (a *hookAllocator) Next(cfg *fabric.Config) fabric.Offset {
+	a.calls++
+	if f := a.at[a.calls]; f != nil {
+		f()
+	}
+	return a.Baseline.Next(cfg)
+}
+
+// TestUnplaceableConfigFallsBackToGPP kills the whole fabric in the middle
+// of a run, at the placement of its killAt-th offload: the cached
+// configurations (translated healthy) have no live placement left, so the
+// baseline allocator cannot move them and every later offload must fall
+// back to the GPP — with the architectural result still correct and every
+// later instruction attributed to the GPP.
 func TestUnplaceableConfigFallsBackToGPP(t *testing.T) {
+	const killAt = 5
 	b, _ := prog.ByName("crc32")
 	geom := fabric.NewGeometry(2, 8)
-	health := fabric.NewHealth(geom)
-	e, err := NewEngine(Options{Geom: geom, Health: health})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c1, err := b.NewCore(prog.Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := e.Run(c1, b.MaxInstructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.Offloads == 0 {
-		t.Fatal("healthy run never offloaded; the fallback test needs cached configs")
-	}
-
-	for r := 0; r < geom.Rows; r++ {
-		for col := 0; col < geom.Cols; col++ {
-			health.Kill(fabric.Cell{Row: r, Col: col})
+	run := func(kill bool) (*Report, *gpp.Core) {
+		t.Helper()
+		health := fabric.NewHealth(geom)
+		a := &hookAllocator{}
+		if kill {
+			a.at = map[int]func(){killAt: func() {
+				for r := 0; r < geom.Rows; r++ {
+					for col := 0; col < geom.Cols; col++ {
+						health.Kill(fabric.Cell{Row: r, Col: col})
+					}
+				}
+			}}
 		}
+		e, err := NewEngine(Options{Geom: geom, Health: health, Allocator: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := b.NewCore(prog.Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(c, b.MaxInstructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, c
 	}
-	c2, err := b.NewCore(prog.Tiny)
-	if err != nil {
-		t.Fatal(err)
+
+	healthy, _ := run(false)
+	if healthy.Offloads <= killAt {
+		t.Fatalf("healthy run offloaded %d times; the fallback test needs more than %d", healthy.Offloads, killAt)
 	}
-	rep2, err := e.Run(c2, b.MaxInstructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Check(c2.Mem, c2.Regs[isa.A0], prog.Tiny); err != nil {
+	rep, c := run(true)
+	if err := b.Check(c.Mem, c.Regs[isa.A0], prog.Tiny); err != nil {
 		t.Fatalf("wrong result on fully dead fabric: %v", err)
 	}
-	// Report counters accumulate across runs on a shared engine; the
-	// second run must have added no offloads and no CGRA instructions.
-	if rep2.Offloads != rep1.Offloads {
-		t.Errorf("dead fabric still offloaded: %d -> %d", rep1.Offloads, rep2.Offloads)
+	// The offload whose placement killed the fabric still ran; none after.
+	if rep.Offloads != killAt {
+		t.Errorf("dead fabric still offloaded: %d offloads, want %d", rep.Offloads, killAt)
 	}
-	if rep2.CGRAInstrs != rep1.CGRAInstrs {
-		t.Errorf("dead fabric executed CGRA instructions: %d -> %d", rep1.CGRAInstrs, rep2.CGRAInstrs)
+	if rep.GPPFallbacks == 0 {
+		t.Error("no offload fell back to the GPP on the dead fabric")
 	}
-	if got := rep2.GPPInstrs - rep1.GPPInstrs; got != c2.RetiredCount() {
-		t.Errorf("GPP fallback attributed %d instrs, want all %d retired", got, c2.RetiredCount())
+	if rep.CGRAInstrs >= healthy.CGRAInstrs {
+		t.Errorf("dead fabric executed %d CGRA instructions, the healthy run %d", rep.CGRAInstrs, healthy.CGRAInstrs)
+	}
+	if got := rep.GPPInstrs + rep.CGRAInstrs; got != c.RetiredCount() {
+		t.Errorf("report attributed %d instrs, want all %d retired", got, c.RetiredCount())
 	}
 }
 
@@ -363,14 +387,14 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 // TestReusedEngineMatchesFreshPerProgram runs one engine over a pair of
-// suite programs and checks that the second program's share of the report
-// equals a fresh engine's report for it. The suite shares one text base,
-// so an engine keeping the first program's PC-keyed translations or
-// unplaceable memo would offload them in the second and account the first
-// program's instruction classes there. Stale translations around dead
-// columns fill the unplaceable memo. Under the baseline allocator's fixed
-// pivot a configuration of the first program left on the fabric would
-// spare the second a reconfiguration event.
+// suite programs and checks that the second run's report equals a fresh
+// engine's report for that program: every run starts clean. The suite
+// shares one text base, so an engine keeping the first program's PC-keyed
+// translations or unplaceable memo would offload them in the second and
+// account the first program's instruction classes there. Stale
+// translations around dead columns fill the unplaceable memo. Under the
+// baseline allocator's fixed pivot a configuration of the first program
+// left on the fabric would spare the second a reconfiguration event.
 func TestReusedEngineMatchesFreshPerProgram(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	dead, err := fabric.PatternCells("columns:0+8", g)
@@ -428,13 +452,9 @@ func TestReusedEngineMatchesFreshPerProgram(t *testing.T) {
 			for _, j := range []int{(i + 1) % len(suite), (i + 3) % len(suite)} {
 				b := suite[j]
 				e := newEngine()
-				first := run(e, a)
-				got := run(e, b)
-				for k := range got {
-					got[k] -= first[k]
-				}
-				if !slices.Equal(got, fresh[j]) {
-					t.Errorf("%+v: %s after %s: reused engine's share\n got  %v\n want %v",
+				run(e, a)
+				if got := run(e, b); !slices.Equal(got, fresh[j]) {
+					t.Errorf("%+v: %s after %s: reused engine's report\n got  %v\n want %v",
 						tc, b.Name, a.Name, got, fresh[j])
 				}
 			}

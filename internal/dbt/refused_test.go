@@ -154,9 +154,12 @@ func TestRefusedTranslationMemoKeyCoversBranchDirections(t *testing.T) {
 }
 
 // captureTrace makes the whole of s the engine's captured trace, as the
-// GPP path captures a stream range, and finalizes it.
+// GPP path captures a stream range, and finalizes it. Captures of one
+// program share one run, so its memos carry over between them.
 func captureTrace(e *Engine, s *gpp.Stream) {
-	e.ensureTables(s.Prog)
+	if e.tabProg != s.Prog {
+		e.reset(s.Prog)
+	}
 	e.stream = s
 	e.traceStart, e.traceLen = 0, len(s.Retires)
 	e.finalizeTrace()
@@ -164,8 +167,8 @@ func captureTrace(e *Engine, s *gpp.Stream) {
 
 // TestRefusedTranslationMemoDroppedOnProgramChange pins the memo's scope:
 // its keys are stream words, which index one program's text, and a suite's
-// programs share one text base, so an engine reused for another program
-// must start that program with the memo a fresh engine would have.
+// programs share one text base, so an engine running another program must
+// start that run with the memo a fresh engine would have.
 func TestRefusedTranslationMemoDroppedOnProgramChange(t *testing.T) {
 	b, _ := prog.ByName("stringsearch")
 	c, err := b.NewCore(prog.Tiny)

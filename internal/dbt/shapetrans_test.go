@@ -111,45 +111,54 @@ func TestShapeTranslationsFlowAroundDeadColumns(t *testing.T) {
 	}
 }
 
-// TestShapeTranslationsRetranslateOnStateChange pins the translation-cache
-// keying: the resident translations' shape decisions are valid for exactly
-// one fabric.StateKey of the health and wear maps — a death or a wear
-// advance flushes them wholesale (cfgcache.Cache.SyncState) and the
-// re-captured traces translate against the new state.
+// TestShapeTranslationsRetranslateOnStateChange pins the engine's state
+// keying under shape translation: the resident translations' shape
+// decisions are valid for exactly one fabric.StateKey of the health and
+// wear maps — a death or a wear advance in the middle of a run flushes
+// them wholesale and the re-captured traces translate against the new
+// state, while a run that starts on a dead, worn fabric and sees no move
+// never flushes.
 func TestShapeTranslationsRetranslateOnStateChange(t *testing.T) {
+	const killAt, wearAt = 5, 100
 	g := fabric.NewGeometry(2, 16)
-	h := fabric.NewHealth(g)
-	w := fabric.NewWear(g)
-	e, err := NewEngine(Options{
-		Geom:              g,
-		Health:            h,
-		Wear:              w,
-		ShapeTranslations: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(loopCore(t), 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Cache().Stats()
-	if before.Flushes != 0 {
-		t.Fatalf("flushed %d times without a state change", before.Flushes)
+	run := func(moves bool) (*Engine, *Report, *fabric.Health) {
+		t.Helper()
+		h, w := fabric.NewHealth(g), fabric.NewWear(g)
+		kill := func() { h.Kill(fabric.Cell{Row: 0, Col: 0}) }
+		wear := func() { w.Add(fabric.Cell{Row: 1, Col: 3}, 2) }
+		a := &hookAllocator{at: map[int]func(){killAt: kill, wearAt: wear}}
+		if !moves {
+			kill()
+			wear()
+			a.at = nil
+		}
+		e, err := NewEngine(Options{Geom: g, Health: h, Wear: w, Allocator: a, ShapeTranslations: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(loopCore(t), 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.calls < wearAt {
+			t.Fatalf("the run made %d placement proposals; the test needs %d", a.calls, wearAt)
+		}
+		return e, rep, h
 	}
 
-	// A death moves the health key: the next run must flush and
-	// re-translate around the dead cell.
-	dead := fabric.Cell{Row: 0, Col: 0}
-	h.Kill(dead)
-	rep2, err := e.Run(loopCore(t), 1_000_000)
-	if err != nil {
-		t.Fatal(err)
+	if e, _, _ := run(false); e.Cache().Stats().Flushes != 0 {
+		t.Fatalf("flushed %d times without a state change", e.Cache().Stats().Flushes)
 	}
-	if got := e.Cache().Stats().Flushes; got != 1 {
-		t.Fatalf("flushes = %d after a death, want 1", got)
+
+	// The death moves the health key and the wear advance the wear
+	// version: each must flush, and the region re-translate around the
+	// dead cell.
+	e, rep, h := run(true)
+	if got := e.Cache().Stats().Flushes; got != 2 {
+		t.Fatalf("flushes = %d after a death and a wear advance, want 2", got)
 	}
-	if rep2.Translations == 0 {
-		t.Error("no re-translation after the flush")
+	if rep.Translations < 3 {
+		t.Errorf("%d translations; each flush must be followed by a re-translation", rep.Translations)
 	}
 	for _, cfg := range e.Cache().Configs() {
 		live := false
@@ -161,16 +170,6 @@ func TestShapeTranslationsRetranslateOnStateChange(t *testing.T) {
 		if !live {
 			t.Fatalf("post-flush translation %#x has no live pivot", cfg.StartPC)
 		}
-	}
-
-	// A wear advance moves the wear version: the shape tie-break's input
-	// changed, so the decisions flush too.
-	w.Add(fabric.Cell{Row: 1, Col: 3}, 2)
-	if _, err := e.Run(loopCore(t), 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Cache().Stats().Flushes; got != 2 {
-		t.Errorf("flushes = %d after a wear advance, want 2", got)
 	}
 }
 

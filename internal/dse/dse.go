@@ -154,8 +154,12 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		refs = NewRefCache()
 	}
 
+	// One engine is the suite's fabric: every benchmark runs on it in turn.
 	allocator := factory(geom)
-	ctrl, err := core.NewController(geom, allocator)
+	eopts := opt.Engine
+	eopts.Geom = geom
+	eopts.Allocator = allocator
+	eng, err := dbt.NewEngine(eopts)
 	if err != nil {
 		return nil, err
 	}
@@ -180,14 +184,6 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 			return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
 		}
 
-		// TransRec run sharing the suite controller.
-		eopts := opt.Engine
-		eopts.Geom = geom
-		eopts.Controller = ctrl
-		eng, err := dbt.NewEngine(eopts)
-		if err != nil {
-			return nil, err
-		}
 		rep, err := eng.RunStream(ref.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("dse: %s transrec: %w", name, err)
@@ -207,7 +203,7 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		res.EarlyExits += rep.EarlyExits
 	}
 
-	res.Util = ctrl.Utilization()
+	res.Util = eng.Controller().Utilization()
 	return res, nil
 }
 

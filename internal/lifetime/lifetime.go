@@ -926,29 +926,34 @@ func updateFaults(f *fabric.Faults, wear *fabric.Wear, health *fabric.Health, th
 }
 
 // runEpoch co-simulates the workload mix once on the current fabric state:
-// a fresh allocator and controller (sharing one fabric across the mix, as a
-// deployed chip would within an epoch), fresh engines and caches, and the
-// scenario's health and wear maps wired into the mapper, the placement and
-// any wear-adaptive allocator. Every engine and any allocator that maps
-// (memoUser) map through the scenario's mapping memo. With a recovery
-// monitor attached the oracle is hidden: mapper and placement consume the
-// monitor's observed health map, and ground truth stays with the simulator
-// (aging, deaths and fault manifestation).
+// one engine with a fresh allocator runs every benchmark of the mix in turn
+// (one fabric across the mix, as a deployed chip would within an epoch,
+// each run with a fresh cache), and the scenario's health and wear maps are
+// wired into the mapper, the placement and any wear-adaptive allocator. The
+// engine and any allocator that maps (memoUser) map through the scenario's
+// mapping memo. With a recovery monitor attached the oracle is hidden:
+// mapper and placement consume the monitor's observed health map, and
+// ground truth stays with the simulator (aging, deaths and fault
+// manifestation).
 func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov.Monitor) (*epochRun, error) {
 	a := sc.Factory(sc.Geom)
 	if u, ok := a.(memoUser); ok {
 		u.UseMemo(sc.mapMemo)
 	}
-	ctrl, err := core.NewController(sc.Geom, a)
+	eopts := sc.Engine
+	eopts.Geom = sc.Geom
+	eopts.Allocator = a
+	eopts.Health = health
+	if mon != nil {
+		eopts.Health = mon.Observed()
+	}
+	eopts.Wear = wear
+	eopts.Recovery = mon
+	eng, err := dbt.NewEngine(eopts)
 	if err != nil {
 		return nil, err
 	}
-	placeHealth := health
-	if mon != nil {
-		placeHealth = mon.Observed()
-	}
-	ctrl.SetHealth(placeHealth)
-	ctrl.SetWear(wear)
+	eng.UseMemo(sc.mapMemo)
 
 	run := &epochRun{}
 	for _, name := range sc.Mix {
@@ -957,17 +962,6 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 		if err != nil {
 			return nil, fmt.Errorf("%s gpp-only: %w", name, err)
 		}
-
-		eopts := sc.Engine
-		eopts.Geom = sc.Geom
-		eopts.Controller = ctrl
-		eopts.Health = placeHealth
-		eopts.Recovery = mon
-		eng, err := dbt.NewEngine(eopts)
-		if err != nil {
-			return nil, err
-		}
-		eng.UseMemo(sc.mapMemo)
 		// The epoch replays the benchmark's shared recorded stream, whose
 		// result dse.RefCache.Get checked once: failures, faults and
 		// placement change only where each retire is accounted, never what
@@ -989,7 +983,7 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 		run.remaps += rep.Remaps
 		run.fallbacks += rep.GPPFallbacks
 	}
-	run.util = ctrl.Utilization()
+	run.util = eng.Controller().Utilization()
 	return run, nil
 }
 
