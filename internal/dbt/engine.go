@@ -240,12 +240,16 @@ type Engine struct {
 	// state is the fabric.StateKey the run's memoized decisions were taken
 	// under (syncState); both memos drop whenever it moves. unplaceable
 	// holds configurations the controller found no live placement for,
-	// keyed by StartPC. refused holds captured traces the translator
-	// rejected — nothing mapped, too few ops consumed, or unprofitable —
-	// keyed by the trace's stream words (built into refusedKey) and valued
-	// by the ladder probes the refused scan counted. Within one program a
-	// stream word is exactly a (PC, taken) pair, and every run starts both
-	// memos empty.
+	// keyed by StartPC: a repeat offload falls back to the GPP without
+	// asking the allocator again, so the allocator sees one skip-scan per
+	// configuration and state, not one per offload, and a pattern
+	// allocator's position does not run on through futile proposals
+	// (TestUnplaceableMemoSparesProposals). refused holds captured traces
+	// the translator rejected — nothing mapped, too few ops consumed, or
+	// unprofitable — keyed by the trace's stream words (built into
+	// refusedKey) and valued by the ladder probes the refused scan counted.
+	// Within one program a stream word is exactly a (PC, taken) pair, and
+	// every run starts both memos empty.
 	state       fabric.StateKey
 	unplaceable map[uint32]bool
 	refused     map[string]uint64

@@ -355,6 +355,71 @@ func TestUnplaceableConfigFallsBackToGPP(t *testing.T) {
 	}
 }
 
+// TestUnplaceableMemoSparesProposals pins what the unplaceable memo
+// spares: once the controller's skip-scan has proposed every pivot of a
+// configuration and found none live, later offloads of that configuration
+// under the same fabric state fall back to the GPP without proposing again.
+// The fabric dies whole at the killAt-th proposal, so every configuration
+// offloaded afterwards is unplaceable and must see exactly one scan of
+// NumFUs proposals however often it comes back.
+func TestUnplaceableMemoSparesProposals(t *testing.T) {
+	const killAt = 5
+	b, _ := prog.ByName("crc32")
+	geom := fabric.NewGeometry(2, 8)
+	health := fabric.NewHealth(geom)
+	a := &countingAllocator{after: killAt, proposals: make(map[uint32]int)}
+	a.at = map[int]func(){killAt: func() {
+		for r := 0; r < geom.Rows; r++ {
+			for col := 0; col < geom.Cols; col++ {
+				health.Kill(fabric.Cell{Row: r, Col: col})
+			}
+		}
+	}}
+	e, err := NewEngine(Options{Geom: geom, Health: health, Allocator: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.NewCore(prog.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.Run(c, b.MaxInstructions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposals := a.proposals
+	if len(proposals) == 0 {
+		t.Fatal("no configuration was offloaded on the dead fabric")
+	}
+	// Without repeats the memo would have nothing to spare.
+	if rep.GPPFallbacks <= uint64(len(proposals)) {
+		t.Fatalf("%d fallbacks for %d unplaceable configurations: no configuration came back",
+			rep.GPPFallbacks, len(proposals))
+	}
+	for pc, n := range proposals {
+		if n != geom.NumFUs() {
+			t.Errorf("configuration at %#x saw %d proposals on the dead fabric, want one scan of %d",
+				pc, n, geom.NumFUs())
+		}
+	}
+}
+
+// countingAllocator is a hookAllocator that counts, per StartPC, the
+// proposals made after its after-th.
+type countingAllocator struct {
+	hookAllocator
+	after     int
+	proposals map[uint32]int
+}
+
+func (a *countingAllocator) Next(cfg *fabric.Config) fabric.Offset {
+	off := a.hookAllocator.Next(cfg)
+	if a.calls > a.after {
+		a.proposals[cfg.StartPC]++
+	}
+	return off
+}
+
 func TestRunGPPOnlyMatchesInterpreter(t *testing.T) {
 	c := loopCore(t)
 	cycles, classes, err := RunGPPOnly(c, gpp.DefaultTiming(), 1_000_000)

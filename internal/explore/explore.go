@@ -463,15 +463,23 @@ func (e *Explorer) scoreYears(cells []fabric.Cell, off fabric.Offset, k float64)
 
 // Score returns the maximum projected ΔVt of placing cfg at off under the
 // explorer's current state: the objective Explore minimises. Exposed for
-// the shape-adaptive remapper's rescue search, and so tests can compare
-// the explorer's choice against alternatives such as the skip-scan
-// fallback it replaces. ΔVt is strictly increasing in projected
+// the shape-adaptive remapper's rescue search (which ranks by WorstYears
+// first), and so tests can compare the explorer's choice against
+// alternatives such as the skip-scan fallback it replaces. ΔVt is strictly increasing in projected
 // stress-years, so evaluating Eq. 1 once on the footprint's worst cell
 // equals the maximum of per-cell evaluations.
 func (e *Explorer) Score(cfg *fabric.Config, off fabric.Offset) float64 {
+	return e.model.Cond.DeltaVt(e.WorstYears(cfg, off), 1)
+}
+
+// WorstYears returns the projected stress-years of the worst cell of
+// placing cfg at off, the quantity Score feeds to Eq. 1. A search that
+// ranks many candidates compares these and evaluates Score only where the
+// years improve; two year values can still round to one ΔVt.
+func (e *Explorer) WorstYears(cfg *fabric.Config, off fabric.Offset) float64 {
 	e.syncWear()
 	maxY, _ := e.scoreYears(cfg.Cells(), off, e.dutyScale())
-	return e.model.Cond.DeltaVt(maxY, 1)
+	return maxY
 }
 
 // SearchCounts implements searchcost.Instrumented: the accumulated pivot

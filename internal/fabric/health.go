@@ -143,11 +143,5 @@ func (h *Health) Matches(m *Mask) bool {
 // PlacementOK reports whether shifting a configuration occupying the given
 // virtual cells by off would keep every op on a live FU.
 func (h *Health) PlacementOK(cells []Cell, off Offset) bool {
-	for _, c := range cells {
-		p := off.Apply(c, h.geom)
-		if h.dead.Has(p.Row*h.geom.Cols + p.Col) {
-			return false
-		}
-	}
-	return true
+	return !h.dead.Hits(cells, off, h.geom)
 }

@@ -13,6 +13,18 @@ type Mask [MaxCells / 64]uint64
 // Has reports whether bit i is set.
 func (m *Mask) Has(i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 
+// Hits reports whether shifting cells by off on g lands any of them on a
+// cell of the set.
+func (m *Mask) Hits(cells []Cell, off Offset, g Geometry) bool {
+	for _, c := range cells {
+		p := off.Apply(c, g)
+		if m.Has(p.Row*g.Cols + p.Col) {
+			return true
+		}
+	}
+	return false
+}
+
 // Window returns the set seen through a shape anchored at anchor on the
 // physical geometry phys, in the shape's own frame: bit r*shape.Cols+c of
 // the result is m's bit for anchor.Apply(Cell{r, c}, phys), the physical

@@ -14,9 +14,17 @@ import (
 //
 // A result is keyed on everything Map reads: the trace's content (PC,
 // instruction and direction of every entry; PCs collide across programs),
-// Geom, Lat and the Dead mask. Wear, the anchor and the caller are not in
-// the key, so a stored result never goes stale and one Memo serves every
-// layer of a scenario.
+// Geom, Lat and the Dead mask. A dead mask is interned by the words Geom's
+// cells use (one word for a window of at most 64 cells): every bit past
+// them is zero, and Geom is in the key. Wear, the anchor and the caller are
+// not in the key, so a stored result never goes stale and one Memo serves
+// every layer of a scenario.
+//
+// Scan memoizes one level up: the placing windows of a whole remap rescue
+// scan, a list per (trace, ladder with its latency table, physical
+// geometry, physical dead mask). The list holds no wear either, so a
+// rescue that reruns because wear moved re-scores the stored list instead
+// of looking up every window again.
 //
 // A hit re-adds the stored probe count to Options.Probes (the modelled
 // hardware keeps no such memo, so search-cost totals are those of a
@@ -29,11 +37,13 @@ import (
 //
 // A nil *Memo maps directly. A Memo is not safe for concurrent use.
 type Memo struct {
-	traces  map[string]uint32      // encoded trace content -> id
-	opts    map[optsKey]uint32     // Geom, Lat -> id
-	masks   map[fabric.Mask]uint32 // dead cells in Geom's frame -> id
+	traces  map[string]uint32  // encoded trace content -> id
+	opts    map[optsKey]uint32 // Geom, Lat -> id
+	masks   map[string]uint32  // used words of a dead mask in Geom's frame -> id
 	results map[memoKey]memoResult
-	buf     []byte // encoding scratch, reused by every lookup
+	scans   map[string]scanResult // encoded Scan key -> its windows
+	buf     []byte                // encoding scratch, reused by every lookup
+	windows []Window              // Scan's collection scratch
 }
 
 // optsKey is everything of Options that Map reads besides Dead.
@@ -55,6 +65,22 @@ type memoResult struct {
 	probes   uint64
 }
 
+// scanResult is one stored Scan outcome: its placing windows, sized
+// exactly, and the probes every window of the scan counted.
+type scanResult struct {
+	windows []Window
+	probes  uint64
+}
+
+// Window is one placing window of a Scan: the trace mapped into the shape
+// Cfg.Geom anchored at Anchor, holding the first Consumed entries. Cfg is
+// borrowed, as from Map.
+type Window struct {
+	Cfg      *fabric.Config
+	Consumed int
+	Anchor   fabric.Offset
+}
+
 // TraceKey is a trace interned in a Memo: encoded and hashed once by
 // Memo.Key, then mapped into any number of shapes and masks.
 type TraceKey struct {
@@ -67,8 +93,9 @@ func NewMemo() *Memo {
 	return &Memo{
 		traces:  make(map[string]uint32),
 		opts:    make(map[optsKey]uint32),
-		masks:   make(map[fabric.Mask]uint32),
+		masks:   make(map[string]uint32),
 		results: make(map[memoKey]memoResult),
+		scans:   make(map[string]scanResult),
 	}
 }
 
@@ -99,15 +126,14 @@ func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
 	if m == nil {
 		return Map(k.trace, opt)
 	}
+	m.buf = appendWords(m.buf[:0], &opt.Dead, opt.Geom)
 	key := memoKey{
 		trace: k.id,
 		opts:  idOf(m.opts, optsKey{geom: opt.Geom, lat: opt.Lat}),
-		dead:  idOf(m.masks, opt.Dead),
+		dead:  intern(m.masks, m.buf),
 	}
 	if r, hit := m.results[key]; hit {
-		if opt.Probes != nil {
-			*opt.Probes += r.probes
-		}
+		addProbes(opt.Probes, r.probes)
 		return r.cfg, r.consumed
 	}
 	var probes uint64
@@ -118,10 +144,66 @@ func (m *Memo) Map(k TraceKey, opt Options) (*fabric.Config, int) {
 		cfg.Cells() // computed once, shared by every borrower and clone
 	}
 	m.results[key] = memoResult{cfg: cfg, consumed: consumed, probes: probes}
-	if opt.Probes != nil {
-		*opt.Probes += probes
-	}
+	addProbes(opt.Probes, probes)
 	return cfg, consumed
+}
+
+// Scan maps the keyed trace into every window of a rescue scan — each
+// shape of the ladder anchored at each cell of phys, the shape's dead cells
+// read from the physical dead mask through fabric.Mask.Window — through
+// Map, and returns the windows that place on live physical cells, in shape
+// order then row-major anchor order, adding every window's probes to
+// *probes (when non-nil). The list is stored, sized exactly, under the
+// trace, the shapes with lat, phys and the used words of dead; a later
+// Scan of the same key returns it, borrowed, and re-adds the stored probes
+// without a single Map lookup. A nil Memo builds the list afresh on every
+// call.
+func (m *Memo) Scan(k TraceKey, shapes []fabric.Geometry, lat fabric.LatencyTable, phys fabric.Geometry, dead fabric.Mask, probes *uint64) []Window {
+	var (
+		key string
+		ws  []Window
+	)
+	if m != nil {
+		b := binary.LittleEndian.AppendUint32(m.buf[:0], k.id)
+		b = binary.LittleEndian.AppendUint32(b, idOf(m.opts, optsKey{geom: phys, lat: lat}))
+		for _, g := range shapes {
+			b = binary.LittleEndian.AppendUint32(b, idOf(m.opts, optsKey{geom: g, lat: lat}))
+		}
+		m.buf = appendWords(b, &dead, phys)
+		if s, hit := m.scans[string(m.buf)]; hit {
+			addProbes(probes, s.probes)
+			return s.windows
+		}
+		key = string(m.buf)
+		ws = m.windows[:0]
+	}
+	var s scanResult
+	for _, shape := range shapes {
+		for a := 0; a < phys.NumFUs(); a++ {
+			anchor := fabric.Offset{Row: a / phys.Cols, Col: a % phys.Cols}
+			cfg, consumed := m.Map(k, Options{
+				Geom:   shape,
+				Lat:    lat,
+				Dead:   dead.Window(anchor, shape, phys),
+				Probes: &s.probes,
+			})
+			// The window's mask keeps the placement off dead cells by
+			// construction; checking the physical cells keeps that true
+			// even for a shape that wraps onto itself.
+			if cfg != nil && !dead.Hits(cfg.Cells(), anchor, phys) {
+				ws = append(ws, Window{Cfg: cfg, Consumed: consumed, Anchor: anchor})
+			}
+		}
+	}
+	addProbes(probes, s.probes)
+	if m == nil {
+		return ws
+	}
+	s.windows = make([]Window, len(ws))
+	copy(s.windows, ws)
+	m.windows = ws
+	m.scans[key] = s
+	return s.windows
 }
 
 // Keep returns a configuration the caller may keep in place of cfg, which
@@ -132,6 +214,21 @@ func (m *Memo) Keep(cfg *fabric.Config) *fabric.Config {
 		return cfg
 	}
 	return cfg.Clone()
+}
+
+// appendWords appends the words of dead that g's cells use.
+func appendWords(b []byte, dead *fabric.Mask, g fabric.Geometry) []byte {
+	for _, w := range dead[:min((g.NumFUs()+63)>>6, len(dead))] {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// addProbes adds n to *probes when probes is non-nil.
+func addProbes(probes *uint64, n uint64) {
+	if probes != nil {
+		*probes += n
+	}
 }
 
 // idOf returns k's id in ids, assigning the next one on first sight.

@@ -262,3 +262,112 @@ func TestTinyFabricsEveryDeadMask(t *testing.T) {
 	}
 	t.Logf("%d traces, %d placements", len(traces), placed)
 }
+
+// scanDirect is Scan's oracle: every window of the scan mapped with Map, in
+// shape order then row-major anchor order, keeping those that place on live
+// physical cells, and the probes of all windows.
+func scanDirect(trace []TraceEntry, shapes []fabric.Geometry, phys fabric.Geometry, dead fabric.Mask) ([]Window, uint64) {
+	var ws []Window
+	var probes uint64
+	for _, shape := range shapes {
+		for a := 0; a < phys.NumFUs(); a++ {
+			anchor := fabric.Offset{Row: a / phys.Cols, Col: a % phys.Cols}
+			m := mapDirect(trace, Options{Geom: shape, Lat: fabric.DefaultLatencies(), Dead: dead.Window(anchor, shape, phys)})
+			probes += m.probes
+			if m.cfg == nil {
+				continue
+			}
+			live := true
+			for _, c := range m.cfg.Cells() {
+				p := anchor.Apply(c, phys)
+				live = live && !dead.Has(p.Row*phys.Cols+p.Col)
+			}
+			if live {
+				ws = append(ws, Window{Cfg: m.cfg, Consumed: m.consumed, Anchor: anchor})
+			}
+		}
+	}
+	return ws, probes
+}
+
+func sameWindows(t *testing.T, what string, got []Window, gotProbes uint64, want []Window, wantProbes uint64) {
+	t.Helper()
+	if len(got) != len(want) || gotProbes != wantProbes {
+		t.Fatalf("%s: %d windows, %d probes; Map gives %d windows, %d probes", what, len(got), gotProbes, len(want), wantProbes)
+	}
+	for i := range got {
+		if got[i].Anchor != want[i].Anchor {
+			t.Fatalf("%s: window %d anchored at %v, Map's at %v", what, i, got[i].Anchor, want[i].Anchor)
+		}
+		sameMapping(t, fmt.Sprintf("%s: window %d", what, i),
+			mapping{cfg: got[i].Cfg, consumed: got[i].Consumed},
+			mapping{cfg: want[i].Cfg, consumed: want[i].Consumed})
+	}
+}
+
+// TestScanReusesItsList checks Memo.Scan against a window-by-window Map
+// scan and pins its reuse: a second scan of the same trace, ladder and
+// dead mask runs no Map at all (the memo's results, emptied in between,
+// stay empty) and returns the stored list with the same probe total; a
+// moved dead mask maps afresh; a nil memo returns the same list. On 4x32 a
+// mask spans two words, and a cell dead in the second word alone moves it.
+func TestScanReusesItsList(t *testing.T) {
+	traces := suiteTraces(t, 2)
+	for _, tc := range []struct {
+		phys         fabric.Geometry
+		dead, moved  []fabric.Cell
+		tracesToScan int
+	}{
+		{fabric.NewGeometry(2, 16),
+			[]fabric.Cell{{Row: 0, Col: 0}, {Row: 1, Col: 0}, {Row: 0, Col: 8}, {Row: 1, Col: 8}},
+			[]fabric.Cell{{Row: 0, Col: 3}, {Row: 1, Col: 3}, {Row: 0, Col: 11}, {Row: 1, Col: 11}}, 6},
+		{fabric.NewGeometry(4, 32),
+			[]fabric.Cell{{Row: 0, Col: 5}},
+			[]fabric.Cell{{Row: 0, Col: 5}, {Row: 3, Col: 30}}, 2},
+	} {
+		shapes := fabric.DefaultShapeLadder().Shapes(tc.phys)
+		mask := func(cells []fabric.Cell) fabric.Mask {
+			h, err := fabric.NewHealthWithDead(tc.phys, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h.Mask()
+		}
+		dead, moved := mask(tc.dead), mask(tc.moved)
+		memo := NewMemo()
+		for ti, trace := range traces[:tc.tracesToScan] {
+			what := fmt.Sprintf("%v trace %d", tc.phys, ti)
+			want, wantProbes := scanDirect(trace, shapes, tc.phys, dead)
+			if len(want) == 0 {
+				t.Fatalf("%s: no window places", what)
+			}
+			var probes uint64
+			first := memo.Scan(memo.Key(trace), shapes, fabric.DefaultLatencies(), tc.phys, dead, &probes)
+			sameWindows(t, what+" first", first, probes, want, wantProbes)
+
+			clear(memo.results)
+			probes = 0
+			again := memo.Scan(memo.Key(trace), shapes, fabric.DefaultLatencies(), tc.phys, dead, &probes)
+			if len(memo.results) != 0 {
+				t.Fatalf("%s: the repeat scan ran Map %d times", what, len(memo.results))
+			}
+			if &again[0] != &first[0] {
+				t.Fatalf("%s: the repeat scan built a new list", what)
+			}
+			sameWindows(t, what+" repeat", again, probes, want, wantProbes)
+
+			probes = 0
+			got := memo.Scan(memo.Key(trace), shapes, fabric.DefaultLatencies(), tc.phys, moved, &probes)
+			if len(memo.results) == 0 {
+				t.Fatalf("%s: a moved dead mask mapped nothing", what)
+			}
+			want, wantProbes = scanDirect(trace, shapes, tc.phys, moved)
+			sameWindows(t, what+" moved", got, probes, want, wantProbes)
+
+			probes = 0
+			var none *Memo
+			got = none.Scan(none.Key(trace), shapes, fabric.DefaultLatencies(), tc.phys, moved, &probes)
+			sameWindows(t, what+" nil memo", got, probes, want, wantProbes)
+		}
+	}
+}

@@ -31,20 +31,28 @@
 // costs are counted and priced by the derived hardware-cost model in
 // internal/searchcost.
 //
-// Each candidate maps through the scenario's mapping memo (mapper.Memo,
-// handed in through UseMemo): a candidate's placement depends only on the
-// trace, the shape and which cells of the shape's window are dead in the
-// anchor's frame, never on wear, so a scan maps only the (shape, window
-// mask) pairs no earlier scan of the scenario saw and otherwise only
-// re-scores. Candidates are borrowed from the memo, uncloned; the rescue
-// keeps a clone of its winner alone (mapper.Memo.Keep). Every viable
-// candidate is mapped, counted and scored — no running-best gate
-// short-circuits the per-candidate work, and memo hits re-add the probes a
-// mapping run counts — so the searchcost counters are sums over a fixed
-// candidate set. The scan is serial.
+// The candidates come from the scenario's mapping memo (mapper.Memo,
+// handed in through UseMemo) as one list per scan: mapper.Memo.Scan keeps
+// the placing windows of a trace over the ladder around one physical dead
+// mask, keyed on the trace, the ladder with its latency table, the
+// physical geometry and the dead mask. A window's placement never depends
+// on wear, so wear stays out of the key, and a scan that reruns because
+// wear moved — most of them — re-scores the stored list without one
+// mapping lookup. Candidates rank by their worst cell's projected
+// stress-years (explore.Explorer.WorstYears); Eq. 1 runs only where the
+// years strictly improve, and a candidate replaces an equally long
+// incumbent only if its ΔVt is strictly lower too, because two year
+// values can round to one ΔVt. Candidates are borrowed from the memo,
+// uncloned; the rescue keeps a clone of its winner alone
+// (mapper.Memo.Keep). Every viable candidate is counted and scored — no
+// running-best gate short-circuits the per-candidate work, and a stored
+// list re-adds the probes its windows counted — so the searchcost counters
+// are sums over a fixed candidate set. The scan is serial.
 package remap
 
 import (
+	"math"
+
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
@@ -248,7 +256,10 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 		if full {
 			m.counts.RemapCells += uint64(len(r.cfg.Cells()) + len(cfg.Cells()))
 		}
-		if !full || m.ex.Score(r.cfg, r.off) >= m.ex.Score(cfg, off) {
+		// Substitute only on strictly fewer worst-cell years and a strictly
+		// lower ΔVt: Eq. 1 runs only when the years improve.
+		if !full || m.ex.WorstYears(r.cfg, r.off) >= m.ex.WorstYears(cfg, off) ||
+			m.ex.Score(r.cfg, r.off) >= m.ex.Score(cfg, off) {
 			r = rescue{ok: true} // keep the translation
 		}
 	}
@@ -264,10 +275,16 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 // that holds the longest prefix of the sequence and, among equally long
 // ones, minimises the explorer's projected worst-cell ΔVt. Ties beyond the
 // score break by shape order then row-major anchor, so the search is
-// deterministic. Every viable candidate — mappable, long enough, live — is
-// mapped, counted and scored, with no running-best gate, so the searchcost
-// counters are sums over a fixed candidate set. The returned configuration
-// is borrowed from the memo.
+// deterministic. Every viable candidate — a window of the memo's list
+// (mapper.Memo.Scan, live placements only) holding enough ops — is counted
+// and scored, with no running-best gate, so the searchcost counters are
+// sums over a fixed candidate set. The returned configuration is borrowed
+// from the memo.
+//
+// An equally long candidate replaces the incumbent only if its worst-cell
+// years and its ΔVt are both strictly lower: that is the ΔVt comparison
+// itself, as Eq. 1 increases with years, with Eq. 1 run only on a years
+// improvement.
 func (m *Remapper) search(cfg *fabric.Config) rescue {
 	minOps := m.minOps
 	if n := len(cfg.Ops); n < minOps {
@@ -280,40 +297,38 @@ func (m *Remapper) search(cfg *fabric.Config) rescue {
 	m.counts.RemapProjections += uint64(m.geom.NumFUs())
 
 	m.counts.RemapCandidates += uint64(len(m.shapes) * m.geom.NumFUs())
-	trace := m.memo.Key(Trace(cfg))
-	dead := m.health.Mask()
+	windows := m.memo.Scan(m.memo.Key(Trace(cfg)), m.shapes, fabric.DefaultLatencies(),
+		m.geom, m.health.Mask(), &m.counts.RemapProbes)
 
 	var (
 		best         rescue
 		bestConsumed int
-		bestScore    float64
+		bestY        float64
+		bestScore    = math.NaN() // the incumbent's ΔVt, evaluated on demand
 	)
-	for _, shape := range m.shapes {
-		for a := 0; a < m.geom.NumFUs(); a++ {
-			anchor := fabric.Offset{Row: a / m.geom.Cols, Col: a % m.geom.Cols}
-			mc, consumed := m.memo.Map(trace, mapper.Options{
-				Geom:   shape,
-				Lat:    fabric.DefaultLatencies(),
-				Dead:   dead.Window(anchor, shape, m.geom),
-				Probes: &m.counts.RemapProbes,
-			})
-			if mc == nil || consumed < minOps {
-				continue
-			}
-			// The anchor-frame mask guarantees liveness by construction;
-			// re-checking keeps the never-dead-placement invariant even if
-			// a shape list with out-of-range cells sneaks in.
-			if !m.health.PlacementOK(mc.Cells(), anchor) {
-				continue
-			}
-			m.counts.RemapCells += uint64(len(mc.Cells()))
-			score := m.ex.Score(mc, anchor)
-			if !best.ok || consumed > bestConsumed ||
-				(consumed == bestConsumed && score < bestScore) {
-				best = rescue{cfg: mc, off: anchor, ok: true}
-				bestConsumed, bestScore = consumed, score
-			}
+	for _, w := range windows {
+		if w.Consumed < minOps {
+			continue
 		}
+		m.counts.RemapCells += uint64(len(w.Cfg.Cells()))
+		y := m.ex.WorstYears(w.Cfg, w.Anchor)
+		switch {
+		case !best.ok || w.Consumed > bestConsumed:
+			bestScore = math.NaN()
+		case w.Consumed < bestConsumed || y >= bestY:
+			continue
+		default:
+			if math.IsNaN(bestScore) {
+				bestScore = m.ex.Score(best.cfg, best.off)
+			}
+			score := m.ex.Score(w.Cfg, w.Anchor)
+			if score >= bestScore {
+				continue
+			}
+			bestScore = score
+		}
+		best = rescue{cfg: w.Cfg, off: w.Anchor, ok: true}
+		bestConsumed, bestY = w.Consumed, y
 	}
 	return best
 }

@@ -1,6 +1,8 @@
 package remap
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -696,4 +698,151 @@ func TestRescueThroughMemoMatchesDirect(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceRescue is the rescue search ranked by ΔVt alone, window by
+// window through mapper.Map, as it stood before candidate lists and year
+// ranking: the longest prefix wins, then the strictly lowest Score, then
+// shape order and row-major anchor order.
+func referenceRescue(m *Remapper, cfg *fabric.Config) (*fabric.Config, fabric.Offset, bool) {
+	minOps := min(m.minOps, len(cfg.Ops))
+	dead := m.health.Mask()
+	var (
+		best      *fabric.Config
+		bestOff   fabric.Offset
+		bestN     int
+		bestScore float64
+	)
+	for _, shape := range m.shapes {
+		for a := 0; a < m.geom.NumFUs(); a++ {
+			anchor := fabric.Offset{Row: a / m.geom.Cols, Col: a % m.geom.Cols}
+			mc, n := mapper.Map(Trace(cfg), mapper.Options{
+				Geom: shape,
+				Lat:  fabric.DefaultLatencies(),
+				Dead: dead.Window(anchor, shape, m.geom),
+			})
+			if mc == nil || n < minOps || !m.health.PlacementOK(mc.Cells(), anchor) {
+				continue
+			}
+			score := m.ex.Score(mc, anchor)
+			if best == nil || n > bestN || (n == bestN && score < bestScore) {
+				best, bestOff, bestN, bestScore = mc, anchor, n, score
+			}
+		}
+	}
+	return best, bestOff, best != nil
+}
+
+// TestRescueSharedMemoMatchesMemoLess is the rescue's generated-input
+// differential test. On 2x8 and 4x8 fabrics, seeded passes draw a
+// configuration from three trace kinds, a dead mask from a small pool (so
+// later passes re-score stored candidate lists), and random wear and duty.
+// Each pass builds a fresh remapper that maps through one memo shared by
+// every pass, as the lifetime simulator builds one per epoch, and a
+// memo-less one. Under both triggers they must choose the same placement
+// at the same offset with equal search counts, and the capacity rescue
+// must be the reference search's choice.
+func TestRescueSharedMemoMatchesMemoLess(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	reused, substituted := 0, 0
+	for _, g := range []fabric.Geometry{fabric.NewGeometry(2, 8), fabric.NewGeometry(4, 8)} {
+		var pool []*fabric.Health
+		for len(pool) < 3 {
+			h := fabric.NewHealth(g)
+			for i, n := 0, 1+r.Intn(4); i < n; i++ {
+				h.Kill(fabric.Cell{Row: r.Intn(g.Rows), Col: r.Intn(g.Cols)})
+			}
+			if r.Intn(2) == 0 {
+				col := r.Intn(g.Cols)
+				for row := 0; row < g.Rows; row++ {
+					h.Kill(fabric.Cell{Row: row, Col: col})
+				}
+			}
+			pool = append(pool, h)
+		}
+		memo := mapper.NewMemo()
+		seen := make(map[string]bool)
+		for pass := 0; pass < 40; pass++ {
+			var trace []mapper.TraceEntry
+			switch n := 2 + r.Intn(g.Rows*2); r.Intn(3) {
+			case 0:
+				trace = independentALUs(n * 2)
+			case 1:
+				trace = dependentALUs(min(n+2, g.Cols))
+			default:
+				trace = loads(min(n, g.Rows))
+			}
+			cfg, n := mapper.Map(trace, mapper.Options{Geom: g, Lat: fabric.DefaultLatencies()})
+			if cfg == nil || n != len(trace) {
+				continue
+			}
+			h := pool[r.Intn(len(pool))]
+			w := fabric.NewWear(g)
+			for i := 0; i < g.NumFUs(); i++ {
+				if r.Intn(2) == 0 {
+					w.Add(fabric.Cell{Row: i / g.Cols, Col: i % g.Cols}, 3*r.Float64())
+				}
+			}
+			type duty struct {
+				off    fabric.Offset
+				cycles uint64
+			}
+			var duties []duty
+			for i, n := 0, r.Intn(4); i < n; i++ {
+				duties = append(duties, duty{fabric.Offset{Row: r.Intn(g.Rows), Col: r.Intn(g.Cols)}, uint64(1 + r.Intn(1000))})
+			}
+			build := func(memo *mapper.Memo) *Remapper {
+				m := New(g)
+				m.UseMemo(memo)
+				m.SetHealth(h)
+				m.SetWear(w)
+				for _, d := range duties {
+					m.ObserveStress(cfg.Cells(), d.off, d.cycles)
+				}
+				return m
+			}
+			if key := fmt.Sprint(Trace(cfg), h.Mask()); seen[key] {
+				reused++
+			} else {
+				seen[key] = true
+			}
+			for _, placed := range []bool{false, h.PlacementOK(cfg.Cells(), fabric.Offset{})} {
+				shared, direct := build(memo), build(nil)
+				got, off, ok := shared.RemapConfig(cfg, fabric.Offset{}, placed)
+				want, wantOff, wantOK := direct.RemapConfig(cfg, fabric.Offset{}, placed)
+				what := fmt.Sprintf("%v pass %d placed %v", g, pass, placed)
+				if ok && got != cfg {
+					substituted++
+				}
+				if !samePlacement(got, off, ok, want, wantOff, wantOK) {
+					t.Fatalf("%s: shared memo chose %v at %v (%v), memo-less %v at %v (%v)",
+						what, got, off, ok, want, wantOff, wantOK)
+				}
+				if shared.SearchCounts() != direct.SearchCounts() {
+					t.Fatalf("%s: search counts diverge:\nshared:    %+v\nmemo-less: %+v",
+						what, shared.SearchCounts(), direct.SearchCounts())
+				}
+				if placed {
+					continue
+				}
+				if ref, refOff, refOK := referenceRescue(build(nil), cfg); !samePlacement(got, off, ok, ref, refOff, refOK) {
+					t.Fatalf("%s: rescue chose %v at %v (%v), the ΔVt-ranked reference %v at %v (%v)",
+						what, got, off, ok, ref, refOff, refOK)
+				}
+			}
+		}
+	}
+	if reused == 0 || substituted == 0 {
+		t.Fatalf("%d passes re-scored a stored candidate list, %d substituted a shape", reused, substituted)
+	}
+	t.Logf("%d passes re-scored a stored candidate list, %d substituted a shape", reused, substituted)
+}
+
+// samePlacement reports whether two rescue outcomes hold the same ops in
+// the same shape at the same offset.
+func samePlacement(a *fabric.Config, aOff fabric.Offset, aOK bool, b *fabric.Config, bOff fabric.Offset, bOK bool) bool {
+	if aOK != bOK || aOff != bOff || (a == nil) != (b == nil) {
+		return false
+	}
+	return a == nil || a.Geom == b.Geom && a.UsedCols == b.UsedCols && reflect.DeepEqual(a.Ops, b.Ops)
 }
