@@ -210,7 +210,7 @@ func (s *System) RunBenchmark(name string, size Size) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := eng.RunStream(ref.Stream)
+	rep, err := eng.RunStream(ref.Stream, ref.Words)
 	if err != nil {
 		return nil, err
 	}

@@ -279,56 +279,84 @@ type Engine struct {
 	residentOff fabric.Offset
 	hasResident bool
 
-	// Per-stream-word tables for the GPP path, built once per program (the
-	// only state a run inherits from the last one) and indexed by the retire
-	// word (text index<<1 | taken): wordCycles is the retire's cycle cost
-	// and wordInfo its instruction class, with stopBit set when the retire
-	// ends a trace. A GPP step is then three array loads, with no
-	// instruction decode or switch dispatch.
-	tabProg    *isa.Program
+	// wordCycles and wordInfo are the run's Words tables, which price the
+	// GPP path.
 	wordCycles []uint64
 	wordInfo   []uint8
 
 	rep Report
 }
 
-// stopBit marks, in wordInfo, a retire that terminates the captured trace:
-// an indirect jump, a system call, or a taken backward control transfer
-// (superblock formation: a loop body becomes one configuration). The low
-// bits hold the instruction's isa.Class, so every class must stay below it.
+// Words is the per-stream-word table of one program under one timing,
+// indexed by the retire word (text index<<1 | taken): each word's cycle
+// cost and instruction class, with stopBit set when the retire ends a
+// trace. A GPP step is then three array loads, with no instruction decode
+// or switch dispatch. The table depends only on (program, timing), so one
+// table serves every run of the program; nothing writes it after
+// NewWords, so engines on any number of goroutines may share it.
+type Words struct {
+	prog   *isa.Program
+	timing gpp.Timing
+	cycles []uint64
+	info   []uint8
+}
+
+// stopBit marks, in Words.info, a retire that terminates the captured
+// trace: an indirect jump, a system call, or a taken backward control
+// transfer (superblock formation: a loop body becomes one configuration).
+// The low bits hold the instruction's isa.Class, so every class must stay
+// below it.
 const stopBit = 1 << 7
 
 // A class count past stopBit would make this array length negative.
 var _ [stopBit - len(ClassCounts{})]struct{}
 
-// reset starts a run of p clean: an empty configuration cache sized over
-// p's text segment (so the per-retired-instruction residency probes are
-// array loads), empty memos, no resident configuration, and a zeroed
-// Report and search tally. Only the per-stream-word attribution tables
-// carry over, when the program does.
-func (e *Engine) reset(p *isa.Program) {
-	e.cache = cfgcache.New(cacheCapacity, p.TextBase, len(p.Text))
+// NewWords builds p's word table under timing (zero: gpp.DefaultTiming).
+func NewWords(p *isa.Program, timing gpp.Timing) *Words {
+	if timing == (gpp.Timing{}) {
+		timing = gpp.DefaultTiming()
+	}
+	w := &Words{
+		prog:   p,
+		timing: timing,
+		cycles: make([]uint64, 2*len(p.Text)),
+		info:   make([]uint8, 2*len(p.Text)),
+	}
+	for i, in := range p.Text {
+		for taken := 0; taken < 2; taken++ {
+			j := i<<1 | taken
+			w.cycles[j] = timing.CyclesFor(in, taken == 1)
+			w.info[j] = uint8(in.Op.Class())
+			backEdge := taken == 1 && in.IsControl() && in.Imm < 0
+			if in.Op == isa.JALR || in.Op == isa.ECALL || backEdge {
+				w.info[j] |= stopBit
+			}
+		}
+	}
+	return w
+}
+
+// Price returns the cycles and class counts of retiring words on the GPP
+// alone: what RunGPPOnly reports for the run that recorded them.
+func (w *Words) Price(words []uint32) (cycles uint64, classes ClassCounts) {
+	for _, r := range words {
+		cycles += w.cycles[r]
+		classes[w.info[r]&^stopBit]++
+	}
+	return cycles, classes
+}
+
+// reset starts a run under w clean: an empty configuration cache sized
+// over the program's text segment (so the per-retired-instruction
+// residency probes are array loads), empty memos, no resident
+// configuration, and a zeroed Report and search tally.
+func (e *Engine) reset(w *Words) {
+	e.cache = cfgcache.New(cacheCapacity, w.prog.TextBase, len(w.prog.Text))
 	clear(e.unplaceable)
 	clear(e.refused)
 	e.hasResident, e.stateFlushed = false, false
 	e.rep, e.search = Report{}, searchcost.Counts{}
-	if e.tabProg == p {
-		return
-	}
-	e.tabProg = p
-	e.wordCycles = make([]uint64, 2*len(p.Text))
-	e.wordInfo = make([]uint8, 2*len(p.Text))
-	for i, in := range p.Text {
-		for taken := 0; taken < 2; taken++ {
-			w := i<<1 | taken
-			e.wordCycles[w] = e.opts.Timing.CyclesFor(in, taken == 1)
-			e.wordInfo[w] = uint8(in.Op.Class())
-			backEdge := taken == 1 && in.IsControl() && in.Imm < 0
-			if in.Op == isa.JALR || in.Op == isa.ECALL || backEdge {
-				e.wordInfo[w] |= stopBit
-			}
-		}
-	}
+	e.wordCycles, e.wordInfo = w.cycles, w.info
 }
 
 // NewEngine validates options and builds an engine.
@@ -400,15 +428,20 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dbt: %w", err)
 	}
-	return e.RunStream(s)
+	return e.RunStream(s, NewWords(s.Prog, e.opts.Timing))
 }
 
 // RunStream co-simulates a recorded retire stream on the TransRec system
 // and returns the report of this run alone; only the fabric's stress and
-// allocator state carry over from earlier runs. It never writes to the
-// stream, which may be shared across engines and goroutines.
-func (e *Engine) RunStream(s *gpp.Stream) (*Report, error) {
-	e.reset(s.Prog)
+// allocator state carry over from earlier runs. w prices the stream's
+// words and must be its program's table under the engine's timing. It
+// never writes to the stream or the table, which may be shared across
+// engines and goroutines.
+func (e *Engine) RunStream(s *gpp.Stream, w *Words) (*Report, error) {
+	if w.prog != s.Prog || w.timing != e.opts.Timing {
+		return nil, fmt.Errorf("dbt: the word table is not the stream's program under the engine's timing")
+	}
+	e.reset(w)
 	// The allocator persists across the engine's runs, so its search
 	// counters are attributed to this run as a delta.
 	var allocStart searchcost.Counts
@@ -751,7 +784,7 @@ func (e *Engine) finalizeTrace() {
 		}
 		return
 	}
-	p := e.tabProg
+	p := e.stream.Prog
 	e.trace = e.trace[:0]
 	for _, w := range words {
 		i := w >> 1

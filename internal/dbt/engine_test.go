@@ -434,6 +434,35 @@ func TestRunGPPOnlyMatchesInterpreter(t *testing.T) {
 	}
 }
 
+// TestWordsPriceStreamAndGuardRuns checks a word table against the
+// interpreter-driven pricing of RunGPPOnly, and that RunStream refuses a
+// table of another program or timing.
+func TestWordsPriceStreamAndGuardRuns(t *testing.T) {
+	s, err := gpp.Record(loopCore(t), 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, classes, err := RunGPPOnly(loopCore(t), gpp.Timing{}, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWords(s.Prog, gpp.Timing{})
+	if gotCycles, gotClasses := w.Price(s.Retires); gotCycles != cycles || gotClasses != classes {
+		t.Errorf("table priced %d cycles %v, RunGPPOnly %d cycles %v", gotCycles, gotClasses, cycles, classes)
+	}
+	slow := gpp.DefaultTiming()
+	slow.Load++
+	foreign := loopCore(t).Program()
+	for name, bad := range map[string]*Words{"timing": NewWords(s.Prog, slow), "program": NewWords(foreign, gpp.Timing{})} {
+		if _, err := newTestEngine(t, nil).RunStream(s, bad); err == nil {
+			t.Errorf("RunStream accepted a table of another %s", name)
+		}
+	}
+	if _, err := newTestEngine(t, nil).RunStream(s, w); err != nil {
+		t.Errorf("RunStream refused the stream's own table: %v", err)
+	}
+}
+
 func TestEngineLimit(t *testing.T) {
 	p, err := isa.Assemble("loop: j loop", isa.AsmOptions{TextBase: gpp.TextBase})
 	if err != nil {

@@ -157,8 +157,8 @@ func TestRefusedTranslationMemoKeyCoversBranchDirections(t *testing.T) {
 // GPP path captures a stream range, and finalizes it. Captures of one
 // program share one run, so its memos carry over between them.
 func captureTrace(e *Engine, s *gpp.Stream) {
-	if e.tabProg != s.Prog {
-		e.reset(s.Prog)
+	if e.stream == nil || e.stream.Prog != s.Prog {
+		e.reset(NewWords(s.Prog, e.opts.Timing))
 	}
 	e.stream = s
 	e.traceStart, e.traceLen = 0, len(s.Retires)

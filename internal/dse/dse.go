@@ -184,7 +184,7 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 			return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
 		}
 
-		rep, err := eng.RunStream(ref.Stream)
+		rep, err := eng.RunStream(ref.Stream, ref.Words)
 		if err != nil {
 			return nil, fmt.Errorf("dse: %s transrec: %w", name, err)
 		}

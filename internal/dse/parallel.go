@@ -35,9 +35,11 @@ type GPPRef struct {
 	Cycles   uint64
 	Classes  dbt.ClassCounts
 	Checksum uint32
-	// Stream is shared by every caller of the cache and must not be
+	// Stream and Words, the table pricing its words under the key's
+	// timing, are shared by every caller of the cache and must not be
 	// written.
 	Stream *gpp.Stream
+	Words  *dbt.Words
 }
 
 type refKey struct {
@@ -87,12 +89,8 @@ func (rc *RefCache) Get(b *prog.Benchmark, size prog.Size, timing gpp.Timing) (G
 		if err := b.Check(c.Mem, c.Regs[isa.A0], size); err != nil {
 			return GPPRef{}, fmt.Errorf("dse: %s computed a wrong result: %w", b.Name, err)
 		}
-		ref := GPPRef{Checksum: c.Regs[isa.A0], Stream: s}
-		for p := range s.Retires {
-			r := s.Retire(p)
-			ref.Cycles += timing.CyclesFor(r.Inst, r.Taken)
-			ref.Classes[r.Inst.Op.Class()]++
-		}
+		ref := GPPRef{Checksum: c.Regs[isa.A0], Stream: s, Words: dbt.NewWords(s.Prog, timing)}
+		ref.Cycles, ref.Classes = ref.Words.Price(s.Retires)
 		return ref, nil
 	})
 	if err != nil {

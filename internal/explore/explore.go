@@ -32,15 +32,25 @@
 // the footprint's total projected stress-years, then by row-major pivot
 // order, so the scan stays deterministic.
 //
-// The scan prunes: a candidate whose running maximum already exceeds the
-// best-so-far (seeded from the previously held pivot's score) cannot win
-// and its remaining cells are not scored. Pruning and the incremental
-// tables are simulator-side shortcuts around the *same* argmin; the
-// searchcost counters keep reporting the work the modeled hardware search
-// engine would issue — one projection-table refresh per cell per scan and
-// one score evaluation per cell of every live candidate — so counted work
-// is identical between the pruned scan and a full rescan (the
-// argmin-equals-full-scan property test pins both).
+// The scan does not walk the pivots one by one. Each configuration keeps
+// a cover table, built once: for every physical cell, the set of pivots
+// whose footprint covers it. The scan is then a blocked-pivot descent over
+// pivot sets. It starts from the live pivots and a bound t, the held
+// pivot's worst cell. Every pivot covering a cell projected above t cannot
+// win and leaves the set. If a pivot left in the set covers no cell at
+// exactly t, its worst cell lies strictly below t: the pivots covering a
+// cell at t leave too, and t drops to the worst cell of the lowest pivot
+// left. When every pivot left covers a cell at t, they are the tie set at
+// the minimum maximum, and the footprint totals rank them. Each round
+// blocks only the cells of a new band, so no cell's cover is merged twice.
+// The bound and the bands read one projection table, so the pivot that set
+// t never blocks itself. The descent and the incremental tables are
+// simulator-side shortcuts around the *same* argmin; the searchcost
+// counters keep reporting the work the modeled hardware search engine
+// would issue — one projection-table refresh per cell per scan and one
+// score evaluation per cell of every live candidate — so counted work is
+// identical to a full rescan's (the argmin-equals-full-scan property and
+// differential tests pin both).
 //
 // Because an exhaustive pivot search per execution would be costly in
 // hardware, the search runs every RecomputeEvery *committed* executions and
@@ -72,7 +82,7 @@ package explore
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"agingcgra/internal/aging"
 	"agingcgra/internal/alloc"
@@ -126,6 +136,11 @@ type Explorer struct {
 	// reads one float per cell instead of recomputing the FMA per
 	// candidate. It is only valid within the Explore call that filled it.
 	yProj []float64
+	// words is the length of one pivot set, ceil(NumFUs/64) words in
+	// fabric.Mask's layout; sets holds the scan's three scratch sets (the
+	// candidates, the cells above the bound, the cells at it).
+	words int
+	sets  []uint64
 
 	// count is the number of committed executions observed so far: the
 	// clock the hold period runs on. Allocator proposals (Next calls) do
@@ -163,8 +178,12 @@ type pivotState struct {
 	// costs one exploration per fabric state instead of one per proposal.
 	noLive bool
 	// explored marks that off is a real exploration outcome (the zero
-	// state is "never explored", whose zero off must not seed pruning).
+	// state is "never explored", whose zero off must not seed the scan).
 	explored bool
+	// cover is the configuration's cover table (coverTable), built at its
+	// first exploration: it depends only on the footprint and the
+	// geometry, so every later scan reuses it.
+	cover []uint64
 }
 
 // Option configures the Explorer.
@@ -201,8 +220,10 @@ func New(g fabric.Geometry, opts ...Option) *Explorer {
 		stress:         make([]uint64, g.NumFUs()),
 		wearY:          make([]float64, g.NumFUs()),
 		yProj:          make([]float64, g.NumFUs()),
+		words:          (g.NumFUs() + 63) >> 6,
 		pivots:         make(map[*fabric.Config]*pivotState),
 	}
+	e.sets = make([]uint64, 3*e.words)
 	for i := range e.rowBase {
 		e.rowBase[i] = (i % g.Rows) * g.Cols
 	}
@@ -296,17 +317,7 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 	if cfg == nil {
 		return fabric.Offset{}
 	}
-	st := e.lastSt
-	if cfg != e.lastCfg {
-		var ok bool
-		st, ok = e.pivots[cfg]
-		if !ok {
-			st = &pivotState{}
-			e.pivots[cfg] = st
-			st.nextAt = e.count // unexplored: force the first search
-		}
-		e.lastCfg, e.lastSt = cfg, st
-	}
+	st := e.state(cfg)
 	stale := st.key.Update(e.health, e.wear, nil)
 	recompute := stale || e.count >= st.nextAt
 	live := cfg.LivePivots(e.health)
@@ -335,15 +346,28 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 	return st.off
 }
 
+// state returns cfg's exploration state, creating it unexplored.
+func (e *Explorer) state(cfg *fabric.Config) *pivotState {
+	if cfg == e.lastCfg {
+		return e.lastSt
+	}
+	st, ok := e.pivots[cfg]
+	if !ok {
+		st = &pivotState{}
+		e.pivots[cfg] = st
+		st.nextAt = e.count // unexplored: force the first search
+	}
+	e.lastCfg, e.lastSt = cfg, st
+	return st
+}
+
 // scanResult is the outcome of one pivot scan: the argmin plus the work
 // counter.
 type scanResult struct {
-	idx  int // winning pivot index, -1 when no pivot is live
-	maxY float64
-	sumY float64
+	idx int // winning pivot index, -1 when no pivot is live
 	// cells is the scan's live-candidate score evaluations: len(cells)
-	// for every fully-live pivot, pruned or not, exactly what an unpruned
-	// rescan would count.
+	// for every fully-live pivot, however early the descent blocks it,
+	// exactly what an exhaustive rescan would count.
 	cells uint64
 }
 
@@ -356,11 +380,11 @@ type scanResult struct {
 // excluded; when no live placement exists the zero offset is returned and
 // the controller's own health check rejects the offload (GPP fallback).
 //
-// The scan seeds its pruning bound with the previously held pivot's score.
-// That never changes the argmin (pruning only discards candidates whose
-// running maximum is already strictly worse) nor the counted work (a
-// pruned candidate still counts its full footprint), so pruned and
-// unpruned scans are byte-identical in outcome and searchcost counters.
+// The scan starts its descent from the held pivot's worst cell: in steady
+// state the argmin moves slowly, so the first bound already blocks most
+// candidates. The start changes neither the argmin nor the counted work,
+// so the scan is byte-identical in outcome and searchcost counters to an
+// exhaustive one.
 func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	e.syncWear()
 	cells := cfg.Cells()
@@ -372,19 +396,15 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 		e.yProj[i] = w + float64(e.stress[i])*k
 	}
 
-	// Seed the pruning bound with the held pivot's current score: in
-	// steady state the argmin moves slowly, so most candidates abort on
-	// their first cell worse than the incumbent.
-	seed := math.Inf(1)
-	st := e.lastSt
-	if cfg != e.lastCfg {
-		st = e.pivots[cfg]
+	st := e.state(cfg)
+	if st.cover == nil {
+		st.cover = e.coverTable(cells)
 	}
-	if st != nil && st.explored && (live == nil || live[st.off.Row*e.geom.Cols+st.off.Col]) {
-		seed, _ = e.scoreYears(cells, st.off, k)
+	held := -1
+	if st.explored {
+		held = st.off.Row*e.geom.Cols + st.off.Col
 	}
-
-	sr := e.scanPivots(cells, live, seed)
+	sr := e.scanPivots(cells, st.cover, live, held)
 	e.counts.PivotCells += sr.cells
 	if sr.idx < 0 {
 		return fabric.Offset{}
@@ -392,54 +412,159 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	return fabric.Offset{Row: sr.idx / e.geom.Cols, Col: sr.idx % e.geom.Cols}
 }
 
-// scanPivots evaluates every live pivot (every pivot when live is nil) and
-// returns the argmin by (max projected years, total projected years,
-// row-major order). seed bounds the pruning from the start; the bound then
-// tightens to the scan's own best. A pruned candidate still counts its
-// footprint, so the counted work stays that of the full rescan.
-func (e *Explorer) scanPivots(cells []fabric.Cell, live []bool, seed float64) scanResult {
-	sr := scanResult{idx: -1, maxY: math.Inf(1), sumY: math.Inf(1)}
-	thr := seed
-	cols := e.geom.Cols
-	yProj := e.yProj
-	n := e.geom.NumFUs()
-	pr, pc := 0, 0
+// coverTable returns the footprint's cover table: words e.words*i onwards
+// hold the set of pivots whose placement of cells occupies physical cell i.
+func (e *Explorer) coverTable(cells []fabric.Cell) []uint64 {
+	n, nw, cols := e.geom.NumFUs(), e.words, e.geom.Cols
+	cover := make([]uint64, n*nw)
 	for p := 0; p < n; p++ {
-		rb := e.rowBase[pr:]
-		cm := e.colMod[pc:]
-		if pc++; pc == cols {
-			pc = 0
-			pr++
-		}
-		if live != nil && !live[p] {
-			continue
-		}
-		sr.cells += uint64(len(cells))
-		maxY, sumY := 0.0, 0.0
-		pruned := false
+		rb := e.rowBase[p/cols:]
+		cm := e.colMod[p%cols:]
 		for _, cell := range cells {
-			idx := rb[cell.Row] + cm[cell.Col]
-			y := yProj[idx]
-			sumY += y
-			if y > maxY {
-				maxY = y
-				if y > thr {
-					pruned = true
-					break
-				}
+			cover[(rb[cell.Row]+cm[cell.Col])*nw+p>>6] |= 1 << (p & 63)
+		}
+	}
+	return cover
+}
+
+// scanPivots returns the argmin over the live pivots (every pivot when
+// live is nil) by (max projected years, total projected years, row-major
+// order), reading yProj, by the blocked-pivot descent the package comment
+// describes. cover is the footprint's cover table and held the previously
+// held pivot (-1 for none), whose worst cell is the first bound when it is
+// live. After the first round a band holds the cells above the bound and
+// below the last one: the cells at or above the last bound are merged
+// already. A worst cell is floored at zero, as the exhaustive scan's
+// running maximum starts there, so at a zero bound every pivot left ties
+// (a footprint of NaN projections covers no cell at 0 yet scores 0).
+func (e *Explorer) scanPivots(cells []fabric.Cell, cover []uint64, live []bool, held int) scanResult {
+	sr := scanResult{idx: -1}
+	n, nw := e.geom.NumFUs(), e.words
+	s, gt, eq := e.sets[:nw], e.sets[nw:2*nw], e.sets[2*nw:]
+	clear(s)
+	if live == nil {
+		for p := 0; p < n; p++ {
+			s[p>>6] |= 1 << (p & 63)
+		}
+	} else {
+		for p, ok := range live[:n] {
+			var b uint64
+			if ok {
+				b = 1
+			}
+			s[p>>6] |= b << (p & 63)
+		}
+	}
+	nLive := count(s)
+	sr.cells = uint64(nLive * len(cells))
+	if nLive == 0 {
+		return sr
+	}
+	if len(cells) == 0 {
+		sr.idx = lowest(s)
+		return sr
+	}
+	if held < 0 || s[held>>6]&(1<<(held&63)) == 0 {
+		held = lowest(s)
+	}
+	t := e.worstAt(cells, held)
+	top, hi := true, 0.0 // hi bounds the bands from above after the first round
+	for {
+		clear(gt)
+		clear(eq)
+		for i, y := range e.yProj {
+			if y < t {
+				continue
+			}
+			var dst []uint64
+			switch {
+			case y == t:
+				dst = eq
+			case y > t && (top || y < hi):
+				dst = gt
+			default:
+				continue
+			}
+			for j, w := range cover[i*nw : i*nw+nw] {
+				dst[j] |= w
 			}
 		}
-		if pruned {
-			continue
+		below := false
+		for j := range s {
+			s[j] &^= gt[j]
+			below = below || s[j]&^eq[j] != 0
 		}
-		if sr.idx < 0 || maxY < sr.maxY || (maxY == sr.maxY && sumY < sr.sumY) {
-			sr.idx, sr.maxY, sr.sumY = p, maxY, sumY
-			if maxY < thr {
-				thr = maxY
+		if !below || t == 0 {
+			break
+		}
+		for j := range s {
+			s[j] &^= eq[j]
+		}
+		hi, top = t, false
+		t = e.worstAt(cells, lowest(s))
+	}
+	// S is the tie set: the footprint totals rank it, unless it is a
+	// single pivot.
+	sr.idx = lowest(s)
+	if count(s) == 1 {
+		return sr
+	}
+	sr.idx = -1
+	var best float64
+	for j, w := range s {
+		for ; w != 0; w &= w - 1 {
+			p := j<<6 | bits.TrailingZeros64(w)
+			if sum := e.sumAt(cells, p); sr.idx < 0 || sum < best {
+				sr.idx, best = p, sum
 			}
 		}
 	}
 	return sr
+}
+
+// count returns the number of pivots in a set.
+func count(s []uint64) int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// lowest returns the lowest pivot of a non-empty set.
+func lowest(s []uint64) int {
+	for j, w := range s {
+		if w != 0 {
+			return j<<6 | bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// worstAt returns the worst yProj cell of cells placed at pivot p, floored
+// at zero as the exhaustive scan's running maximum is.
+func (e *Explorer) worstAt(cells []fabric.Cell, p int) float64 {
+	rb := e.rowBase[p/e.geom.Cols:]
+	cm := e.colMod[p%e.geom.Cols:]
+	maxY := 0.0
+	for _, cell := range cells {
+		if y := e.yProj[rb[cell.Row]+cm[cell.Col]]; y > maxY {
+			maxY = y
+		}
+	}
+	return maxY
+}
+
+// sumAt returns the total yProj of cells placed at pivot p, summed in
+// footprint order.
+func (e *Explorer) sumAt(cells []fabric.Cell, p int) float64 {
+	rb := e.rowBase[p/e.geom.Cols:]
+	cm := e.colMod[p%e.geom.Cols:]
+	sumY := 0.0
+	for _, cell := range cells {
+		sumY += e.yProj[rb[cell.Row]+cm[cell.Col]]
+	}
+	return sumY
 }
 
 // scoreYears evaluates one candidate: the maximum and total projected
@@ -487,7 +612,7 @@ func (e *Explorer) WorstYears(cfg *fabric.Config, off fabric.Offset) float64 {
 // cost model prices. The counters report the work the modeled hardware
 // search engine would issue — a full projection refresh per scan and one
 // evaluation per cell of every live candidate — invariant to the
-// simulator's pruning and memoization. Explorations counts full scans
+// simulator's descent and memoization. Explorations counts full scans
 // directly — the number the hold-period regression tests pin.
 func (e *Explorer) SearchCounts() searchcost.Counts { return e.counts }
 

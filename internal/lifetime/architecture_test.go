@@ -72,7 +72,7 @@ func TestFaultsNeverTouchArchitecture(t *testing.T) {
 				t.Fatal(err)
 			}
 			interp, interpStats := run(t, func(e *dbt.Engine) (*dbt.Report, error) { return e.Run(c, b.MaxInstructions) })
-			replay, replayStats := run(t, func(e *dbt.Engine) (*dbt.Report, error) { return e.RunStream(ref.Stream) })
+			replay, replayStats := run(t, func(e *dbt.Engine) (*dbt.Report, error) { return e.RunStream(ref.Stream, ref.Words) })
 
 			if interpStats.FaultedExecs == 0 || interpStats.DetectedFaults == 0 || interp.GPPFallbacks+interp.Remaps == 0 {
 				t.Fatalf("scenario exercises nothing: faulted %d detected %d fallbacks+remaps %d",

@@ -966,7 +966,7 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 		// result dse.RefCache.Get checked once: failures, faults and
 		// placement change only where each retire is accounted, never what
 		// retires, so the report must account every retire exactly once.
-		rep, err := eng.RunStream(ref.Stream)
+		rep, err := eng.RunStream(ref.Stream, ref.Words)
 		if err != nil {
 			return nil, fmt.Errorf("%s transrec: %w", name, err)
 		}

@@ -308,7 +308,12 @@ func (m *Monitor) uniform(stream, cell, draw uint64) float64 {
 // cells (shifted by off) manifests a fault: ground-truth-dead cells fault
 // deterministically — this is how the runtime discovers deaths without an
 // oracle — and live cells fault with their intermittent probability.
+// With no risky cell and no dead one, no cell of the geometry can fault:
+// the call returns at once, with no draw and no count.
 func (m *Monitor) DrawExec(cells []fabric.Cell, off fabric.Offset) bool {
+	if (m.faults == nil || !m.faults.Risky()) && m.truth.DeadCount() == 0 {
+		return false
+	}
 	faulted := false
 	for _, c := range cells {
 		p := off.Apply(c, m.geom)

@@ -285,3 +285,99 @@ func TestVersionExcludesPerEpochAndStatState(t *testing.T) {
 		t.Error("a suspicion increment must move Version")
 	}
 }
+
+// drawExecLoop is DrawExec without its early return: the per-cell loop
+// every call ran before, the reference the fast path must match.
+func drawExecLoop(m *Monitor, cells []fabric.Cell, off fabric.Offset) bool {
+	faulted := false
+	for _, c := range cells {
+		p := off.Apply(c, m.geom)
+		if m.truth.Dead(p) {
+			faulted = true
+			continue
+		}
+		if m.faults == nil || !m.faults.Risky() {
+			continue
+		}
+		pr := m.faults.At(p)
+		if pr <= 0 {
+			continue
+		}
+		i := p.Row*m.geom.Cols + p.Col
+		draw := m.execDraws[i]
+		m.execDraws[i]++
+		if m.uniform(streamExec, uint64(i), draw) < pr {
+			faulted = true
+		}
+	}
+	if faulted {
+		m.stats.FaultedExecs++
+	}
+	return faulted
+}
+
+// TestDrawExecMatchesPerCellLoop checks DrawExec against the per-cell loop
+// on random ground-truth dead sets and fault maps (absent, cleared back to
+// reliable, and risky): the result, the Stats and every per-cell draw
+// counter agree after each of repeated calls.
+func TestDrawExecMatchesPerCellLoop(t *testing.T) {
+	g := fabric.NewGeometry(2, 8)
+	n := g.NumFUs()
+	state := uint64(0x9e3779b97f4a7c15)
+	next := func(k int) int {
+		state = mix64(state + 0x9e3779b97f4a7c15)
+		return int(state % uint64(k))
+	}
+	fastPaths := 0
+	for trial := 0; trial < 300; trial++ {
+		truth := fabric.NewHealth(g)
+		for i, dead := 0, next(4)*next(3); i < dead; i++ {
+			truth.Kill(fabric.Cell{Row: next(g.Rows), Col: next(g.Cols)})
+		}
+		var faults *fabric.Faults
+		if kind := next(3); kind > 0 {
+			faults = fabric.NewFaults(g)
+			for i, m := 0, next(5); i < m; i++ {
+				faults.Set(fabric.Cell{Row: next(g.Rows), Col: next(g.Cols)}, float64(1+next(8))/8)
+			}
+			if kind == 1 { // every cell set reliable again: not Risky
+				for i := 0; i < n; i++ {
+					faults.Set(fabric.Cell{Row: i / g.Cols, Col: i % g.Cols}, 0)
+				}
+			}
+		}
+		seed := uint64(trial)
+		fast := NewMonitor(g, Policy{}, truth, faults, seed)
+		ref := NewMonitor(g, Policy{}, truth, faults, seed)
+		if (faults == nil || !faults.Risky()) && truth.DeadCount() == 0 {
+			fastPaths++
+		}
+		for epoch := 0; epoch < 2; epoch++ {
+			fast.BeginEpoch(epoch)
+			ref.BeginEpoch(epoch)
+			for call := 0; call < 20; call++ {
+				cells := make([]fabric.Cell, 1+next(4))
+				for i := range cells {
+					cells[i] = fabric.Cell{Row: next(g.Rows), Col: next(g.Cols)}
+				}
+				off := fabric.Offset{Row: next(g.Rows), Col: next(g.Cols)}
+				got, want := fast.DrawExec(cells, off), drawExecLoop(ref, cells, off)
+				if got != want {
+					t.Fatalf("trial %d epoch %d call %d: DrawExec %v, per-cell loop %v", trial, epoch, call, got, want)
+				}
+				if fast.Stats() != ref.Stats() {
+					t.Fatalf("trial %d epoch %d call %d: stats %+v, want %+v", trial, epoch, call, fast.Stats(), ref.Stats())
+				}
+				for i := range fast.execDraws {
+					if fast.execDraws[i] != ref.execDraws[i] {
+						t.Fatalf("trial %d epoch %d call %d: cell %d drawn %d times, want %d",
+							trial, epoch, call, i, fast.execDraws[i], ref.execDraws[i])
+					}
+				}
+			}
+		}
+	}
+	if fastPaths == 0 || fastPaths == 300 {
+		t.Fatalf("%d of 300 trials took the fast path; the test needs both kinds", fastPaths)
+	}
+}
