@@ -20,6 +20,12 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 		{"ladder", []string{"-shape-sweep", "-ladders", "bogus", "-years", "1"}, "unknown shape ladder"},
 		{"failure", []string{"-explorer-sweep", "-failures", "mystery", "-years", "1"}, "unknown failure pattern"},
 		{"bad horizon", []string{"-explorer-sweep", "-horizons", "abc"}, "bad float"},
+		{"infinite horizon", []string{"-explorer-sweep", "-horizons", "inf", "-periods", "16", "-size", "tiny"},
+			"finite and positive"},
+		{"NaN horizon", []string{"-explorer-sweep", "-horizons", "nan", "-periods", "16", "-size", "tiny"},
+			"finite and positive"},
+		{"zero horizon", []string{"-explorer-sweep", "-horizons", "1,0", "-periods", "16", "-size", "tiny"},
+			"finite and positive"},
 		{"bad period", []string{"-explorer-sweep", "-periods", "x"}, "bad integer"},
 	}
 	for _, tc := range cases {

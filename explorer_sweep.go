@@ -2,6 +2,7 @@ package agingcgra
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"agingcgra/internal/alloc"
@@ -101,8 +102,8 @@ func ExplorerSweep(opt ExplorerSweepOptions) (*ExplorerSweepResult, error) {
 			return nil, err
 		}
 		for _, horizon := range opt.Horizons {
-			if horizon <= 0 {
-				return nil, fmt.Errorf("agingcgra: explorer sweep horizon %v must be positive", horizon)
+			if !(horizon > 0) || math.IsInf(horizon, 1) {
+				return nil, fmt.Errorf("agingcgra: explorer sweep horizon %v must be finite and positive", horizon)
 			}
 			for _, period := range opt.Periods {
 				if period < 1 {

@@ -82,6 +82,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"agingcgra/internal/aging"
@@ -189,10 +190,13 @@ type pivotState struct {
 // Option configures the Explorer.
 type Option func(*Explorer)
 
-// WithHorizon sets the projection horizon in years (default 1).
+// WithHorizon sets the projection horizon in years (default 1). A
+// horizon that is not finite and positive is ignored: an infinite one
+// would project every unstressed cell to NaN and every stressed one to
+// +Inf.
 func WithHorizon(years float64) Option {
 	return func(e *Explorer) {
-		if years > 0 {
+		if years > 0 && !math.IsInf(years, 1) {
 			e.horizonYears = years
 		}
 	}

@@ -212,6 +212,25 @@ func TestHorizonProjectionIsFinite(t *testing.T) {
 	}
 }
 
+// TestWithHorizonIgnoresBadValues: a horizon that is not finite and
+// positive keeps the default, so Score stays finite.
+func TestWithHorizonIgnoresBadValues(t *testing.T) {
+	g := fabric.NewGeometry(2, 8)
+	for _, h := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := New(g, WithHorizon(h))
+		if e.horizonYears != 1 {
+			t.Errorf("WithHorizon(%v): horizon %v, want the default 1", h, e.horizonYears)
+		}
+		e.SetWear(fabric.NewWear(g))
+		if s := e.Score(testConfig(g), fabric.Offset{}); math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Errorf("WithHorizon(%v): fresh-fabric score %v", h, s)
+		}
+	}
+	if e := New(g, WithHorizon(4)); e.horizonYears != 4 {
+		t.Errorf("WithHorizon(4): horizon %v", e.horizonYears)
+	}
+}
+
 // TestHeldPivotRevalidatedPerConfig regresses the small-fabric trap: the
 // pivot held for one configuration's footprint must not be proposed for a
 // different footprint it would dead-hit. The controller's skip-scan is

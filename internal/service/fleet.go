@@ -178,8 +178,98 @@ func validateWeights(kind string, ws []float64) error {
 	return nil
 }
 
+// fleetWeights lists the option weights of fr's three distributions.
+func fleetWeights(fr FleetRequest) (mixes, profiles, patterns []float64) {
+	mixes = make([]float64, len(fr.Mixes))
+	for i, m := range fr.Mixes {
+		mixes[i] = m.Weight
+	}
+	profiles = make([]float64, len(fr.Profiles))
+	for i, p := range fr.Profiles {
+		profiles[i] = p.Weight
+	}
+	patterns = make([]float64, len(fr.Patterns))
+	for i, p := range fr.Patterns {
+		patterns[i] = p.Weight
+	}
+	return mixes, profiles, patterns
+}
+
+// drawKey is everything a device's draw decides: the option index of each
+// distribution (0 for an empty list) and, for a fleet whose base enables
+// faults or recovery, the device's scenario seed. A device's request is a
+// function of its key alone.
+type drawKey struct {
+	mix, profile, pattern int
+	seed                  uint64
+}
+
+// fleetDraw is a fleet's devices deduplicated into combos: the distinct
+// fingerprints in first-appearance order, each with one request that
+// produces it, and the combo index of every device.
+type fleetDraw struct {
+	reqs    []ScenarioRequest
+	fps     []string
+	devices []int32
+}
+
+// drawFleet draws every device of fr (weights already validated) and
+// deduplicates the draws into combos. The request and fingerprint are
+// built once per distinct draw key; keys whose fingerprints alias (two
+// patterns that both mean a healthy fabric, two mixes with the same
+// benchmarks) share a combo. The draw is keyed, not stateful, so the
+// result is a pure function of (fr, seed).
+func drawFleet(fr FleetRequest, seed uint64) fleetDraw {
+	mixW, profW, patW := fleetWeights(fr)
+	seeded := fr.Base.Faults != nil || fr.Base.Recovery != nil
+	fd := fleetDraw{devices: make([]int32, fr.Devices)}
+	byKey := make(map[drawKey]int32)
+	byFP := make(map[string]int32)
+	for d := range fd.devices {
+		var k drawKey
+		if len(fr.Mixes) > 0 {
+			k.mix = pickWeighted(deviceDraw(seed, d, streamMix), mixW)
+		}
+		if len(fr.Profiles) > 0 {
+			k.profile = pickWeighted(deviceDraw(seed, d, streamProfile), profW)
+		}
+		if len(fr.Patterns) > 0 {
+			k.pattern = pickWeighted(deviceDraw(seed, d, streamPattern), patW)
+		}
+		if seeded {
+			k.seed = max(deviceHash(seed, d, streamSeed), 1)
+		}
+		c, ok := byKey[k]
+		if !ok {
+			req := fr.Base
+			if len(fr.Mixes) > 0 {
+				req.Benchmarks = fr.Mixes[k.mix].Benchmarks
+			}
+			if len(fr.Profiles) > 0 {
+				req.Profile = fr.Profiles[k.profile].Phases
+			}
+			if len(fr.Patterns) > 0 {
+				req.DeadPattern = fr.Patterns[k.pattern].Pattern
+			}
+			if seeded {
+				req.Seed = k.seed
+			}
+			fp := fingerprint(req)
+			if c, ok = byFP[fp]; !ok {
+				c = int32(len(fd.fps))
+				byFP[fp] = c
+				fd.reqs = append(fd.reqs, req)
+				fd.fps = append(fd.fps, fp)
+			}
+			byKey[k] = c
+		}
+		fd.devices[d] = c
+	}
+	return fd
+}
+
 // fleet runs one fleet query: draw devices, deduplicate into distinct
-// combos, run each combo once on the shared pool, aggregate.
+// combos, run each combo once on the shared pool, aggregate by combo.
 func (s *Server) fleet(ctx context.Context, fr FleetRequest) (*FleetResponse, error) {
 	if fr.Devices <= 0 {
 		return nil, fmt.Errorf("devices must be positive (got %d)", fr.Devices)
@@ -191,18 +281,7 @@ func (s *Server) fleet(ctx context.Context, fr FleetRequest) (*FleetResponse, er
 	if seed == 0 {
 		seed = 1
 	}
-	mixW := make([]float64, len(fr.Mixes))
-	for i, m := range fr.Mixes {
-		mixW[i] = m.Weight
-	}
-	profW := make([]float64, len(fr.Profiles))
-	for i, p := range fr.Profiles {
-		profW[i] = p.Weight
-	}
-	patW := make([]float64, len(fr.Patterns))
-	for i, p := range fr.Patterns {
-		patW[i] = p.Weight
-	}
+	mixW, profW, patW := fleetWeights(fr)
 	if err := validateWeights("mixes", mixW); err != nil {
 		return nil, err
 	}
@@ -231,43 +310,14 @@ func (s *Server) fleet(ctx context.Context, fr FleetRequest) (*FleetResponse, er
 		}
 	}
 
-	// Draw every device, deduplicating into distinct combos in
-	// first-appearance order (deterministic: the draw is keyed, not
-	// stateful).
-	fps := make([]string, fr.Devices)
-	byFP := make(map[string]ScenarioRequest)
-	var order []string
-	for d := 0; d < fr.Devices; d++ {
-		req := fr.Base
-		if len(fr.Mixes) > 0 {
-			req.Benchmarks = fr.Mixes[pickWeighted(deviceDraw(seed, d, streamMix), mixW)].Benchmarks
-		}
-		if len(fr.Profiles) > 0 {
-			req.Profile = fr.Profiles[pickWeighted(deviceDraw(seed, d, streamProfile), profW)].Phases
-		}
-		if len(fr.Patterns) > 0 {
-			req.DeadPattern = fr.Patterns[pickWeighted(deviceDraw(seed, d, streamPattern), patW)].Pattern
-		}
-		if req.Faults != nil || req.Recovery != nil {
-			ds := deviceHash(seed, d, streamSeed)
-			if ds == 0 {
-				ds = 1
-			}
-			req.Seed = ds
-		}
-		fp := fingerprint(req)
-		fps[d] = fp
-		if _, ok := byFP[fp]; !ok {
-			byFP[fp] = req
-			order = append(order, fp)
-		}
-	}
+	fd := drawFleet(fr, seed)
+	combos := len(fd.fps)
 
 	// One simulation per distinct combo; wall-clock is the combo count,
 	// not the device count.
-	results := make([]*ResultJSON, len(order))
-	err := s.pool.ForEach(ctx, len(order), func(i int) error {
-		res, err := s.runScenario(byFP[order[i]])
+	results := make([]*ResultJSON, combos)
+	err := s.pool.ForEach(ctx, combos, func(i int) error {
+		res, err := s.runScenario(fd.reqs[i], fd.fps[i])
 		results[i] = res
 		if err != nil {
 			return fmt.Errorf("combo %d: %w", i, err)
@@ -277,50 +327,49 @@ func (s *Server) fleet(ctx context.Context, fr FleetRequest) (*FleetResponse, er
 	if err != nil {
 		return nil, err
 	}
-	byFPResult := make(map[string]*ResultJSON, len(order))
-	for i, fp := range order {
-		byFPResult[fp] = results[i]
-	}
 
+	// Every device of a combo shares its outcome, so each curve is a
+	// percentile over the combos' values weighted by their device counts.
+	counts := make([]int, combos)
+	for _, c := range fd.devices {
+		counts[c]++
+	}
 	resp := &FleetResponse{
 		Devices: fr.Devices,
 		Seed:    seed,
-		Combos:  len(order),
+		Combos:  combos,
 		Memo: MemoCounters{
-			Hits:    fr.Devices - len(order),
-			Misses:  len(order),
-			HitRate: float64(fr.Devices-len(order)) / float64(fr.Devices),
+			Hits:    fr.Devices - combos,
+			Misses:  combos,
+			HitRate: float64(fr.Devices-combos) / float64(fr.Devices),
 		},
 	}
+	vals := make([]float64, combos)
 	for _, nth := range deaths {
-		ages := make([]float64, fr.Devices)
 		survivors := 0
-		for d, fp := range fps {
-			res := byFPResult[fp]
+		for c, res := range results {
 			if len(res.DeathAges) >= nth {
-				ages[d] = res.DeathAges[nth-1]
+				vals[c] = res.DeathAges[nth-1]
 			} else {
-				ages[d] = math.Inf(1)
-				survivors++
+				vals[c] = math.Inf(1)
+				survivors += counts[c]
 			}
 		}
 		curve := DeathCurve{Nth: nth, Survivors: survivors}
-		for _, p := range percentiles {
-			v := stats.Percentile(ages, p)
+		for i, v := range stats.CountedPercentiles(vals, counts, percentiles) {
 			if math.IsInf(v, 1) {
-				curve.Percentiles = append(curve.Percentiles, PercentileValue{P: p, Survived: true})
+				curve.Percentiles = append(curve.Percentiles, PercentileValue{P: percentiles[i], Survived: true})
 			} else {
-				curve.Percentiles = append(curve.Percentiles, PercentileValue{P: p, Years: v})
+				curve.Percentiles = append(curve.Percentiles, PercentileValue{P: percentiles[i], Years: v})
 			}
 		}
 		resp.Deaths = append(resp.Deaths, curve)
 	}
-	speedups := make([]float64, fr.Devices)
-	for d, fp := range fps {
-		speedups[d] = byFPResult[fp].FinalSpeedup
+	for c, res := range results {
+		vals[c] = res.FinalSpeedup
 	}
-	for _, p := range percentiles {
-		resp.Throughput = append(resp.Throughput, ThroughputValue{P: p, Speedup: stats.Percentile(speedups, p)})
+	for i, v := range stats.CountedPercentiles(vals, counts, percentiles) {
+		resp.Throughput = append(resp.Throughput, ThroughputValue{P: percentiles[i], Speedup: v})
 	}
 	return resp, nil
 }

@@ -140,16 +140,17 @@ func (s *Server) scenario(req ScenarioRequest) (lifetime.Scenario, error) {
 	return sc, nil
 }
 
-// runScenario resolves, runs and memoizes one scenario. The result comes
+// runScenario resolves, runs and memoizes one scenario, whose
+// fingerprint the caller passes in. The result comes
 // from the result-level store when an identical request already ran;
 // otherwise the run consults the shared epoch and GPP-reference stores.
 // Results are immutable once stored; callers only read and marshal them.
-func (s *Server) runScenario(req ScenarioRequest) (*ResultJSON, error) {
+func (s *Server) runScenario(req ScenarioRequest, fp string) (*ResultJSON, error) {
 	sc, err := s.scenario(req)
 	if err != nil {
 		return nil, err
 	}
-	v, err := s.results.GetOrCompute(resultKey{fp: fingerprint(req)}, func() (any, error) {
+	v, err := s.results.GetOrCompute(resultKey{fp: fp}, func() (any, error) {
 		return lifetime.Run(sc)
 	})
 	if err != nil {

@@ -201,7 +201,7 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 	var res *ResultJSON
 	err := s.pool.ForEach(r.Context(), 1, func(int) error {
 		var err error
-		res, err = s.runScenario(req)
+		res, err = s.runScenario(req, fingerprint(req))
 		return err
 	})
 	if err != nil {
@@ -234,7 +234,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]*ResultJSON, len(req.Scenarios))
 	err := s.pool.ForEach(r.Context(), len(req.Scenarios), func(i int) error {
-		res, err := s.runScenario(req.Scenarios[i])
+		res, err := s.runScenario(req.Scenarios[i], fingerprint(req.Scenarios[i]))
 		out[i] = res
 		if err != nil {
 			return fmt.Errorf("scenario %d: %w", i, err)

@@ -114,6 +114,49 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[idx]
 }
 
+// CountedPercentiles returns, for each p in ps, Percentile(expanded, p),
+// where expanded holds counts[i] copies of xs[i]: the same nearest rank
+// over the cumulative counts, in sort.Float64s order (NaN first, +Inf
+// last). It sorts the distinct values once for all of ps, so its cost
+// follows len(xs), not the expanded length. Entries with a non-positive
+// count hold no sample. NaN for every p when no sample is held.
+func CountedPercentiles(xs []float64, counts []int, ps []float64) []float64 {
+	order := make([]int, 0, len(xs))
+	n := 0
+	for i, c := range counts {
+		if c > 0 {
+			order = append(order, i)
+			n += c
+		}
+	}
+	out := make([]float64, len(ps))
+	if n == 0 {
+		for k := range out {
+			out[k] = math.NaN()
+		}
+		return out
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := xs[order[a]], xs[order[b]]
+		return x < y || (math.IsNaN(x) && !math.IsNaN(y))
+	})
+	for k, p := range ps {
+		idx := 0
+		if p > 0 {
+			// Percentile's rank: index ceil(p/100*N)-1, at least 0.
+			idx = max(int(math.Ceil(min(p, 100)/100*float64(n)))-1, 0)
+		}
+		cum := 0
+		for _, i := range order {
+			out[k] = xs[i]
+			if cum += counts[i]; cum > idx {
+				break
+			}
+		}
+	}
+	return out
+}
+
 // HistogramBin is one bin of a histogram.
 type HistogramBin struct {
 	// Lo and Hi bound the bin: [Lo, Hi).

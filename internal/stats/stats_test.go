@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -190,6 +191,39 @@ func TestPercentile(t *testing.T) {
 	for _, p := range []float64{-1, 0, 50, 100, 200} {
 		if got := Percentile([]float64{7}, p); got != 7 {
 			t.Errorf("Percentile([7], %v) = %v, want 7", p, got)
+		}
+	}
+}
+
+// TestCountedPercentilesMatchesExpanded checks CountedPercentiles against
+// Percentile over the expanded samples: values with ties, NaN and +Inf
+// (a fleet's survivors), zero counts, and ranks at both ends.
+func TestCountedPercentilesMatchesExpanded(t *testing.T) {
+	pool := []float64{math.Inf(1), math.NaN(), 0.5, 3, 3, 4.25, 7, math.Inf(-1)}
+	ps := []float64{-1, 0, 0.001, 1, 25, 33.3, 50, 66.7, 90, 99, 99.9, 100, 150}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(6)
+		xs := make([]float64, n)
+		counts := make([]int, n)
+		var expanded []float64
+		for i := range xs {
+			xs[i] = pool[rng.Intn(len(pool))]
+			counts[i] = rng.Intn(4)
+			if rng.Intn(4) == 0 {
+				counts[i] = rng.Intn(300)
+			}
+			for c := 0; c < counts[i]; c++ {
+				expanded = append(expanded, xs[i])
+			}
+		}
+		trialPs := append(append([]float64(nil), ps...), 100*rng.Float64())
+		got := CountedPercentiles(xs, counts, trialPs)
+		for k, p := range trialPs {
+			want := Percentile(expanded, p)
+			if got[k] != want && !(math.IsNaN(got[k]) && math.IsNaN(want)) {
+				t.Fatalf("xs %v counts %v p %v: got %v, want %v", xs, counts, p, got[k], want)
+			}
 		}
 	}
 }
