@@ -32,9 +32,10 @@
 // the footprint's total projected stress-years, then by row-major pivot
 // order, so the scan stays deterministic.
 //
-// The scan does not walk the pivots one by one. Each configuration keeps
-// a cover table, built once: for every physical cell, the set of pivots
-// whose footprint covers it. The scan is then a blocked-pivot descent over
+// The scan does not walk the pivots one by one. Each placement keeps a
+// cover table (fabric.Config.Cover), built once and shared by every clone
+// of it: for every physical cell, the set of pivots whose footprint covers
+// it. The scan is then a blocked-pivot descent over
 // pivot sets. It starts from the live pivots and a bound t, the held
 // pivot's worst cell. Every pivot covering a cell projected above t cannot
 // win and leaves the set. If a pivot left in the set covers no cell at
@@ -181,10 +182,6 @@ type pivotState struct {
 	// explored marks that off is a real exploration outcome (the zero
 	// state is "never explored", whose zero off must not seed the scan).
 	explored bool
-	// cover is the configuration's cover table (coverTable), built at its
-	// first exploration: it depends only on the footprint and the
-	// geometry, so every later scan reuses it.
-	cover []uint64
 }
 
 // Option configures the Explorer.
@@ -401,14 +398,11 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	}
 
 	st := e.state(cfg)
-	if st.cover == nil {
-		st.cover = e.coverTable(cells)
-	}
 	held := -1
 	if st.explored {
 		held = st.off.Row*e.geom.Cols + st.off.Col
 	}
-	sr := e.scanPivots(cells, st.cover, live, held)
+	sr := e.scanPivots(cells, cfg.Cover(e.geom), live, held)
 	e.counts.PivotCells += sr.cells
 	if sr.idx < 0 {
 		return fabric.Offset{}
@@ -416,31 +410,17 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	return fabric.Offset{Row: sr.idx / e.geom.Cols, Col: sr.idx % e.geom.Cols}
 }
 
-// coverTable returns the footprint's cover table: words e.words*i onwards
-// hold the set of pivots whose placement of cells occupies physical cell i.
-func (e *Explorer) coverTable(cells []fabric.Cell) []uint64 {
-	n, nw, cols := e.geom.NumFUs(), e.words, e.geom.Cols
-	cover := make([]uint64, n*nw)
-	for p := 0; p < n; p++ {
-		rb := e.rowBase[p/cols:]
-		cm := e.colMod[p%cols:]
-		for _, cell := range cells {
-			cover[(rb[cell.Row]+cm[cell.Col])*nw+p>>6] |= 1 << (p & 63)
-		}
-	}
-	return cover
-}
-
 // scanPivots returns the argmin over the live pivots (every pivot when
 // live is nil) by (max projected years, total projected years, row-major
 // order), reading yProj, by the blocked-pivot descent the package comment
-// describes. cover is the footprint's cover table and held the previously
-// held pivot (-1 for none), whose worst cell is the first bound when it is
-// live. After the first round a band holds the cells above the bound and
-// below the last one: the cells at or above the last bound are merged
-// already. A worst cell is floored at zero, as the exhaustive scan's
-// running maximum starts there, so at a zero bound every pivot left ties
-// (a footprint of NaN projections covers no cell at 0 yet scores 0).
+// describes. cover is the footprint's cover table on e.geom
+// (fabric.Config.Cover) and held the previously held pivot (-1 for none),
+// whose worst cell is the first bound when it is live. After the first
+// round a band holds the cells above the bound and below the last one: the
+// cells at or above the last bound are merged already. A worst cell is
+// floored at zero, as the exhaustive scan's running maximum starts there,
+// so at a zero bound every pivot left ties (a footprint of NaN projections
+// covers no cell at 0 yet scores 0).
 func (e *Explorer) scanPivots(cells []fabric.Cell, cover []uint64, live []bool, held int) scanResult {
 	sr := scanResult{idx: -1}
 	n, nw := e.geom.NumFUs(), e.words

@@ -65,12 +65,21 @@ func checkScan(t *testing.T, c scanCase) {
 	t.Helper()
 	e := New(c.geom)
 	copy(e.yProj, c.yProj)
-	got := e.scanPivots(c.cells, e.coverTable(c.cells), c.live, c.held)
+	got := e.scanPivots(c.cells, coverOf(c.geom, c.cells), c.live, c.held)
 	want := bruteScan(c)
 	if got.idx != want.idx || got.cells != want.cells {
 		t.Fatalf("%v, %d cells %v, held %d: scan chose pivot %d counting %d cells, exhaustive scan %d counting %d",
 			c.geom, len(c.cells), c.cells, c.held, got.idx, got.cells, want.idx, want.cells)
 	}
+}
+
+// coverOf returns the cover table on g of a configuration occupying cells.
+func coverOf(g fabric.Geometry, cells []fabric.Cell) []uint64 {
+	cfg := &fabric.Config{Geom: g}
+	for i, cell := range cells {
+		cfg.Ops = append(cfg.Ops, fabric.PlacedOp{Seq: i, Row: cell.Row, Col: cell.Col, Width: 1})
+	}
+	return cfg.Cover(g)
 }
 
 // randomFootprint places up to 12 distinct cells in a random window

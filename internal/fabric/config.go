@@ -34,6 +34,12 @@ func (p PlacedOp) EndCol() int { return p.Col + p.Width }
 // sequence, pivot at (0,0). The utilization-aware allocator shifts the
 // whole configuration by an Offset at load time; nothing in the Config
 // itself changes.
+//
+// Every table derived from the placement — its cells, the replay tables,
+// the live-pivot mask and the cover tables — is built once, on first use,
+// and shared by every clone of the placement, so a placement kept again in
+// a later epoch reads the tables an earlier one built. The exported fields
+// must not change once any of them is read.
 type Config struct {
 	// StartPC indexes the configuration in the configuration cache.
 	StartPC uint32
@@ -45,8 +51,18 @@ type Config struct {
 	// UsedCols is the highest EndCol over all ops.
 	UsedCols int
 
-	cells []Cell // cached occupied cells
+	// cells is the placement's occupied cells, built by Cells. It lives
+	// in the handle, not in derived: the mapping memo reads the cells of
+	// every window it maps, and most windows are never kept, executed or
+	// explored, so they never need the rest.
+	cells []Cell
+	d     *derived // built by shared, shared by every clone
+}
 
+// derived holds the tables computed from a placement besides its cells.
+// Each is a pure function of the placement (the live mask also of the dead
+// set liveKey names), so every clone reads the same ones.
+type derived struct {
 	// live is the pivot mask LivePivots last built and liveKey the health
 	// content it was built for.
 	live    []bool
@@ -60,6 +76,23 @@ type Config struct {
 	classPrefix [][8]uint64 // [k] = per-isa.Class op counts of the first k ops
 	replayPCs   []uint32    // op addresses in sequence order
 	replayDirs  []int8      // expected branch direction: -1 none, 0/1 not-taken/taken
+
+	covers []cover // one per physical geometry Cover was asked for
+}
+
+// cover is a placement's cover table on one physical geometry.
+type cover struct {
+	geom  Geometry
+	table []uint64
+}
+
+// shared returns the placement's derived tables, creating the (empty)
+// struct on first use.
+func (c *Config) shared() *derived {
+	if c.d == nil {
+		c.d = new(derived)
+	}
+	return c.d
 }
 
 // NumOps returns the number of instructions in the configuration.
@@ -89,12 +122,12 @@ func (c *Config) Cells() []Cell {
 	return c.cells
 }
 
-// Clone returns a new Config with c's placement. It shares c's Ops and
-// computed cells, which nothing writes after construction, but none of the
-// per-Config memos (the live-pivot mask, the replay tables), so callers
-// that key state on the pointer see a distinct configuration.
+// Clone returns a new Config with c's placement. It shares c's Ops, cells
+// and derived tables, which nothing writes after they are built, but it is
+// a distinct pointer, so callers that key state on the pointer see a
+// distinct configuration.
 func (c *Config) Clone() *Config {
-	return &Config{StartPC: c.StartPC, Geom: c.Geom, Ops: c.Ops, UsedCols: c.UsedCols, cells: c.cells}
+	return &Config{StartPC: c.StartPC, Geom: c.Geom, Ops: c.Ops, UsedCols: c.UsedCols, cells: c.Cells(), d: c.shared()}
 }
 
 // LivePivots returns the configuration's live-pivot mask under h: entry
@@ -104,43 +137,70 @@ func (c *Config) Clone() *Config {
 // h is nil or has no dead cell. Rather than testing every pivot against
 // every cell, a build clears the pivot each (dead cell, occupied cell)
 // pair rules out, (dead − occupied) mod the geometry, so it costs dead
-// cells × cells instead of pivots × cells. The mask is memoized for the
-// geometry and dead cells it was built for, so any health map with the
-// same dead cells reads it without a rebuild. The returned slice must not
-// be modified, and is only valid until the next LivePivots call.
+// cells × cells instead of pivots × cells. The mask is memoized, for every
+// clone, for the geometry and dead cells it was built for, so any health
+// map with the same dead cells reads it without a rebuild. The returned
+// slice must not be modified, and is only valid until the next LivePivots
+// call on any clone of the configuration.
 func (c *Config) LivePivots(h *Health) []bool {
 	if h == nil || h.deadCount == 0 {
 		return nil
 	}
-	if k := c.liveKey; k != nil && k.geom == h.geom && h.Matches(&k.dead) {
-		return c.live
+	d := c.shared()
+	if k := d.liveKey; k != nil && k.geom == h.geom && h.Matches(&k.dead) {
+		return d.live
 	}
 	if h.key == nil {
 		h.key = &liveKey{geom: h.geom, dead: h.dead}
 	}
-	c.liveKey = h.key
+	d.liveKey = h.key
 	rows, cols := h.geom.Rows, h.geom.Cols
-	if len(c.live) != rows*cols {
-		c.live = make([]bool, rows*cols)
+	if len(d.live) != rows*cols {
+		d.live = make([]bool, rows*cols)
 	}
-	for i := range c.live {
-		c.live[i] = true
+	for i := range d.live {
+		d.live[i] = true
 	}
 	cells := c.Cells()
 	h.dead.each(func(i int) {
 		dr, dc := i/cols, i%cols
 		for _, cell := range cells {
-			c.live[(dr-cell.Row%rows+rows)%rows*cols+(dc-cell.Col%cols+cols)%cols] = false
+			d.live[(dr-cell.Row%rows+rows)%rows*cols+(dc-cell.Col%cols+cols)%cols] = false
 		}
 	})
-	return c.live
+	return d.live
 }
 
 // liveKey is the health content a live-pivot mask was built for, shared by
-// pointer so that a Config, cloned for every kept memo result, stays small.
+// pointer with the Health it came from.
 type liveKey struct {
 	geom Geometry
 	dead Mask
+}
+
+// Cover returns the configuration's cover table on the physical geometry
+// g: words nw*i onwards, nw = ceil(g.NumFUs()/64), hold the set of pivots
+// whose placement of Cells occupies physical cell i, in Mask's layout. It
+// is built once per geometry and shared by every clone; the returned slice
+// must not be modified.
+func (c *Config) Cover(g Geometry) []uint64 {
+	d := c.shared()
+	for _, t := range d.covers {
+		if t.geom == g {
+			return t.table
+		}
+	}
+	n, nw, rows, cols := g.NumFUs(), (g.NumFUs()+63)>>6, g.Rows, g.Cols
+	table := make([]uint64, n*nw)
+	cells := c.Cells()
+	for p := 0; p < n; p++ {
+		pr, pc := p/cols, p%cols
+		for _, cell := range cells {
+			table[((cell.Row+pr)%rows*cols+(cell.Col+pc)%cols)*nw+p>>6] |= 1 << (p & 63)
+		}
+	}
+	d.covers = append(d.covers, cover{geom: g, table: table})
+	return table
 }
 
 func sortCells(cells []Cell) {
@@ -176,15 +236,17 @@ func (c *Config) ExecCyclesTo(exitSeq int) uint64 {
 // ExecCycles returns the execution time of the full configuration.
 func (c *Config) ExecCycles() uint64 { return CyclesForColumns(c.UsedCols) }
 
-// ensurePrefixes builds the replay accelerator tables.
-func (c *Config) ensurePrefixes() {
-	if c.execPrefix != nil {
-		return
+// prefixes returns the replay accelerator tables, building them on first
+// use.
+func (c *Config) prefixes() *derived {
+	d := c.shared()
+	if d.execPrefix != nil {
+		return d
 	}
-	c.execPrefix = make([]uint64, len(c.Ops)+1)
-	c.classPrefix = make([][8]uint64, len(c.Ops)+1)
-	c.replayPCs = make([]uint32, len(c.Ops))
-	c.replayDirs = make([]int8, len(c.Ops))
+	d.execPrefix = make([]uint64, len(c.Ops)+1)
+	d.classPrefix = make([][8]uint64, len(c.Ops)+1)
+	d.replayPCs = make([]uint32, len(c.Ops))
+	d.replayDirs = make([]int8, len(c.Ops))
 	maxEnd := 0
 	var classes [8]uint64
 	for i, op := range c.Ops {
@@ -192,22 +254,23 @@ func (c *Config) ensurePrefixes() {
 			maxEnd = e
 		}
 		classes[op.Inst.Op.Class()]++
-		c.execPrefix[i+1] = CyclesForColumns(maxEnd)
-		c.classPrefix[i+1] = classes
-		c.replayPCs[i] = op.PC
-		c.replayDirs[i] = -1
+		d.execPrefix[i+1] = CyclesForColumns(maxEnd)
+		d.classPrefix[i+1] = classes
+		d.replayPCs[i] = op.PC
+		d.replayDirs[i] = -1
 		if op.Inst.IsBranch() {
-			c.replayDirs[i] = 0
+			d.replayDirs[i] = 0
 			if op.Taken {
-				c.replayDirs[i] = 1
+				d.replayDirs[i] = 1
 			}
 		}
 	}
 	// Zero ops executed still pays for the first op's column span,
 	// mirroring ExecCyclesTo's exitSeq floor of Ops[0].Seq.
 	if len(c.Ops) > 0 {
-		c.execPrefix[0] = c.execPrefix[1]
+		d.execPrefix[0] = d.execPrefix[1]
 	}
+	return d
 }
 
 // ExecCyclesFirst returns the execution time when exactly the first n ops
@@ -215,24 +278,22 @@ func (c *Config) ensurePrefixes() {
 // for n == 0, to ExecCyclesTo(Ops[0].Seq), the early-exit floor) but O(1)
 // after the first call.
 func (c *Config) ExecCyclesFirst(n int) uint64 {
-	c.ensurePrefixes()
-	return c.execPrefix[n]
+	return c.prefixes().execPrefix[n]
 }
 
 // ClassCountsFirst returns per-isa.Class op counts of the first n ops,
 // memoized like ExecCyclesFirst.
 func (c *Config) ClassCountsFirst(n int) [8]uint64 {
-	c.ensurePrefixes()
-	return c.classPrefix[n]
+	return c.prefixes().classPrefix[n]
 }
 
 // ReplayTables returns the sequence's op addresses and expected branch
 // directions (-1 for non-branches, else 0/1) in the compact form the
-// replay inner loop consumes. The slices are memoized; callers must not
-// modify them.
+// replay inner loop consumes. The slices are memoized and shared by every
+// clone; callers must not modify them.
 func (c *Config) ReplayTables() (pcs []uint32, dirs []int8) {
-	c.ensurePrefixes()
-	return c.replayPCs, c.replayDirs
+	d := c.prefixes()
+	return d.replayPCs, d.replayDirs
 }
 
 // Validate checks the structural invariants of a placed configuration:

@@ -52,7 +52,8 @@ type Options struct {
 // Map places the longest prefix of trace that fits the fabric under the
 // greedy first-fit policy and returns the resulting virtual configuration
 // plus the number of trace entries consumed. It returns (nil, 0) when not
-// even the first entry can be placed.
+// even the first entry can be placed. The configuration's Ops has exactly
+// its length as capacity.
 //
 // Placement constraints:
 //   - data dependencies: an op starts no earlier than the end column of
@@ -72,7 +73,6 @@ func Map(trace []TraceEntry, opt Options) (*fabric.Config, int) {
 	}
 	s := newPlaceState(opt)
 	defer s.release()
-	var ops []fabric.PlacedOp
 	usedCols := 0
 
 	for i, e := range trace {
@@ -80,14 +80,18 @@ func Map(trace []TraceEntry, opt Options) (*fabric.Config, int) {
 		if !ok {
 			break
 		}
-		ops = append(ops, op)
+		s.ops = append(s.ops, op)
 		if e := op.EndCol(); e > usedCols {
 			usedCols = e
 		}
 	}
-	if len(ops) == 0 {
+	if len(s.ops) == 0 {
 		return nil, 0
 	}
+	// One copy sized exactly: the configuration outlives the scratch, and
+	// a memoized one is kept for the whole scenario.
+	ops := make([]fabric.PlacedOp, len(s.ops))
+	copy(ops, s.ops)
 	consumed := ops[len(ops)-1].Seq + 1
 	return &fabric.Config{
 		StartPC:  trace[0].PC,
@@ -153,6 +157,8 @@ type placeState struct {
 	values   []liveValue
 	crossing []int // live values crossing each column boundary
 
+	ops []fabric.PlacedOp // the placed prefix, copied out by Map
+
 	lastStoreEnd  int // loads/stores may not start before this
 	lastMemEnd    int // stores may not start before this
 	lastBranchEnd int // stores may not start before this (non-speculative)
@@ -170,6 +176,7 @@ func newPlaceState(opt Options) *placeState {
 	s.writePort = resetBools(s.writePort, g.Cols)
 	s.regValue = [isa.NumRegs]int32{}
 	s.values = s.values[:0]
+	s.ops = s.ops[:0]
 	if cap(s.crossing) < g.Cols+1 {
 		s.crossing = make([]int, g.Cols+1)
 	} else {
@@ -181,7 +188,7 @@ func newPlaceState(opt Options) *placeState {
 }
 
 // release returns the state to the pool. Nothing in it is referenced by the
-// produced Config — PlacedOps carry their own data — so reuse is safe.
+// produced Config — Map copies the ops out — so reuse is safe.
 func (s *placeState) release() {
 	s.opt.Probes = nil // drop the caller's counter
 	statePool.Put(s)

@@ -207,8 +207,11 @@ func (m *Memo) Scan(k TraceKey, shapes []fabric.Geometry, lat fabric.LatencyTabl
 }
 
 // Keep returns a configuration the caller may keep in place of cfg, which
-// Map returned: a clone sharing cfg's immutable ops and cells when cfg is
-// the memo's, cfg itself from a nil Memo, which stores nothing.
+// Map returned: when cfg is the memo's, a clone of its own identity that
+// shares cfg's immutable ops and derived tables (fabric.Config.Clone), so
+// a placement kept again in every epoch builds its cells, replay tables,
+// live-pivot mask and cover tables once; cfg itself from a nil Memo, which
+// stores nothing.
 func (m *Memo) Keep(cfg *fabric.Config) *fabric.Config {
 	if m == nil || cfg == nil {
 		return cfg

@@ -221,8 +221,9 @@ func TestMemoKeysOnContent(t *testing.T) {
 
 // TestTinyFabricsEveryDeadMask enumerates every dead mask of the 2x2, 2x3
 // and 2x4 fabrics and maps the suite's traces, cut to their first six
-// entries, around each: no op lands on a dead cell, and Memo.Map returns
-// Map's ops, consumed count and probes on the miss and on a repeat call.
+// entries, around each: no op lands on a dead cell, Memo.Map returns Map's
+// ops, consumed count and probes on the miss and on a repeat call, and
+// every returned configuration's ops are sized exactly.
 func TestTinyFabricsEveryDeadMask(t *testing.T) {
 	seen := make(map[string]bool)
 	var traces [][]TraceEntry
@@ -243,10 +244,16 @@ func TestTinyFabricsEveryDeadMask(t *testing.T) {
 			for _, trace := range traces {
 				want := mapDirect(trace, opt)
 				k := memo.Key(trace)
-				sameMapping(t, "first", mapMemo(memo, k, opt), want)
-				sameMapping(t, "repeat", mapMemo(memo, k, opt), want)
+				first, repeat := mapMemo(memo, k, opt), mapMemo(memo, k, opt)
+				sameMapping(t, "first", first, want)
+				sameMapping(t, "repeat", repeat, want)
 				if want.cfg == nil {
 					continue
+				}
+				for _, m := range []mapping{want, first, repeat} {
+					if cap(m.cfg.Ops) != len(m.cfg.Ops) {
+						t.Fatalf("%v, dead mask %b: %d ops with capacity %d", g, bits, len(m.cfg.Ops), cap(m.cfg.Ops))
+					}
 				}
 				placed++
 				for _, c := range want.cfg.Cells() {
@@ -261,6 +268,61 @@ func TestTinyFabricsEveryDeadMask(t *testing.T) {
 		t.Fatal("nothing placed")
 	}
 	t.Logf("%d traces, %d placements", len(traces), placed)
+}
+
+// kept is where TestKeptClonesShareDerivedTables stores each clone, so
+// every Keep it counts reaches the heap.
+var kept *fabric.Config
+
+// TestKeptClonesShareDerivedTables keeps two clones of one Map result:
+// each is its own pointer, and both read the placement's derived tables —
+// cells, replay tables, live-pivot mask and cover table — from one set of
+// backing arrays. On a warmed placement, Keep plus every derived-table
+// read costs one allocation, the clone itself.
+func TestKeptClonesShareDerivedTables(t *testing.T) {
+	g := fabric.NewGeometry(2, 16)
+	memo := NewMemo()
+	cfg, _ := memo.Map(memo.Key(suiteTraces(t, 1)[0]), Options{Geom: g, Lat: fabric.DefaultLatencies()})
+	if cfg == nil {
+		t.Fatal("the trace placed nothing")
+	}
+	h := fabric.NewHealth(g)
+	h.Kill(fabric.Cell{Row: 1, Col: 5})
+	a, b := memo.Keep(cfg), memo.Keep(cfg)
+	if a == b || a == cfg || b == cfg {
+		t.Fatalf("kept clones %p and %p of %p share a pointer", a, b, cfg)
+	}
+	apcs, adirs := a.ReplayTables()
+	bpcs, bdirs := b.ReplayTables()
+	for _, c := range []struct {
+		name string
+		a, b any
+	}{
+		{"cells", &a.Cells()[0], &b.Cells()[0]},
+		{"replay PCs", &apcs[0], &bpcs[0]},
+		{"replay directions", &adirs[0], &bdirs[0]},
+		{"live pivots", &a.LivePivots(h)[0], &b.LivePivots(h)[0]},
+		{"cover table", &a.Cover(g)[0], &b.Cover(g)[0]},
+	} {
+		if c.a != c.b {
+			t.Errorf("the kept clones' %s have separate backing arrays", c.name)
+		}
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		kept = memo.Keep(cfg)
+		kept.Cells()
+		kept.ReplayTables()
+		kept.ExecCyclesFirst(kept.NumOps())
+		kept.ClassCountsFirst(kept.NumOps())
+		kept.LivePivots(h)
+		kept.Cover(g)
+	})
+	if allocs != 1 {
+		t.Fatalf("Keep and the derived-table reads of a warmed placement make %v allocations, want 1", allocs)
+	}
 }
 
 // scanDirect is Scan's oracle: every window of the scan mapped with Map, in
