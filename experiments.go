@@ -120,6 +120,8 @@ type Fig6Point struct {
 
 // Fig6Result is the full exploration plus the scenario selection.
 type Fig6Result struct {
+	// Allocator names the allocator the sweep ran (SuiteResult.AllocatorName).
+	Allocator string
 	Points    []Fig6Point
 	Selected  map[Scenario]Geometry
 	suiteByPt []*SuiteResult
@@ -138,6 +140,7 @@ func Fig6(opt ExperimentOptions) (*Fig6Result, error) {
 	}
 	out := &Fig6Result{Selected: make(map[Scenario]Geometry)}
 	for _, r := range results {
+		out.Allocator = r.AllocatorName
 		out.Points = append(out.Points, Fig6Point{
 			Geom:      r.Geom,
 			RelTime:   r.RelTime(),
@@ -164,7 +167,7 @@ func (r *Fig6Result) Render() string {
 			fmt.Sprintf("%.1f%%", 100*p.AvgUtil))
 	}
 	var b strings.Builder
-	b.WriteString("Fig. 6 - design-space exploration (baseline allocation)\n")
+	fmt.Fprintf(&b, "Fig. 6 - design-space exploration (%s allocation)\n", r.Allocator)
 	b.WriteString(tab.String())
 	for _, sc := range []Scenario{BE, BP, BU} {
 		if g, ok := r.Selected[sc]; ok {
