@@ -1,12 +1,6 @@
 package agingcgra
 
-import (
-	"testing"
-
-	"agingcgra/internal/alloc"
-	"agingcgra/internal/dse"
-	"agingcgra/internal/fabric"
-)
+import "testing"
 
 // The benchmarks below regenerate every table and figure of the paper's
 // evaluation at the Small (paper-equivalent) workload scale, reporting the
@@ -14,7 +8,8 @@ import (
 //
 //	go test -bench=. -benchmem
 //
-// Ablation benches cover the design choices called out in DESIGN.md.
+// The ablation benches compare allocators selected by name: the movement
+// patterns and the stress-feedback allocator against the snake.
 
 func benchOpts() ExperimentOptions { return ExperimentOptions{Size: Small} }
 
@@ -170,61 +165,6 @@ func BenchmarkAblationMovementPatterns(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPivotScope compares one global pivot against
-// per-configuration pivots.
-func BenchmarkAblationPivotScope(b *testing.B) {
-	g := fabric.NewGeometry(2, 16)
-	cases := []struct {
-		name    string
-		factory dse.AllocatorFactory
-	}{
-		{"global", func(gg fabric.Geometry) alloc.Allocator {
-			return alloc.NewUtilizationAware(gg)
-		}},
-		{"per-config", func(gg fabric.Geometry) alloc.Allocator {
-			return alloc.NewUtilizationAware(gg, alloc.WithPerConfigPivot())
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := dse.RunSuite(g, c.factory, dse.Options{Size: Small})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, _ := res.Util.Max()
-				b.ReportMetric(100*m, "worst%")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMovementPeriod varies how often the pivot advances.
-func BenchmarkAblationMovementPeriod(b *testing.B) {
-	g := fabric.NewGeometry(2, 16)
-	for _, period := range []uint64{1, 4, 16, 64} {
-		period := period
-		b.Run(benchName("period", period), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				factory := func(gg fabric.Geometry) alloc.Allocator {
-					return alloc.NewUtilizationAware(gg, alloc.WithPeriod(period))
-				}
-				res, err := dse.RunSuite(g, factory, dse.Options{Size: Small})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, _ := res.Util.Max()
-				b.ReportMetric(100*m, "worst%")
-			}
-		})
-	}
-}
-
-func benchName(prefix string, v uint64) string {
-	return prefix + "=" + string('0'+rune(v/10)) + string('0'+rune(v%10))
-}
-
 // BenchmarkAblationHealthAware compares the future-work stress-feedback
 // allocator against blind rotation.
 func BenchmarkAblationHealthAware(b *testing.B) {
@@ -235,35 +175,6 @@ func BenchmarkAblationHealthAware(b *testing.B) {
 				f := ablationFlatness(b, name)
 				b.ReportMetric(100*f.Max, "worst%")
 				b.ReportMetric(f.Gini, "gini")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationExposedReconfig quantifies what the wavefront
-// configuration broadcast buys: with the overlap disabled, every movement
-// costs visible reconfiguration cycles.
-func BenchmarkAblationExposedReconfig(b *testing.B) {
-	g := fabric.NewGeometry(2, 16)
-	for _, exposed := range []bool{false, true} {
-		exposed := exposed
-		name := "wavefront"
-		if exposed {
-			name = "exposed"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				factory := func(gg fabric.Geometry) alloc.Allocator {
-					return alloc.NewUtilizationAware(gg)
-				}
-				var eng dse.Options
-				eng.Size = Small
-				eng.Engine.ExposeReconfig = exposed
-				res, err := dse.RunSuite(g, factory, eng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Speedup(), "speedup")
 			}
 		})
 	}

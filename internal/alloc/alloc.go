@@ -10,11 +10,7 @@
 // around both dimensions, so every FU sees close-to-average duty over time.
 package alloc
 
-import (
-	"fmt"
-
-	"agingcgra/internal/fabric"
-)
+import "agingcgra/internal/fabric"
 
 // Allocator decides the pivot offset for each execution of a configuration.
 // Implementations must be deterministic.
@@ -27,17 +23,17 @@ type Allocator interface {
 
 // LiveSkipper is implemented by allocators that can skip proposals landing
 // on dead pivots without materialising each one. NextLive consumes
-// proposals exactly as up to limit calls of Next(cfg) would, stopping after
-// the first whose pivot is live: live is indexed row-major over Geometry(),
-// with the offset wrapped around both dimensions, and live[r*Cols+c]
-// reports whether pivot (r, c) keeps cfg on live FUs. It returns that
-// pivot, or ok false once limit proposals (none when limit < 1) found
+// proposals exactly as up to Geometry().NumFUs() calls of Next would,
+// stopping after the first whose pivot is live: live is indexed row-major
+// over Geometry(), with the offset wrapped around both dimensions, and
+// live[r*Cols+c] reports whether pivot (r, c) keeps the configuration on
+// live FUs. It returns that pivot, or ok false once every proposal found
 // none, leaving the allocator where those Next calls would have. A mask
 // over another geometry must not be passed: the caller falls back to Next
 // instead.
 type LiveSkipper interface {
 	Geometry() fabric.Geometry
-	NextLive(cfg *fabric.Config, live []bool, limit int) (off fabric.Offset, ok bool)
+	NextLive(live []bool) (off fabric.Offset, ok bool)
 }
 
 // StressObserver is implemented by allocators that adapt to accumulated
@@ -196,25 +192,15 @@ func (s Shuffled) Sequence(g fabric.Geometry) []fabric.Offset {
 }
 
 // UtilizationAware is the paper's proposed allocator: it advances a pivot
-// along a full-coverage movement pattern, shifting every newly loaded
-// configuration (with wrap-around) so utilization spreads over the fabric.
+// along a full-coverage movement pattern, one position per configuration
+// execution, shifting every newly loaded configuration (with wrap-around)
+// so utilization spreads over the fabric.
 type UtilizationAware struct {
 	geom    fabric.Geometry
 	pattern Pattern
 	seq     []fabric.Offset
-	// period is how many executions share one pivot position before the
-	// pivot advances (1 = move every execution, the paper's default).
-	period uint64
-	// perCount, when non-nil (WithPerConfigPivot), counts the proposals of
-	// each configuration StartPC, which then walks its own pivot instead
-	// of the global one.
-	perCount map[uint32]uint64
-
-	// pos and sub walk the global pivot: seq[pos] is the current position,
-	// already proposed sub times in its period. Stepping them avoids the two
-	// divisions of the closed form seq[(n/period)%len(seq)] per proposal.
+	// pos indexes the pivot of the next proposal in seq.
 	pos int
-	sub uint64
 	// cell[i] is seq[i]'s row-major index in the geometry, wrapped around
 	// both dimensions: the live-mask slot NextLive tests. It is built by
 	// the first NextLive, so an allocator that never meets a dead cell (or
@@ -230,27 +216,9 @@ func WithPattern(p Pattern) Option {
 	return func(u *UtilizationAware) { u.pattern = p }
 }
 
-// WithPeriod makes the pivot advance only every n executions.
-func WithPeriod(n uint64) Option {
-	return func(u *UtilizationAware) {
-		if n >= 1 {
-			u.period = n
-		}
-	}
-}
-
-// WithPerConfigPivot gives each configuration its own pivot walk.
-func WithPerConfigPivot() Option {
-	return func(u *UtilizationAware) { u.perCount = make(map[uint32]uint64) }
-}
-
 // NewUtilizationAware builds the proposed allocator for a fabric geometry.
 func NewUtilizationAware(g fabric.Geometry, opts ...Option) *UtilizationAware {
-	u := &UtilizationAware{
-		geom:    g,
-		pattern: Snake{},
-		period:  1,
-	}
+	u := &UtilizationAware{geom: g, pattern: Snake{}}
 	for _, o := range opts {
 		o(u)
 	}
@@ -262,30 +230,13 @@ func NewUtilizationAware(g fabric.Geometry, opts ...Option) *UtilizationAware {
 }
 
 // Name implements Allocator.
-func (u *UtilizationAware) Name() string {
-	name := "utilization-aware/" + u.pattern.Name()
-	if u.perCount != nil {
-		name += "/per-config"
-	}
-	if u.period > 1 {
-		name += fmt.Sprintf("/period=%d", u.period)
-	}
-	return name
-}
+func (u *UtilizationAware) Name() string { return "utilization-aware/" + u.pattern.Name() }
 
 // Next implements Allocator.
-func (u *UtilizationAware) Next(cfg *fabric.Config) fabric.Offset {
-	if u.perCount != nil && cfg != nil {
-		n := u.perCount[cfg.StartPC]
-		u.perCount[cfg.StartPC] = n + 1
-		return u.seq[(n/u.period)%uint64(len(u.seq))]
-	}
+func (u *UtilizationAware) Next(*fabric.Config) fabric.Offset {
 	off := u.seq[u.pos]
-	if u.sub++; u.sub == u.period {
-		u.sub = 0
-		if u.pos++; u.pos == len(u.seq) {
-			u.pos = 0
-		}
+	if u.pos++; u.pos == len(u.seq) {
+		u.pos = 0
 	}
 	return off
 }
@@ -293,13 +244,8 @@ func (u *UtilizationAware) Next(cfg *fabric.Config) fabric.Offset {
 // Geometry implements LiveSkipper: the geometry the allocator was built for.
 func (u *UtilizationAware) Geometry() fabric.Geometry { return u.geom }
 
-// NextLive implements LiveSkipper. Instead of proposing one pivot per call,
-// it steps whole periods: every proposal left at a dead position is
-// consumed at once, so a walk costs one mask load per position visited.
-func (u *UtilizationAware) NextLive(cfg *fabric.Config, live []bool, limit int) (fabric.Offset, bool) {
-	if limit <= 0 {
-		return fabric.Offset{}, false
-	}
+// NextLive implements LiveSkipper: one mask load per position walked.
+func (u *UtilizationAware) NextLive(live []bool) (fabric.Offset, bool) {
 	if u.cell == nil {
 		g := u.geom
 		u.cell = make([]int, len(u.seq))
@@ -307,52 +253,17 @@ func (u *UtilizationAware) NextLive(cfg *fabric.Config, live []bool, limit int) 
 			u.cell[i] = off.Row%g.Rows*g.Cols + off.Col%g.Cols
 		}
 	}
-	if u.perCount != nil && cfg != nil {
-		n := u.perCount[cfg.StartPC]
-		pos, sub := int((n/u.period)%uint64(len(u.seq))), n%u.period
-		off, used, ok := u.skipDead(&pos, &sub, live, uint64(limit))
-		u.perCount[cfg.StartPC] = n + used
-		return off, ok
-	}
-	off, _, ok := u.skipDead(&u.pos, &u.sub, live, uint64(limit))
-	return off, ok
-}
-
-// skipDead walks the pivot position (*pos, proposed *sub times in its
-// period) for at most limit (at least 1) proposals, until one lands on a
-// live pivot. It advances the position past every proposal consumed and
-// returns the live pivot, how many proposals were consumed, and whether one
-// was live.
-func (u *UtilizationAware) skipDead(pos *int, sub *uint64, live []bool, limit uint64) (off fabric.Offset, used uint64, ok bool) {
-	// Proposals are numbered from the first of seq[p]'s period: the walk
-	// may consume those in [head, end), and each later position's period
-	// begins at start. A dead position costs one mask load.
-	p, head, cell, period := *pos, *sub, u.cell, u.period
-	end := head + limit
-	var s uint64 // proposals made at the position the walk ends on
-	for start := uint64(0); ; start += period {
-		if live[cell[p]] {
-			n := max(start, head) // the live proposal
-			off, ok, used, s = u.seq[p], true, n+1-head, n+1-start
-			break
-		}
-		if start+period >= end { // the limit runs out at this dead position
-			used, s = limit, end-start
-			break
-		}
+	p, cell := u.pos, u.cell
+	for range u.geom.NumFUs() {
+		i := p
 		if p++; p == len(cell) {
 			p = 0
 		}
-	}
-	if s == period { // the walk ended on its position's last proposal
-		s = 0
-		if p++; p == len(cell) {
-			p = 0
+		if live[cell[i]] {
+			u.pos = p
+			return u.seq[i], true
 		}
 	}
-	*pos, *sub = p, s
-	return off, used, ok
+	u.pos = p
+	return fabric.Offset{}, false
 }
-
-// Pattern returns the movement pattern in use.
-func (u *UtilizationAware) Pattern() Pattern { return u.pattern }

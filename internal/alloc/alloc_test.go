@@ -131,62 +131,12 @@ func TestUtilizationAwareWalk(t *testing.T) {
 	}
 }
 
-func TestUtilizationAwarePeriod(t *testing.T) {
-	g := fabric.NewGeometry(2, 4)
-	u := NewUtilizationAware(g, WithPeriod(3))
-	cfg := &fabric.Config{StartPC: 0x1000, Geom: g}
-	first := u.Next(cfg)
-	if u.Next(cfg) != first || u.Next(cfg) != first {
-		t.Fatal("pivot moved before period elapsed")
-	}
-	if u.Next(cfg) == first {
-		t.Fatal("pivot did not move after period")
-	}
-}
-
-// TestNextLiveWithoutBudget pins NextLive's limit: no proposal is
-// consumed, even a live one, when the limit allows none.
-func TestNextLiveWithoutBudget(t *testing.T) {
-	g := fabric.NewGeometry(2, 4)
-	live := make([]bool, g.NumFUs())
-	for i := range live {
-		live[i] = true
-	}
-	cfg := &fabric.Config{StartPC: 0x1000, Geom: g}
-	for _, u := range []*UtilizationAware{NewUtilizationAware(g), NewUtilizationAware(g, WithPeriod(3), WithPerConfigPivot())} {
-		for _, limit := range []int{0, -1} {
-			if _, ok := u.NextLive(cfg, live, limit); ok {
-				t.Errorf("%s: NextLive with limit %d found a pivot", u.Name(), limit)
-			}
-		}
-		if got, want := u.Next(cfg), NewUtilizationAware(g).Next(cfg); got != want {
-			t.Errorf("%s: first proposal after NextLive(limit 0) = %v, want %v", u.Name(), got, want)
-		}
-	}
-}
-
-func TestUtilizationAwarePerConfig(t *testing.T) {
-	g := fabric.NewGeometry(2, 4)
-	u := NewUtilizationAware(g, WithPerConfigPivot())
-	a := &fabric.Config{StartPC: 0x1000, Geom: g}
-	b := &fabric.Config{StartPC: 0x2000, Geom: g}
-	seq := Snake{}.Sequence(g)
-	// Interleaved executions: each config walks its own sequence.
-	if u.Next(a) != seq[0] || u.Next(b) != seq[0] {
-		t.Fatal("per-config walks should both start at seq[0]")
-	}
-	if u.Next(a) != seq[1] || u.Next(b) != seq[1] {
-		t.Fatal("per-config walks should advance independently")
-	}
-}
-
 func TestUtilizationAwareName(t *testing.T) {
 	g := fabric.NewGeometry(2, 4)
 	if got := NewUtilizationAware(g).Name(); got != "utilization-aware/snake" {
 		t.Errorf("name = %q", got)
 	}
-	got := NewUtilizationAware(g, WithPattern(Diagonal{}), WithPeriod(4), WithPerConfigPivot()).Name()
-	if got != "utilization-aware/diagonal/per-config/period=4" {
+	if got := NewUtilizationAware(g, WithPattern(Diagonal{})).Name(); got != "utilization-aware/diagonal" {
 		t.Errorf("name = %q", got)
 	}
 }

@@ -117,29 +117,19 @@ func TestUtilizationAwareWalkMatchesPattern(t *testing.T) {
 	}
 }
 
-// TestUtilizationAwareStepsMatchClosedForm pins the global walk's stepped
-// (pos, sub) counters to the closed form seq[(n/period)%len(seq)] over three
-// full rotations, for periods that do and do not divide the sequence
-// length, and to the per-configuration walk, which keeps the closed form.
+// TestUtilizationAwareStepsMatchClosedForm pins the stepped walk to the
+// closed form seq[i%len(seq)] over three full rotations, for every pattern,
+// the two axis-only ones shorter than the fabric included.
 func TestUtilizationAwareStepsMatchClosedForm(t *testing.T) {
-	patterns := []Pattern{Snake{}, Diagonal{}, HorizontalOnly{}, VerticalOnly{}}
+	patterns := []Pattern{Snake{}, RowMajor{}, Diagonal{}, Shuffled{}, HorizontalOnly{}, VerticalOnly{}}
 	for _, gg := range propGeometries {
 		g := fabric.NewGeometry(gg.rows, gg.cols)
 		for _, pat := range patterns {
 			seq := pat.Sequence(g)
-			for _, period := range []uint64{1, 2, 3, 7} {
-				global := NewUtilizationAware(g, WithPattern(pat), WithPeriod(period))
-				perCfg := NewUtilizationAware(g, WithPattern(pat), WithPeriod(period), WithPerConfigPivot())
-				cfg := &fabric.Config{StartPC: 0x1000, Geom: g}
-				n := 3 * uint64(len(seq)) * period
-				for i := uint64(0); i < n; i++ {
-					want := seq[(i/period)%uint64(len(seq))]
-					if got := global.Next(cfg); got != want {
-						t.Fatalf("%s on %v, period %d: step %d = %v, want %v", pat.Name(), g, period, i, got, want)
-					}
-					if got := perCfg.Next(cfg); got != want {
-						t.Fatalf("%s on %v, period %d, per-config: step %d = %v, want %v", pat.Name(), g, period, i, got, want)
-					}
+			u := NewUtilizationAware(g, WithPattern(pat))
+			for i := range 3 * len(seq) {
+				if got, want := u.Next(nil), seq[i%len(seq)]; got != want {
+					t.Fatalf("%s on %v: step %d = %v, want %v", pat.Name(), g, i, got, want)
 				}
 			}
 		}

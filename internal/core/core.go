@@ -235,7 +235,7 @@ func (c *Controller) Place(cfg *fabric.Config) (off fabric.Offset, ok bool) {
 	}
 	g := c.health.Geometry()
 	if c.skipper != nil && g == c.geom {
-		return c.skipper.NextLive(cfg, live, g.NumFUs())
+		return c.skipper.NextLive(live)
 	}
 	for i := 0; i < c.geom.NumFUs(); i++ {
 		off := c.alloc.Next(cfg)

@@ -322,9 +322,13 @@ func referencePlace(a alloc.Allocator, h *fabric.Health, g fabric.Geometry, cfg 
 func TestPlaceMatchesReferenceWalk(t *testing.T) {
 	g := fabric.NewGeometry(4, 8)
 	allocators := map[string]func() alloc.Allocator{
-		"snake":            func() alloc.Allocator { return alloc.NewUtilizationAware(g) },
-		"snake/period=3":   func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPeriod(3)) },
-		"snake/per-config": func() alloc.Allocator { return alloc.NewUtilizationAware(g, alloc.WithPerConfigPivot()) },
+		"snake": func() alloc.Allocator { return alloc.NewUtilizationAware(g) },
+		"row-major": func() alloc.Allocator {
+			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.RowMajor{}))
+		},
+		"diagonal": func() alloc.Allocator {
+			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.Diagonal{}))
+		},
 		// The two axis-only sequences are shorter than NumFUs, so a
 		// refused placement wraps them several times.
 		"horizontal-only": func() alloc.Allocator {
@@ -336,9 +340,6 @@ func TestPlaceMatchesReferenceWalk(t *testing.T) {
 		"shuffled": func() alloc.Allocator {
 			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.Shuffled{}))
 		},
-		"diagonal/per-config/period=3": func() alloc.Allocator {
-			return alloc.NewUtilizationAware(g, alloc.WithPattern(alloc.Diagonal{}), alloc.WithPeriod(3), alloc.WithPerConfigPivot())
-		},
 		// Allocators built for another geometry than the controller's
 		// propose pivots that wrap into it: the live mask is indexed over
 		// the controller's geometry, not theirs.
@@ -348,7 +349,7 @@ func TestPlaceMatchesReferenceWalk(t *testing.T) {
 		"explore":             func() alloc.Allocator { return explore.New(g) },
 	}
 	// Footprints of different sizes, one from a smaller remap shape, with
-	// distinct StartPCs so the per-config walks diverge.
+	// distinct StartPCs so the explorer holds a pivot per configuration.
 	cfgs := []*fabric.Config{
 		{StartPC: 0x1000, Geom: g, UsedCols: 2, Ops: []fabric.PlacedOp{
 			{Seq: 0, Row: 0, Col: 0, Width: 1}, {Seq: 1, Row: 0, Col: 1, Width: 1}}},

@@ -153,11 +153,6 @@ func (e *naiveEngine) offload(c *gpp.Core, cfg *fabric.Config) error {
 	overhead := offloadOverhead
 	var reconfig uint64
 	if !e.hasResident || e.residentPC != cfg.StartPC || e.residentOff != off {
-		if e.opts.ExposeReconfig {
-			if rc := e.opts.Geom.ReconfigCycles(); rc > overhead {
-				reconfig = rc - overhead
-			}
-		}
 		e.residentPC, e.residentOff, e.hasResident = cfg.StartPC, off, true
 		e.rep.ReconfigEvents++
 	}
@@ -167,7 +162,6 @@ func (e *naiveEngine) offload(c *gpp.Core, cfg *fabric.Config) error {
 	e.rep.StressSum += uint64(len(cfg.Cells())) * duration
 	e.rep.CGRACycles += duration
 	e.rep.OverheadCycles += overhead
-	e.rep.ReconfigCycles += reconfig
 	e.rep.Offloads++
 	if early {
 		e.rep.EarlyExits++

@@ -52,8 +52,8 @@ const (
 	cacheCapacity = 128
 	// offloadOverhead is the per-offload cycle cost of moving the input
 	// context in and results out (the unit is tightly coupled to the GPP
-	// register file). Configuration broadcast overlaps with it; only the
-	// excess reconfiguration time is charged.
+	// register file). Configuration broadcast runs as a wavefront ahead of
+	// execution (Fig. 5a) and is never charged.
 	offloadOverhead uint64 = 2
 )
 
@@ -65,13 +65,6 @@ type Options struct {
 	Timing gpp.Timing
 	// Allocator decides configuration placement; nil selects the baseline.
 	Allocator alloc.Allocator
-	// ExposeReconfig disables the wavefront overlap of configuration
-	// broadcast and execution: an ablation that charges the excess of
-	// ReconfigCycles over the offload overhead whenever the resident
-	// configuration (or its offset) changes. The default design streams
-	// configuration columns ahead of the execution wave (CfgLines >
-	// ColumnsPerCycle), hiding the reload entirely.
-	ExposeReconfig bool
 	// Health marks failed FUs the DBT must map around (the
 	// graceful-degradation extension): a mutable fabric health map the
 	// engine's controller adopts, read by the mapper (which places new
@@ -165,12 +158,11 @@ type Report struct {
 	AllocatorName string
 
 	// Cycle accounting. TotalCycles = GPPCycles + CGRACycles;
-	// CGRACycles includes OverheadCycles and ReconfigCycles.
+	// CGRACycles includes OverheadCycles.
 	TotalCycles    uint64
 	GPPCycles      uint64
 	CGRACycles     uint64
 	OverheadCycles uint64
-	ReconfigCycles uint64
 
 	// Instruction accounting.
 	TotalInstrs uint64
@@ -555,36 +547,26 @@ func (e *Engine) offload(cfg *fabric.Config) error {
 	}
 	e.pos += n
 
-	execCycles := mapped.ExecCyclesFirst(n)
-	overhead := offloadOverhead
-	var reconfig uint64
 	if !e.hasResident || e.residentPC != mapped.StartPC || e.residentOff != off {
 		// Configuration broadcast (Fig. 5a) proceeds as a wavefront ahead
-		// of execution and costs no extra cycles; the ExposeReconfig
-		// ablation charges the excess over the offload overhead instead.
-		if e.opts.ExposeReconfig {
-			if rc := e.opts.Geom.ReconfigCycles(); rc > overhead {
-				reconfig = rc - overhead
-			}
-		}
+		// of execution and costs no extra cycles.
 		e.residentPC, e.residentOff, e.hasResident = mapped.StartPC, off, true
 		e.rep.ReconfigEvents++
 	}
 
+	duration := offloadOverhead + mapped.ExecCyclesFirst(n)
 	if e.opts.Recovery != nil {
-		e.offloadWithRecovery(mapped, off, n, early, overhead, reconfig, execCycles)
+		e.offloadWithRecovery(mapped, off, n, early, duration)
 		return nil
 	}
 
 	e.rep.CGRAInstrs += uint64(n)
 	e.rep.CGRAClasses.Add(ClassCounts(mapped.ClassCountsFirst(n)))
-	duration := overhead + reconfig + execCycles
 	e.ctrl.Commit(mapped, off, duration)
 
 	e.rep.StressSum += uint64(len(mapped.Cells())) * duration
 	e.rep.CGRACycles += duration
-	e.rep.OverheadCycles += overhead
-	e.rep.ReconfigCycles += reconfig
+	e.rep.OverheadCycles += offloadOverhead
 	e.rep.Offloads++
 	if early {
 		e.rep.EarlyExits++
@@ -600,23 +582,19 @@ func (e *Engine) offload(cfg *fabric.Config) error {
 // MaxRetries (each retry a real execution: stress, cycles, a fresh context
 // transfer) and then abandoned to the GPP, whose re-execution cost is
 // attributed at the GPP timing model over the same instruction prefix.
-func (e *Engine) offloadWithRecovery(mapped *fabric.Config, off fabric.Offset, n int, early bool, overhead, reconfig, execCycles uint64) {
+func (e *Engine) offloadWithRecovery(mapped *fabric.Config, off fabric.Offset, n int, early bool, duration uint64) {
 	mon := e.opts.Recovery
 	cells := mapped.Cells()
 	toGPP := false
 	for attempt := 0; ; attempt++ {
-		duration := overhead + execCycles
-		if attempt == 0 {
-			duration += reconfig
-		} else {
+		if attempt > 0 {
 			mon.RecordRetry(duration)
 		}
 		e.ctrl.Commit(mapped, off, duration)
 		e.rep.StressSum += uint64(len(cells)) * duration
 		e.rep.CGRACycles += duration
-		e.rep.OverheadCycles += overhead
+		e.rep.OverheadCycles += offloadOverhead
 		if attempt == 0 {
-			e.rep.ReconfigCycles += reconfig
 			e.rep.Offloads++
 		}
 		faulted := mon.DrawExec(cells, off)

@@ -14,6 +14,7 @@ import (
 	"agingcgra/internal/energy"
 	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
+	"agingcgra/internal/gpp"
 	"agingcgra/internal/prog"
 	"agingcgra/internal/remap"
 )
@@ -123,8 +124,6 @@ type Options struct {
 	Size prog.Size
 	// Benchmarks restricts the suite (default: all ten).
 	Benchmarks []string
-	// Engine propagates engine options other than Geom/Allocator/Controller.
-	Engine dbt.Options
 	// Workers bounds sweep parallelism: 0 selects runtime.GOMAXPROCS, 1
 	// forces the serial path. Individual suite runs are always sequential (the
 	// benchmarks accumulate stress on one shared fabric); parallelism is
@@ -156,10 +155,7 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 
 	// One engine is the suite's fabric: every benchmark runs on it in turn.
 	allocator := factory(geom)
-	eopts := opt.Engine
-	eopts.Geom = geom
-	eopts.Allocator = allocator
-	eng, err := dbt.NewEngine(eopts)
+	eng, err := dbt.NewEngine(dbt.Options{Geom: geom, Allocator: allocator})
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +175,7 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		// Stand-alone GPP reference and retire stream, shared across
 		// design points through opt.Refs: both depend only on the
 		// benchmark, size and timing, never on the geometry or allocator.
-		ref, err := refs.Get(b, size, opt.Engine.Timing)
+		ref, err := refs.Get(b, size, gpp.DefaultTiming())
 		if err != nil {
 			return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
 		}

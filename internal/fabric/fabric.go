@@ -86,14 +86,6 @@ func (g Geometry) Validate() error {
 // NumFUs returns the total FU cell count W*L.
 func (g Geometry) NumFUs() int { return g.Rows * g.Cols }
 
-// ReconfigCycles is the time to broadcast a full configuration into the
-// fabric: ceil(Cols / CfgLines). With the default wavefront broadcast this
-// latency is overlapped with execution; it is exposed only in the
-// ablation that disables the overlap (dbt.Options.ExposeReconfig).
-func (g Geometry) ReconfigCycles() uint64 {
-	return uint64((g.Cols + g.CfgLines - 1) / g.CfgLines)
-}
-
 // String formats the geometry in the paper's (L, W) notation.
 func (g Geometry) String() string {
 	return fmt.Sprintf("L%d,W%d", g.Cols, g.Rows)

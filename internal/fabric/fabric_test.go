@@ -49,9 +49,6 @@ func TestGeometryDerived(t *testing.T) {
 	if g.CfgLines != 4 {
 		t.Errorf("CfgLines = %d, want 4 (the paper's Fig. 5 broadcast)", g.CfgLines)
 	}
-	if g.ReconfigCycles() != 8 {
-		t.Errorf("ReconfigCycles = %d, want 8 (32 cols / 4 lines)", g.ReconfigCycles())
-	}
 	small := NewGeometry(2, 8)
 	if small.CfgLines != 4 {
 		t.Errorf("small CfgLines = %d, want 4", small.CfgLines)
