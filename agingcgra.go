@@ -81,9 +81,9 @@ func AllocatorNames() []string {
 }
 
 // allocators is the name table of NewAllocator: every selectable name and
-// alias with its constructor. Validation reads the same table
-// (checkAllocator), so a name is valid exactly when it builds.
-var allocators = map[string]func(Geometry) Allocator{
+// alias with its constructor. Every entry point looks names up through
+// allocatorFactory, so a name is valid exactly when it builds.
+var allocators = map[string]dse.AllocatorFactory{
 	"":                             newBaseline,
 	"baseline":                     newBaseline,
 	"utilization-aware":            newSnake,
@@ -110,21 +110,23 @@ func patterned(p alloc.Pattern) func(Geometry) Allocator {
 	return func(g Geometry) Allocator { return alloc.NewUtilizationAware(g, alloc.WithPattern(p)) }
 }
 
-// checkAllocator reports whether name selects an allocator, without
-// building one.
-func checkAllocator(name string) error {
-	if _, ok := allocators[name]; !ok {
-		return fmt.Errorf("agingcgra: unknown allocator %q (want one of %v)", name, AllocatorNames())
+// allocatorFactory returns the constructor name selects, without building
+// an allocator.
+func allocatorFactory(name string) (dse.AllocatorFactory, error) {
+	f, ok := allocators[name]
+	if !ok {
+		return nil, fmt.Errorf("agingcgra: unknown allocator %q (want one of %v)", name, AllocatorNames())
 	}
-	return nil
+	return f, nil
 }
 
 // NewAllocator builds a named allocation strategy for a geometry.
 func NewAllocator(name string, g Geometry) (Allocator, error) {
-	if err := checkAllocator(name); err != nil {
+	f, err := allocatorFactory(name)
+	if err != nil {
 		return nil, err
 	}
-	return allocators[name](g), nil
+	return f(g), nil
 }
 
 // Config describes a TransRec system instance.
@@ -356,7 +358,8 @@ func (c LifetimeConfig) Scenario() (lifetime.Scenario, error) {
 	if err := g.Validate(); err != nil {
 		return lifetime.Scenario{}, err
 	}
-	if err := checkAllocator(c.Allocator); err != nil {
+	factory, err := allocatorFactory(c.Allocator)
+	if err != nil {
 		return lifetime.Scenario{}, err
 	}
 	if c.ShapeTranslations && c.StaleTranslations {
@@ -374,15 +377,7 @@ func (c LifetimeConfig) Scenario() (lifetime.Scenario, error) {
 		return lifetime.Scenario{}, fmt.Errorf(
 			"agingcgra: ShapeLadder %q has no effect without ShapeTranslations or the remap allocator", c.ShapeLadder)
 	}
-	allocName := c.Allocator
-	factory := func(g fabric.Geometry) alloc.Allocator {
-		a, err := NewAllocator(allocName, g)
-		if err != nil {
-			a = alloc.Baseline{}
-		}
-		return a
-	}
-	if c.ShapeLadder != "" && (allocName == "remap" || allocName == "shape-adaptive") {
+	if c.ShapeLadder != "" && (c.Allocator == "remap" || c.Allocator == "shape-adaptive") {
 		// Keep the allocation-time rescue searching the same ladder the
 		// translation-time search walks.
 		factory = dse.LadderRemapFactory(ladder)
@@ -476,12 +471,9 @@ func RunLifetimes(cs []LifetimeConfig, workers int) ([]*LifetimeResult, error) {
 // RunSuite executes the whole benchmark suite on this system's design,
 // accumulating stress on one shared fabric.
 func (s *System) RunSuite(size Size) (*SuiteResult, error) {
-	factory := func(g fabric.Geometry) alloc.Allocator {
-		a, err := NewAllocator(s.allocName, g)
-		if err != nil {
-			a = alloc.Baseline{}
-		}
-		return a
+	factory, err := allocatorFactory(s.allocName)
+	if err != nil {
+		return nil, err
 	}
 	return dse.RunSuite(s.geom, factory, dse.Options{Size: size, Refs: s.refs})
 }

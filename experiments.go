@@ -29,27 +29,6 @@ type ExperimentOptions struct {
 	Allocator string
 }
 
-// allocatorFactory lowers the named strategy onto the sweep engine; the
-// name is validated up front so the factory itself cannot fail.
-func (o ExperimentOptions) allocatorFactory() (dse.AllocatorFactory, error) {
-	if o.Allocator == "" {
-		return dse.BaselineFactory, nil
-	}
-	if _, err := NewAllocator(o.Allocator, fabric.NewGeometry(2, 16)); err != nil {
-		return nil, err
-	}
-	name := o.Allocator
-	return func(g fabric.Geometry) Allocator {
-		a, err := NewAllocator(name, g)
-		if err != nil {
-			// Validated above; a geometry-dependent failure here must not
-			// silently run the baseline under the requested label.
-			panic(err)
-		}
-		return a
-	}, nil
-}
-
 // dseOptions lowers the facade options onto the sweep engine, installing a
 // fresh GPP-reference memo shared by every design point of one experiment.
 func (o ExperimentOptions) dseOptions() dse.Options {
@@ -130,7 +109,7 @@ type Fig6Result struct {
 // Fig6 sweeps the 12 fabric sizes with the configured allocator (default
 // baseline, the paper's setting).
 func Fig6(opt ExperimentOptions) (*Fig6Result, error) {
-	factory, err := opt.allocatorFactory()
+	factory, err := allocatorFactory(opt.Allocator)
 	if err != nil {
 		return nil, err
 	}
@@ -469,18 +448,11 @@ func Flatness(s *SuiteResult) FlatnessMetrics {
 }
 
 // SuiteOnce runs the suite for an arbitrary geometry/allocator pair; the
-// ablation benches build on it. The allocator name is validated up front so
-// an unknown name fails with an error instead of panicking mid-sweep.
+// ablation benches build on it.
 func SuiteOnce(g Geometry, allocator string, opt ExperimentOptions) (*SuiteResult, error) {
-	if _, err := NewAllocator(allocator, g); err != nil {
+	factory, err := allocatorFactory(allocator)
+	if err != nil {
 		return nil, err
-	}
-	factory := func(gg fabric.Geometry) (a Allocator) {
-		a, err := NewAllocator(allocator, gg)
-		if err != nil {
-			panic(err) // validated above; geometry-dependent failure only
-		}
-		return a
 	}
 	return dse.RunSuite(g, factory, opt.dseOptions())
 }
