@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -56,6 +57,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 	years := fs.Float64("years", 20, "sweep simulated horizon in years")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *explorerSweep && *shapeSweep {
+		return errors.New("-explorer-sweep and -shape-sweep are mutually exclusive")
+	}
+	mode := "fig6"
+	switch {
+	case *explorerSweep:
+		mode = "explorer-sweep"
+	case *shapeSweep:
+		mode = "shape-sweep"
+	}
+	// A flag of a mode that does not run would be silently ignored, so a
+	// mislabelled sweep would look like a real one: reject it instead.
+	var modeErr error
+	fs.Visit(func(f *flag.Flag) {
+		if only, ok := modeFlags[f.Name]; ok && modeErr == nil && !slices.Contains(only.modes, mode) {
+			modeErr = fmt.Errorf("-%s applies only to %s", f.Name, only.desc)
+		}
+	})
+	if modeErr != nil {
+		return modeErr
 	}
 
 	if *shapeSweep {
@@ -133,6 +155,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return writeCSV(stdout, *csvPath, []string{"design", "rows", "cols", "rel_time", "rel_energy", "avg_util"}, rows)
 	}
 	return nil
+}
+
+// modeFlags lists the flags that only some modes read: modes names them
+// (fig6, explorer-sweep, shape-sweep) and desc says so in an error.
+var modeFlags = map[string]struct {
+	modes []string
+	desc  string
+}{
+	"allocator": {[]string{"fig6"}, "the Fig. 6 sweep, not to -explorer-sweep or -shape-sweep"},
+	"horizons":  {[]string{"explorer-sweep"}, "-explorer-sweep"},
+	"periods":   {[]string{"explorer-sweep"}, "-explorer-sweep"},
+	"ladders":   {[]string{"shape-sweep"}, "-shape-sweep"},
+	"failures":  {[]string{"explorer-sweep", "shape-sweep"}, "-explorer-sweep and -shape-sweep"},
 }
 
 func splitList(s string) []string {

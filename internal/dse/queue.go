@@ -95,6 +95,20 @@ func (p *Pool) submit(ctx context.Context, job func()) error {
 	}
 }
 
+// Err returns the error a ForEach begun now would give every item without
+// running it: ErrPoolClosed once Close began, else ctx.Err(). A caller
+// that answers some items without the pool checks it first, so those
+// items fail as the pool would fail them.
+func (p *Pool) Err(ctx context.Context) error {
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		return ErrPoolClosed
+	}
+	return ctx.Err()
+}
+
 // ForEach runs fn(i) for every index in [0, n) on the pool's workers and
 // waits for the batch to finish. Results must land at their index inside
 // fn, the lowest-indexed error is returned, and a panicking item surfaces

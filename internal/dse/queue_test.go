@@ -173,3 +173,33 @@ func TestPoolDeterministicResultsAnyWorkerCount(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolErrMatchesForEach checks that Err names the error ForEach gives
+// an item it does not run: nil on an open pool with a live context,
+// ctx.Err() once the context is done, and ErrPoolClosed (which wins over
+// a done context) once Close began.
+func TestPoolErrMatchesForEach(t *testing.T) {
+	p := NewPool(1, 0)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	never := func(int) error { t.Error("item ran"); return nil }
+	if err := p.Err(context.Background()); err != nil {
+		t.Fatalf("open pool: %v", err)
+	}
+	for _, phase := range []string{"open", "closed"} {
+		want := context.Canceled
+		if phase == "closed" {
+			want = ErrPoolClosed
+		}
+		if err := p.Err(canceled); !errors.Is(err, want) {
+			t.Fatalf("%s pool, canceled context: Err %v, want %v", phase, err, want)
+		}
+		if err := p.ForEach(canceled, 3, never); !errors.Is(err, want) {
+			t.Fatalf("%s pool, canceled context: ForEach %v, want %v", phase, err, want)
+		}
+		p.Close()
+	}
+	if err := p.Err(context.Background()); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("closed pool: %v", err)
+	}
+}

@@ -36,8 +36,10 @@ import (
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
-	// Hits counts lookups served from the store, Misses lookups that had
-	// to compute (GetOrCompute) or came back empty (Get).
+	// Hits counts lookups served from the store: a GetOrCompute that
+	// found its key, completed or in flight, and a Get that found a
+	// completed entry. Misses counts the GetOrCompute calls that had to
+	// compute. A Get that finds nothing counts neither.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries discarded by the LRU bound.
@@ -146,6 +148,23 @@ func (s *Store) GetOrCompute(key any, compute func() (any, error)) (any, error) 
 		s.mu.Unlock()
 	})
 	return e.val, e.err
+}
+
+// Get returns the value and memoized error of key's completed entry, and
+// ok reports that there was one. A found entry counts a hit and becomes
+// the most recently used, as with GetOrCompute. An absent key, or one
+// whose computation is still in flight, counts nothing, so a caller that
+// falls back to GetOrCompute counts that one lookup exactly once.
+func (s *Store) Get(key any) (val any, ok bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, found := s.m[key]
+	if !found || !e.done {
+		return nil, false, nil
+	}
+	s.hits++
+	s.lru.MoveToFront(e.elem)
+	return e.val, true, e.err
 }
 
 // Stats returns a snapshot of the store's counters.

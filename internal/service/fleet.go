@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -133,35 +134,61 @@ const (
 	streamSeed
 )
 
-// deviceDraw returns a uniform [0, 1) draw keyed on (seed, device, stream).
-func deviceDraw(seed uint64, device, stream int) float64 {
-	h := deviceHash(seed, device, stream)
+// devicePrefix is the hash of (seed, device) that every draw stream of the
+// device continues from.
+func devicePrefix(seed uint64, device int) uint64 {
+	return mix64(seed ^ (uint64(device)+1)*0x9e3779b97f4a7c15)
+}
+
+// streamHash is one draw stream's hash, given its device's prefix.
+func streamHash(prefix uint64, stream int) uint64 {
+	return mix64(prefix ^ (uint64(stream)+1)*0xc2b2ae3d27d4eb4f)
+}
+
+// unitDraw maps a hash to a uniform draw in [0, 1).
+func unitDraw(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-func deviceHash(seed uint64, device, stream int) uint64 {
-	h := mix64(seed ^ (uint64(device)+1)*0x9e3779b97f4a7c15)
-	return mix64(h ^ (uint64(stream)+1)*0xc2b2ae3d27d4eb4f)
+// picker maps a uniform draw to an option index of one non-empty weighted
+// distribution (weights already validated), with the effective weights
+// and their total computed once.
+type picker struct {
+	weights []float64
+	total   float64
 }
 
-// pickWeighted maps a uniform draw to an option index. Zero weights count
-// as 1 (the "unweighted list" convention); weights were validated
-// non-negative beforehand.
-func pickWeighted(u float64, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += effWeight(w)
+func newPicker(ws []float64) picker {
+	p := picker{weights: make([]float64, len(ws))}
+	for i, w := range ws {
+		p.weights[i] = effWeight(w)
+		p.total += p.weights[i]
 	}
-	x := u * total
-	for i, w := range weights {
-		x -= effWeight(w)
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
+	return p
 }
 
+// pick returns the first option at which u*total minus the weights so far
+// turns negative, or the last option if none does. The running value only
+// falls, so that option's index is the number of non-negative values among
+// the first n-1 subtractions, counted here from the sign bit instead of
+// with a branch per option. The count is exact: a difference of equal
+// values is +0, so the running value is never -0, and the only NaN is
+// 0*(+Inf) from a total that overflowed, which picks the last option.
+func (p picker) pick(u float64) int {
+	x := u * p.total
+	if x != x {
+		return len(p.weights) - 1
+	}
+	n := 0
+	for _, w := range p.weights[:len(p.weights)-1] {
+		x -= w
+		n += int(^math.Float64bits(x) >> 63)
+	}
+	return n
+}
+
+// effWeight is the weight an option counts with: zero weights count as 1
+// (the "unweighted list" convention).
 func effWeight(w float64) float64 {
 	if w == 0 {
 		return 1
@@ -195,15 +222,6 @@ func fleetWeights(fr FleetRequest) (mixes, profiles, patterns []float64) {
 	return mixes, profiles, patterns
 }
 
-// drawKey is everything a device's draw decides: the option index of each
-// distribution (0 for an empty list) and, for a fleet whose base enables
-// faults or recovery, the device's scenario seed. A device's request is a
-// function of its key alone.
-type drawKey struct {
-	mix, profile, pattern int
-	seed                  uint64
-}
-
 // fleetDraw is a fleet's devices deduplicated into combos: the distinct
 // fingerprints in first-appearance order, each with one request that
 // produces it, and the combo index of every device.
@@ -214,62 +232,101 @@ type fleetDraw struct {
 }
 
 // drawFleet draws every device of fr (weights already validated) and
-// deduplicates the draws into combos. The request and fingerprint are
-// built once per distinct draw key; keys whose fingerprints alias (two
+// deduplicates the draws into combos. A fault-free device's request is a
+// function of its option indices alone, so they name a slot
+// (mix*P + profile)*Q + pattern, where P and Q count the profile and
+// pattern options (1 for an empty list), and the request and fingerprint
+// are built once per slot: in a dense table when there are no more slots
+// than devices, else in a map. Slots whose fingerprints alias (two
 // patterns that both mean a healthy fabric, two mixes with the same
-// benchmarks) share a combo. The draw is keyed, not stateful, so the
-// result is a pure function of (fr, seed).
+// benchmarks) share a combo. A device of a fleet whose base enables faults
+// or recovery also draws its own scenario seed, so every device builds its
+// request and only the fingerprint deduplicates. The draw is keyed, not
+// stateful, so the result is a pure function of (fr, seed).
 func drawFleet(fr FleetRequest, seed uint64) fleetDraw {
 	mixW, profW, patW := fleetWeights(fr)
+	mixP, profP, patP := newPicker(mixW), newPicker(profW), newPicker(patW)
 	seeded := fr.Base.Faults != nil || fr.Base.Recovery != nil
 	fd := fleetDraw{devices: make([]int32, fr.Devices)}
-	byKey := make(map[drawKey]int32)
 	byFP := make(map[string]int32)
-	for d := range fd.devices {
-		var k drawKey
+	combo := func(mix, profile, pattern int, devSeed uint64) int32 {
+		req := fr.Base
 		if len(fr.Mixes) > 0 {
-			k.mix = pickWeighted(deviceDraw(seed, d, streamMix), mixW)
+			req.Benchmarks = fr.Mixes[mix].Benchmarks
 		}
 		if len(fr.Profiles) > 0 {
-			k.profile = pickWeighted(deviceDraw(seed, d, streamProfile), profW)
+			req.Profile = fr.Profiles[profile].Phases
 		}
 		if len(fr.Patterns) > 0 {
-			k.pattern = pickWeighted(deviceDraw(seed, d, streamPattern), patW)
+			req.DeadPattern = fr.Patterns[pattern].Pattern
 		}
 		if seeded {
-			k.seed = max(deviceHash(seed, d, streamSeed), 1)
+			req.Seed = devSeed
 		}
-		c, ok := byKey[k]
+		fp := fingerprint(req)
+		c, ok := byFP[fp]
 		if !ok {
-			req := fr.Base
-			if len(fr.Mixes) > 0 {
-				req.Benchmarks = fr.Mixes[k.mix].Benchmarks
+			c = int32(len(fd.fps))
+			byFP[fp] = c
+			fd.reqs = append(fd.reqs, req)
+			fd.fps = append(fd.fps, fp)
+		}
+		return c
+	}
+
+	P, Q := max(len(fr.Profiles), 1), max(len(fr.Patterns), 1)
+	var table []int32
+	var bySlot map[int]int32
+	if !seeded {
+		if slots := max(len(fr.Mixes), 1) * P * Q; slots <= fr.Devices {
+			table = make([]int32, slots)
+			for i := range table {
+				table[i] = -1
 			}
-			if len(fr.Profiles) > 0 {
-				req.Profile = fr.Profiles[k.profile].Phases
+		} else {
+			bySlot = make(map[int]int32)
+		}
+	}
+	for d := range fd.devices {
+		h := devicePrefix(seed, d)
+		var mix, profile, pattern int
+		if len(fr.Mixes) > 0 {
+			mix = mixP.pick(unitDraw(streamHash(h, streamMix)))
+		}
+		if len(fr.Profiles) > 0 {
+			profile = profP.pick(unitDraw(streamHash(h, streamProfile)))
+		}
+		if len(fr.Patterns) > 0 {
+			pattern = patP.pick(unitDraw(streamHash(h, streamPattern)))
+		}
+		slot := (mix*P+profile)*Q + pattern
+		var c int32
+		switch {
+		case seeded:
+			c = combo(mix, profile, pattern, max(streamHash(h, streamSeed), 1))
+		case table != nil:
+			if c = table[slot]; c < 0 {
+				c = combo(mix, profile, pattern, 0)
+				table[slot] = c
 			}
-			if len(fr.Patterns) > 0 {
-				req.DeadPattern = fr.Patterns[k.pattern].Pattern
+		default:
+			var ok bool
+			if c, ok = bySlot[slot]; !ok {
+				c = combo(mix, profile, pattern, 0)
+				bySlot[slot] = c
 			}
-			if seeded {
-				req.Seed = k.seed
-			}
-			fp := fingerprint(req)
-			if c, ok = byFP[fp]; !ok {
-				c = int32(len(fd.fps))
-				byFP[fp] = c
-				fd.reqs = append(fd.reqs, req)
-				fd.fps = append(fd.fps, fp)
-			}
-			byKey[k] = c
 		}
 		fd.devices[d] = c
 	}
 	return fd
 }
 
+// errNotRun marks a combo the pool has not run (yet).
+var errNotRun = errors.New("service: combo not run")
+
 // fleet runs one fleet query: draw devices, deduplicate into distinct
-// combos, run each combo once on the shared pool, aggregate by combo.
+// combos, answer each combo from the result store or run it once on the
+// shared pool, aggregate by combo.
 func (s *Server) fleet(ctx context.Context, fr FleetRequest) (*FleetResponse, error) {
 	if fr.Devices <= 0 {
 		return nil, fmt.Errorf("devices must be positive (got %d)", fr.Devices)
@@ -313,19 +370,52 @@ func (s *Server) fleet(ctx context.Context, fr FleetRequest) (*FleetResponse, er
 	fd := drawFleet(fr, seed)
 	combos := len(fd.fps)
 
-	// One simulation per distinct combo; wall-clock is the combo count,
-	// not the device count.
+	// A request the pool would refuse fails before any combo is looked at,
+	// so a canceled or shut-down request reads no store, warm or cold.
+	if err := s.pool.Err(ctx); err != nil {
+		return nil, err
+	}
+	// Validate every combo, answer the ones the result store holds, and
+	// run only the rest on the pool: one simulation per missing combo.
+	// errs[i] is combo i's error; the lowest index wins.
 	results := make([]*ResultJSON, combos)
-	err := s.pool.ForEach(ctx, combos, func(i int) error {
-		res, err := s.runScenario(fd.reqs[i], fd.fps[i])
-		results[i] = res
+	errs := make([]error, combos)
+	var misses []int
+	for i, req := range fd.reqs {
+		_, err := s.scenario(req)
+		if err == nil {
+			var ok bool
+			if results[i], ok, err = s.stored(fd.fps[i]); !ok {
+				// A miss the pool never runs (the request was canceled
+				// or the server closed meanwhile) keeps errNotRun and
+				// takes the pool's error, the lowest such miss's own.
+				misses = append(misses, i)
+				errs[i] = errNotRun
+				continue
+			}
+		}
 		if err != nil {
-			return fmt.Errorf("combo %d: %w", i, err)
+			errs[i] = fmt.Errorf("combo %d: %w", i, err)
+		}
+	}
+	// A miss resolves its scenario again on its worker, which allocates
+	// less than keeping the validated copy for it.
+	poolErr := s.pool.ForEach(ctx, len(misses), func(j int) error {
+		i := misses[j]
+		res, err := s.runScenario(fd.reqs[i], fd.fps[i])
+		results[i], errs[i] = res, nil
+		if err != nil {
+			errs[i] = fmt.Errorf("combo %d: %w", i, err)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err == errNotRun {
+			return nil, poolErr
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Every device of a combo shares its outcome, so each curve is a

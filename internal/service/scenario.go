@@ -121,9 +121,9 @@ func marshalKey(r ScenarioRequest) string {
 
 // scenario is the one path from a request to a runnable scenario: it
 // enforces the work bounds, resolves the request through the facade, and
-// attaches the server's shared state — the GPP-reference memo always, the
-// epoch store for fault-free scenarios only (a recovery monitor's
-// cross-epoch state makes epoch outcomes non-shareable).
+// attaches the GPP-reference memo. The epoch store is attached only when
+// the scenario runs (simulate), since its key costs a marshal that a
+// result-store hit never needs.
 func (s *Server) scenario(req ScenarioRequest) (lifetime.Scenario, error) {
 	if err := checkWork(req); err != nil {
 		return lifetime.Scenario{}, err
@@ -133,11 +133,28 @@ func (s *Server) scenario(req ScenarioRequest) (lifetime.Scenario, error) {
 		return lifetime.Scenario{}, err
 	}
 	sc.Refs = s.refs
+	return sc, nil
+}
+
+// simulate runs sc, resolved from req, sharing the epoch store when the
+// scenario is fault-free and recovery-free (a recovery monitor's
+// cross-epoch state makes epoch outcomes non-shareable).
+func (s *Server) simulate(req ScenarioRequest, sc lifetime.Scenario) (*ResultJSON, error) {
 	if req.Faults == nil && req.Recovery == nil {
 		sc.EpochMemo = s.epochs
 		sc.Fingerprint = epochFingerprint(req)
 	}
-	return sc, nil
+	return lifetime.Run(sc)
+}
+
+// stored returns the result store's completed answer for fingerprint fp;
+// ok is false when the store holds none yet.
+func (s *Server) stored(fp string) (res *ResultJSON, ok bool, err error) {
+	v, ok, err := s.results.Get(resultKey{fp: fp})
+	if !ok || err != nil {
+		return nil, ok, err
+	}
+	return v.(*ResultJSON), true, nil
 }
 
 // runScenario resolves, runs and memoizes one scenario, whose
@@ -151,7 +168,7 @@ func (s *Server) runScenario(req ScenarioRequest, fp string) (*ResultJSON, error
 		return nil, err
 	}
 	v, err := s.results.GetOrCompute(resultKey{fp: fp}, func() (any, error) {
-		return lifetime.Run(sc)
+		return s.simulate(req, sc)
 	})
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"agingcgra/internal/lifetime"
 	"agingcgra/internal/trace"
 )
 
@@ -81,7 +80,7 @@ func (s *Server) handleLifetimeStream(w http.ResponseWriter, r *http.Request) {
 	var res *ResultJSON
 	err = s.pool.ForEach(r.Context(), 1, func(int) error {
 		var err error
-		res, err = lifetime.Run(sc)
+		res, err = s.simulate(req, sc)
 		return err
 	})
 	switch {
