@@ -237,12 +237,14 @@ type fleetDraw struct {
 // (mix*P + profile)*Q + pattern, where P and Q count the profile and
 // pattern options (1 for an empty list), and the request and fingerprint
 // are built once per slot: in a dense table when there are no more slots
-// than devices, else in a map. Slots whose fingerprints alias (two
-// patterns that both mean a healthy fabric, two mixes with the same
-// benchmarks) share a combo. A device of a fleet whose base enables faults
-// or recovery also draws its own scenario seed, so every device builds its
-// request and only the fingerprint deduplicates. The draw is keyed, not
-// stateful, so the result is a pure function of (fr, seed).
+// than devices, else in a map, which costs more per device than indexing
+// the table but stays as small as the slots drawn. Slots whose
+// fingerprints alias (two patterns that both mean a healthy fabric, two
+// mixes with the same benchmarks) share a combo. A device of a fleet whose
+// base enables faults or recovery also draws its own scenario seed, so
+// every device builds its request and only the fingerprint deduplicates.
+// The draw is keyed, not stateful, so the result is a pure function of
+// (fr, seed).
 func drawFleet(fr FleetRequest, seed uint64) fleetDraw {
 	mixW, profW, patW := fleetWeights(fr)
 	mixP, profP, patP := newPicker(mixW), newPicker(profW), newPicker(patW)
