@@ -42,14 +42,14 @@ func TestRunSweepGolden(t *testing.T) {
 		args        []string
 	}{
 		{"fig6-utilization-aware.golden", "", []string{"-allocator", "utilization-aware"}},
-		{"explorer-sweep.golden", "explorer-sweep.csv.golden", []string{"-explorer-sweep"}},
-		{"shape-sweep.golden", "shape-sweep.csv.golden", []string{"-shape-sweep"}},
+		{"explorer-sweep.golden", "explorer-sweep.csv.golden", []string{"-explorer-sweep", "-years", "2"}},
+		{"shape-sweep.golden", "shape-sweep.csv.golden", []string{"-shape-sweep", "-years", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
 			for _, workers := range [][]string{{"-workers", "1"}, nil} {
 				var stdout, stderr bytes.Buffer
-				args := append([]string{"-size", "tiny", "-years", "2"}, tc.args...)
+				args := append([]string{"-size", "tiny"}, tc.args...)
 				csvPath := ""
 				if tc.csv != "" {
 					csvPath = filepath.Join(t.TempDir(), "points.csv")

@@ -168,6 +168,7 @@ var modeFlags = map[string]struct {
 	"periods":   {[]string{"explorer-sweep"}, "-explorer-sweep"},
 	"ladders":   {[]string{"shape-sweep"}, "-shape-sweep"},
 	"failures":  {[]string{"explorer-sweep", "shape-sweep"}, "-explorer-sweep and -shape-sweep"},
+	"years":     {[]string{"explorer-sweep", "shape-sweep"}, "-explorer-sweep and -shape-sweep"},
 }
 
 func splitList(s string) []string {

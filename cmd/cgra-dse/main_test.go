@@ -41,6 +41,8 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 			"-ladders applies only to -shape-sweep"},
 		{"failures in Fig. 6", []string{"-failures", "column"},
 			"-failures applies only to -explorer-sweep and -shape-sweep"},
+		{"years in Fig. 6", []string{"-allocator", "utilization-aware", "-years", "50"},
+			"-years applies only to -explorer-sweep and -shape-sweep"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
