@@ -20,11 +20,7 @@ type Tracker struct {
 	geom fabric.Geometry
 	// stressCycles[r*Cols+c] is how many cycles cell (r,c) spent configured.
 	stressCycles []uint64
-	// presentExecs[r*Cols+c] counts executions whose configuration included
-	// the cell.
-	presentExecs []uint64
 	activeCycles uint64
-	totalExecs   uint64
 	// rowBase/colMod are the toroidal index tables of the wrap-around
 	// movement: the physical index of virtual cell (r, c) under pivot
 	// (pr, pc) is rowBase[r+pr] + colMod[c+pc], replacing the two modulo
@@ -38,7 +34,6 @@ func NewTracker(g fabric.Geometry) *Tracker {
 	t := &Tracker{
 		geom:         g,
 		stressCycles: make([]uint64, g.NumFUs()),
-		presentExecs: make([]uint64, g.NumFUs()),
 		rowBase:      make([]int, 2*g.Rows),
 		colMod:       make([]int, 2*g.Cols),
 	}
@@ -63,19 +58,13 @@ func (t *Tracker) Record(cells []fabric.Cell, off fabric.Offset, cycles uint64) 
 	rb := t.rowBase[off.Row:]
 	cm := t.colMod[off.Col:]
 	for _, c := range cells {
-		i := rb[c.Row] + cm[c.Col]
-		t.stressCycles[i] += cycles
-		t.presentExecs[i]++
+		t.stressCycles[rb[c.Row]+cm[c.Col]] += cycles
 	}
 	t.activeCycles += cycles
-	t.totalExecs++
 }
 
 // ActiveCycles returns the total CGRA residency time.
 func (t *Tracker) ActiveCycles() uint64 { return t.activeCycles }
-
-// TotalExecs returns the number of recorded executions.
-func (t *Tracker) TotalExecs() uint64 { return t.totalExecs }
 
 // StressCycles returns the accumulated stress of cell (r, c).
 func (t *Tracker) StressCycles(r, c int) uint64 {
@@ -84,37 +73,24 @@ func (t *Tracker) StressCycles(r, c int) uint64 {
 
 // Utilization snapshots the per-FU duty cycles.
 func (t *Tracker) Utilization() *UtilizationMap {
-	u := &UtilizationMap{
-		Geom:     t.geom,
-		Duty:     make([]float64, t.geom.NumFUs()),
-		Presence: make([]float64, t.geom.NumFUs()),
-	}
-	for i := range u.Duty {
-		if t.activeCycles > 0 {
+	u := &UtilizationMap{Geom: t.geom, Duty: make([]float64, t.geom.NumFUs())}
+	if t.activeCycles > 0 {
+		for i := range u.Duty {
 			u.Duty[i] = float64(t.stressCycles[i]) / float64(t.activeCycles)
-		}
-		if t.totalExecs > 0 {
-			u.Presence[i] = float64(t.presentExecs[i]) / float64(t.totalExecs)
 		}
 	}
 	return u
 }
 
-// UtilizationMap is a snapshot of per-FU utilization under two metrics.
+// UtilizationMap is a snapshot of per-FU utilization.
 type UtilizationMap struct {
 	Geom fabric.Geometry
 	// Duty is the NBTI-relevant metric: stress time / CGRA-active time.
 	Duty []float64
-	// Presence is the fraction of configuration executions that included
-	// the FU (the "used by X% of the configurations" phrasing of Fig. 1).
-	Presence []float64
 }
 
 // At returns the duty cycle of cell (r, c).
 func (u *UtilizationMap) At(r, c int) float64 { return u.Duty[r*u.Geom.Cols+c] }
-
-// PresenceAt returns the presence rate of cell (r, c).
-func (u *UtilizationMap) PresenceAt(r, c int) float64 { return u.Presence[r*u.Geom.Cols+c] }
 
 // Max returns the highest duty cycle and its cell: the FU that determines
 // end-of-life.

@@ -143,11 +143,7 @@ func TestSelectScenariosSynthetic(t *testing.T) {
 }
 
 func syntheticUtil(g fabric.Geometry, avg float64) *core.UtilizationMap {
-	u := &core.UtilizationMap{
-		Geom:     g,
-		Duty:     make([]float64, g.NumFUs()),
-		Presence: make([]float64, g.NumFUs()),
-	}
+	u := &core.UtilizationMap{Geom: g, Duty: make([]float64, g.NumFUs())}
 	for i := range u.Duty {
 		u.Duty[i] = avg
 	}
