@@ -25,13 +25,11 @@ import (
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/dse"
 	"agingcgra/internal/energy"
-	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/gpp"
 	"agingcgra/internal/lifetime"
 	"agingcgra/internal/prog"
 	recov "agingcgra/internal/recover"
-	"agingcgra/internal/remap"
 	"agingcgra/internal/trace"
 )
 
@@ -84,28 +82,24 @@ func AllocatorNames() []string {
 // alias with its constructor. Every entry point looks names up through
 // allocatorFactory, so a name is valid exactly when it builds.
 var allocators = map[string]dse.AllocatorFactory{
-	"":                             newBaseline,
-	"baseline":                     newBaseline,
-	"utilization-aware":            newSnake,
-	"proposed":                     newSnake,
-	"snake":                        newSnake,
+	"":                             dse.BaselineFactory,
+	"baseline":                     dse.BaselineFactory,
+	"utilization-aware":            dse.ProposedFactory,
+	"proposed":                     dse.ProposedFactory,
+	"snake":                        dse.ProposedFactory,
 	"utilization-aware-rowmajor":   patterned(alloc.RowMajor{}),
 	"utilization-aware-diagonal":   patterned(alloc.Diagonal{}),
 	"utilization-aware-horizontal": patterned(alloc.HorizontalOnly{}),
 	"utilization-aware-vertical":   patterned(alloc.VerticalOnly{}),
 	"utilization-aware-shuffled":   patterned(alloc.Shuffled{}),
 	"health-aware":                 func(g Geometry) Allocator { return alloc.NewHealthAware(g, 16) },
-	"explore":                      newExplorer,
-	"wear-aware":                   newExplorer,
-	"explorer":                     newExplorer,
-	"remap":                        newRemapper,
-	"shape-adaptive":               newRemapper,
+	"explore":                      dse.ExploreFactory,
+	"wear-aware":                   dse.ExploreFactory,
+	"explorer":                     dse.ExploreFactory,
+	"remap":                        dse.RemapFactory,
+	"shape-adaptive":               dse.RemapFactory,
 }
 
-func newBaseline(Geometry) Allocator   { return alloc.Baseline{} }
-func newSnake(g Geometry) Allocator    { return alloc.NewUtilizationAware(g) }
-func newExplorer(g Geometry) Allocator { return explore.New(g) }
-func newRemapper(g Geometry) Allocator { return remap.New(g) }
 func patterned(p alloc.Pattern) func(Geometry) Allocator {
 	return func(g Geometry) Allocator { return alloc.NewUtilizationAware(g, alloc.WithPattern(p)) }
 }
