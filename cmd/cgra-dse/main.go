@@ -80,81 +80,69 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return modeErr
 	}
 
-	if *shapeSweep {
-		opt := agingcgra.ShapeSweepOptions{
+	var res sweepReport
+	var err error
+	switch mode {
+	case "shape-sweep":
+		res, err = agingcgra.ShapeSweep(agingcgra.ShapeSweepOptions{
+			Ladders:  splitList(*ladders),
+			Failures: splitList(*failures),
 			Size:     size,
 			MaxYears: *years,
 			Workers:  *workers,
-		}
-		if *ladders != "" {
-			opt.Ladders = splitList(*ladders)
-		}
-		if *failures != "" {
-			opt.Failures = splitList(*failures)
-		}
-		res, err := agingcgra.ShapeSweep(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, res.Render())
-		if *csvPath != "" {
-			return writeCSV(stdout, *csvPath, res.CSVHeader(), res.CSVRows())
-		}
-		return nil
-	}
-	if *explorerSweep {
+		})
+	case "explorer-sweep":
 		opt := agingcgra.ExplorerSweepOptions{
+			Failures: splitList(*failures),
 			Size:     size,
 			MaxYears: *years,
 			Workers:  *workers,
 		}
-		var err error
-		if *horizons != "" {
-			if opt.Horizons, err = parseFloats(*horizons); err != nil {
-				return err
-			}
-		}
-		if *periods != "" {
-			if opt.Periods, err = parseInts(*periods); err != nil {
-				return err
-			}
-		}
-		if *failures != "" {
-			opt.Failures = splitList(*failures)
-		}
-		res, err := agingcgra.ExplorerSweep(opt)
-		if err != nil {
+		if opt.Horizons, err = parseFloats(*horizons); err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, res.Render())
-		if *csvPath != "" {
-			return writeCSV(stdout, *csvPath, res.CSVHeader(), res.CSVRows())
+		if opt.Periods, err = parseInts(*periods); err != nil {
+			return err
 		}
-		return nil
+		res, err = agingcgra.ExplorerSweep(opt)
+	default:
+		var fig6 *agingcgra.Fig6Result
+		fig6, err = agingcgra.Fig6(agingcgra.ExperimentOptions{
+			Size: size, Workers: *workers, Allocator: *allocator,
+		})
+		res = fig6Report{fig6}
 	}
-	res, err := agingcgra.Fig6(agingcgra.ExperimentOptions{
-		Size: size, Workers: *workers, Allocator: *allocator,
-	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(stdout, res.Render())
-
-	if *csvPath != "" {
-		rows := make([][]string, 0, len(res.Points))
-		for _, p := range res.Points {
-			rows = append(rows, []string{
-				p.Geom.String(),
-				fmt.Sprintf("%d", p.Geom.Rows),
-				fmt.Sprintf("%d", p.Geom.Cols),
-				fmt.Sprintf("%.6f", p.RelTime),
-				fmt.Sprintf("%.6f", p.RelEnergy),
-				fmt.Sprintf("%.6f", p.AvgUtil),
-			})
-		}
-		return writeCSV(stdout, *csvPath, []string{"design", "rows", "cols", "rel_time", "rel_energy", "avg_util"}, rows)
+	if *csvPath == "" {
+		return nil
 	}
-	return nil
+	return writeCSV(stdout, *csvPath, res.CSVHeader(), res.CSVRows())
+}
+
+// sweepReport is what every mode prints and writes to -csv.
+type sweepReport interface {
+	Render() string
+	CSVHeader() []string
+	CSVRows() [][]string
+}
+
+// fig6Report gives the Fig. 6 design points their CSV columns.
+type fig6Report struct{ *agingcgra.Fig6Result }
+
+func (fig6Report) CSVHeader() []string {
+	return []string{"design", "rows", "cols", "rel_time", "rel_energy", "avg_util"}
+}
+
+func (r fig6Report) CSVRows() [][]string {
+	rows := make([][]string, 0, len(r.Points))
+	for _, p := range r.Points {
+		rows = append(rows, []string{p.Geom.String(), fmt.Sprint(p.Geom.Rows), fmt.Sprint(p.Geom.Cols),
+			fmt.Sprintf("%.6f", p.RelTime), fmt.Sprintf("%.6f", p.RelEnergy), fmt.Sprintf("%.6f", p.AvgUtil)})
+	}
+	return rows
 }
 
 // modeFlags lists the flags that only some modes read: modes names them
@@ -171,7 +159,12 @@ var modeFlags = map[string]struct {
 	"years":     {[]string{"explorer-sweep", "shape-sweep"}, "-explorer-sweep and -shape-sweep"},
 }
 
+// splitList, parseFloats and parseInts read a comma-separated flag; an
+// empty flag is nil, which selects the sweep's default.
 func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
 	var out []string
 	for _, part := range strings.Split(s, ",") {
 		out = append(out, strings.TrimSpace(part))
@@ -193,6 +186,9 @@ func writeCSV(stdout io.Writer, path string, header []string, rows [][]string) e
 }
 
 func parseFloats(s string) ([]float64, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -205,6 +201,9 @@ func parseFloats(s string) ([]float64, error) {
 }
 
 func parseInts(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))

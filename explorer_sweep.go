@@ -3,21 +3,11 @@ package agingcgra
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"agingcgra/internal/alloc"
+	"agingcgra/internal/dbt"
 	"agingcgra/internal/explore"
 	"agingcgra/internal/fabric"
-	"agingcgra/internal/lifetime"
-	"agingcgra/internal/report"
-)
-
-// The explorer and shape sweeps both run on the BE design (2×16) with a
-// crc32 mix in half-year epochs: parameters no sweep varies.
-const (
-	sweepRows, sweepCols = 2, 16
-	sweepBenchmark       = "crc32"
-	sweepEpochYears      = 0.5
 )
 
 // ExplorerSweepOptions configures the wear-aware explorer's own
@@ -63,16 +53,10 @@ func (o *ExplorerSweepOptions) applyDefaults() {
 
 // ExplorerSweepPoint is one (horizon, period, failure) outcome.
 type ExplorerSweepPoint struct {
-	HorizonYears   float64 `json:"horizon_years"`
-	Period         int     `json:"period"`
-	Failure        string  `json:"failure"`
-	FirstDeath     float64 `json:"first_death_years"`
-	SecondDeath    float64 `json:"second_death_years"`
-	ThirdDeath     float64 `json:"third_death_years"`
-	TotalDeaths    int     `json:"total_deaths"`
-	AliveFraction  float64 `json:"alive_fraction"`
-	InitialSpeedup float64 `json:"initial_speedup"`
-	FinalSpeedup   float64 `json:"final_speedup"`
+	HorizonYears float64 `json:"horizon_years"`
+	Period       int     `json:"period"`
+	Failure      string  `json:"failure"`
+	sweepOutcome
 }
 
 // ExplorerSweepResult is the full grid in deterministic order: failures
@@ -88,133 +72,61 @@ type ExplorerSweepResult struct {
 func ExplorerSweep(opt ExplorerSweepOptions) (*ExplorerSweepResult, error) {
 	opt.applyDefaults()
 	g := fabric.NewGeometry(sweepRows, sweepCols)
-
-	type key struct {
-		horizon float64
-		period  int
-		failure string
-	}
-	var keys []key
-	var scs []lifetime.Scenario
-	for _, failure := range opt.Failures {
-		dead, err := fabric.PatternCells(failure, g)
-		if err != nil {
-			return nil, err
-		}
-		for _, horizon := range opt.Horizons {
-			if !(horizon > 0) || math.IsInf(horizon, 1) {
-				return nil, fmt.Errorf("agingcgra: explorer sweep horizon %v must be finite and positive", horizon)
+	variants := func() ([]gridVariant[ExplorerSweepPoint], error) {
+		var vs []gridVariant[ExplorerSweepPoint]
+		for _, h := range opt.Horizons {
+			if !(h > 0) || math.IsInf(h, 1) {
+				return nil, fmt.Errorf("agingcgra: explorer sweep horizon %v must be finite and positive", h)
 			}
-			for _, period := range opt.Periods {
-				if period < 1 {
-					return nil, fmt.Errorf("agingcgra: explorer sweep period %d must be >= 1", period)
+			for _, p := range opt.Periods {
+				if p < 1 {
+					return nil, fmt.Errorf("agingcgra: explorer sweep period %d must be >= 1", p)
 				}
-				h, p := horizon, period
-				sc := lifetime.Scenario{
-					Name: fmt.Sprintf("%v/explore/h=%vy/p=%d/%s", g, h, p, failure),
-					Geom: g,
-					Factory: func(g fabric.Geometry) alloc.Allocator {
+				vs = append(vs, gridVariant[ExplorerSweepPoint]{
+					name: fmt.Sprintf("explore/h=%vy/p=%d", h, p),
+					factory: func(g fabric.Geometry) alloc.Allocator {
 						return explore.New(g, explore.WithHorizon(h), explore.WithRecomputeEvery(p))
 					},
-					Mix:         []string{sweepBenchmark},
-					Size:        opt.Size,
-					EpochYears:  sweepEpochYears,
-					MaxYears:    opt.MaxYears,
-					InitialDead: dead,
-				}
-				sc.Engine.StaleTranslations = true
-				keys = append(keys, key{horizon: h, period: p, failure: failure})
-				scs = append(scs, sc)
+					engine: dbt.Options{StaleTranslations: true},
+					point: func(failure string, o sweepOutcome, _ float64) ExplorerSweepPoint {
+						return ExplorerSweepPoint{HorizonYears: h, Period: p, Failure: failure, sweepOutcome: o}
+					},
+				})
 			}
 		}
+		return vs, nil
 	}
-
-	results, err := lifetime.RunScenarios(scs, opt.Workers)
+	points, err := runFailureGrid(g, opt.Failures, opt.Size, opt.MaxYears, opt.Workers, variants)
 	if err != nil {
 		return nil, err
 	}
-	out := &ExplorerSweepResult{Geom: g}
-	for i, r := range results {
-		out.Points = append(out.Points, ExplorerSweepPoint{
-			HorizonYears:   keys[i].horizon,
-			Period:         keys[i].period,
-			Failure:        keys[i].failure,
-			FirstDeath:     r.NthDeathYears(1),
-			SecondDeath:    r.NthDeathYears(2),
-			ThirdDeath:     r.NthDeathYears(3),
-			TotalDeaths:    r.TotalDeaths,
-			AliveFraction:  r.AliveFraction,
-			InitialSpeedup: r.InitialSpeedup,
-			FinalSpeedup:   r.FinalSpeedup,
-		})
-	}
-	return out, nil
+	return &ExplorerSweepResult{Geom: g, Points: points}, nil
 }
 
-// Render prints the grid as a table, one block per failure scenario.
-func (r *ExplorerSweepResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Explorer DSE - projection horizon x recompute period on %v (stale translations)\n", r.Geom)
-	byFailure := make(map[string][]ExplorerSweepPoint)
-	var order []string
-	for _, p := range r.Points {
-		if _, ok := byFailure[p.Failure]; !ok {
-			order = append(order, p.Failure)
-		}
-		byFailure[p.Failure] = append(byFailure[p.Failure], p)
-	}
-	death := func(y float64) string {
-		if y == 0 {
-			return "none"
-		}
-		return fmt.Sprintf("%.2fy", y)
-	}
-	for _, failure := range order {
-		fmt.Fprintf(&b, "\n[failure: %s]\n", failure)
-		tab := &report.Table{Header: []string{
-			"horizon", "period", "1st death", "2nd death", "3rd death", "deaths", "alive", "speedup@0", "speedup@end",
-		}}
-		for _, p := range byFailure[failure] {
-			tab.AddRow(
-				fmt.Sprintf("%gy", p.HorizonYears),
-				fmt.Sprintf("%d", p.Period),
-				death(p.FirstDeath), death(p.SecondDeath), death(p.ThirdDeath),
-				fmt.Sprintf("%d", p.TotalDeaths),
-				fmt.Sprintf("%.0f%%", 100*p.AliveFraction),
-				fmt.Sprintf("%.2f", p.InitialSpeedup),
-				fmt.Sprintf("%.2f", p.FinalSpeedup),
-			)
-		}
-		b.WriteString(tab.String())
-	}
-	return b.String()
+// explorerColumns keys each point on its horizon and period.
+var explorerColumns = gridColumns{
+	keys:    []string{"horizon", "period"},
+	csvKeys: []string{"horizon_years", "period"},
 }
 
-// CSVRows flattens the grid for report.WriteCSV, matching CSVHeader.
-func (r *ExplorerSweepResult) CSVRows() [][]string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Failure,
-			fmt.Sprintf("%g", p.HorizonYears),
-			fmt.Sprintf("%d", p.Period),
-			fmt.Sprintf("%.6f", p.FirstDeath),
-			fmt.Sprintf("%.6f", p.SecondDeath),
-			fmt.Sprintf("%.6f", p.ThirdDeath),
-			fmt.Sprintf("%d", p.TotalDeaths),
-			fmt.Sprintf("%.6f", p.AliveFraction),
-			fmt.Sprintf("%.6f", p.InitialSpeedup),
-			fmt.Sprintf("%.6f", p.FinalSpeedup),
-		})
+func (r *ExplorerSweepResult) rows() []gridRow {
+	rows := make([]gridRow, len(r.Points))
+	for i, p := range r.Points {
+		h, period := fmt.Sprintf("%g", p.HorizonYears), fmt.Sprintf("%d", p.Period)
+		rows[i] = gridRow{failure: p.Failure, sweepOutcome: p.sweepOutcome,
+			keys: []string{h + "y", period}, csvKeys: []string{h, period}}
 	}
 	return rows
 }
 
-// CSVHeader names the CSVRows columns.
-func (r *ExplorerSweepResult) CSVHeader() []string {
-	return []string{
-		"failure", "horizon_years", "period",
-		"first_death_years", "second_death_years", "third_death_years",
-		"total_deaths", "alive_fraction", "initial_speedup", "final_speedup",
-	}
+// Render prints the grid as a table, one block per failure scenario.
+func (r *ExplorerSweepResult) Render() string {
+	title := fmt.Sprintf("Explorer DSE - projection horizon x recompute period on %v (stale translations)", r.Geom)
+	return explorerColumns.render(title, r.rows())
 }
+
+// CSVRows flattens the grid for report.WriteCSV, matching CSVHeader.
+func (r *ExplorerSweepResult) CSVRows() [][]string { return csvRows(r.rows()) }
+
+// CSVHeader names the CSVRows columns.
+func (r *ExplorerSweepResult) CSVHeader() []string { return explorerColumns.csvHeader() }

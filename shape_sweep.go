@@ -2,12 +2,10 @@ package agingcgra
 
 import (
 	"fmt"
-	"strings"
 
+	"agingcgra/internal/dbt"
 	"agingcgra/internal/dse"
 	"agingcgra/internal/fabric"
-	"agingcgra/internal/lifetime"
-	"agingcgra/internal/report"
 )
 
 // ShapeSweepOptions configures the shape-ladder design-space exploration:
@@ -48,16 +46,10 @@ func (o *ShapeSweepOptions) applyDefaults() {
 // ShapeSweepPoint is one (ladder, failure) outcome: lifetime summary plus
 // the derived search overhead the ladder cost.
 type ShapeSweepPoint struct {
-	Ladder         string  `json:"ladder"`
-	Rungs          int     `json:"rungs"`
-	Failure        string  `json:"failure"`
-	FirstDeath     float64 `json:"first_death_years"`
-	SecondDeath    float64 `json:"second_death_years"`
-	ThirdDeath     float64 `json:"third_death_years"`
-	TotalDeaths    int     `json:"total_deaths"`
-	AliveFraction  float64 `json:"alive_fraction"`
-	InitialSpeedup float64 `json:"initial_speedup"`
-	FinalSpeedup   float64 `json:"final_speedup"`
+	Ladder  string `json:"ladder"`
+	Rungs   int    `json:"rungs"`
+	Failure string `json:"failure"`
+	sweepOutcome
 	// SearchPerOffloadCycles is the derived per-offload search overhead
 	// (explorer + rescue + ladder scans) under searchcost.DefaultModel.
 	SearchPerOffloadCycles float64 `json:"search_per_offload_cycles"`
@@ -78,134 +70,60 @@ type ShapeSweepResult struct {
 func ShapeSweep(opt ShapeSweepOptions) (*ShapeSweepResult, error) {
 	opt.applyDefaults()
 	g := fabric.NewGeometry(sweepRows, sweepCols)
-
-	type key struct {
-		ladder  string
-		rungs   int
-		failure string
-	}
-	var keys []key
-	var scs []lifetime.Scenario
-	for _, failure := range opt.Failures {
-		dead, err := fabric.PatternCells(failure, g)
-		if err != nil {
-			return nil, err
-		}
+	variants := func() ([]gridVariant[ShapeSweepPoint], error) {
+		var vs []gridVariant[ShapeSweepPoint]
 		for _, name := range opt.Ladders {
 			ladder, err := fabric.ShapeLadderByName(name)
 			if err != nil {
 				return nil, err
 			}
-			sc := lifetime.Scenario{
-				Name:        fmt.Sprintf("%v/shapedbt/ladder=%s/%s", g, ladder.Name, failure),
-				Geom:        g,
-				Factory:     dse.LadderRemapFactory(ladder),
-				Mix:         []string{sweepBenchmark},
-				Size:        opt.Size,
-				EpochYears:  sweepEpochYears,
-				MaxYears:    opt.MaxYears,
-				InitialDead: dead,
-			}
-			sc.Engine.ShapeTranslations = true
-			sc.Engine.Ladder = ladder
-			keys = append(keys, key{ladder: ladder.Name, rungs: ladder.Len(g), failure: failure})
-			scs = append(scs, sc)
+			vs = append(vs, gridVariant[ShapeSweepPoint]{
+				name:    "shapedbt/ladder=" + ladder.Name,
+				factory: dse.LadderRemapFactory(ladder),
+				engine:  dbt.Options{ShapeTranslations: true, Ladder: ladder},
+				point: func(failure string, o sweepOutcome, search float64) ShapeSweepPoint {
+					return ShapeSweepPoint{Ladder: ladder.Name, Rungs: ladder.Len(g), Failure: failure,
+						sweepOutcome: o, SearchPerOffloadCycles: search}
+				},
+			})
 		}
+		return vs, nil
 	}
-
-	results, err := lifetime.RunScenarios(scs, opt.Workers)
+	points, err := runFailureGrid(g, opt.Failures, opt.Size, opt.MaxYears, opt.Workers, variants)
 	if err != nil {
 		return nil, err
 	}
-	out := &ShapeSweepResult{Geom: g}
-	for i, r := range results {
-		p := ShapeSweepPoint{
-			Ladder:         keys[i].ladder,
-			Rungs:          keys[i].rungs,
-			Failure:        keys[i].failure,
-			FirstDeath:     r.NthDeathYears(1),
-			SecondDeath:    r.NthDeathYears(2),
-			ThirdDeath:     r.NthDeathYears(3),
-			TotalDeaths:    r.TotalDeaths,
-			AliveFraction:  r.AliveFraction,
-			InitialSpeedup: r.InitialSpeedup,
-			FinalSpeedup:   r.FinalSpeedup,
-		}
-		if r.Search != nil {
-			p.SearchPerOffloadCycles = r.Search.PerOffloadCycles
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
+	return &ShapeSweepResult{Geom: g, Points: points}, nil
 }
 
-// Render prints the grid as a table, one block per failure scenario.
-func (r *ShapeSweepResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shape-ladder DSE - ladder variants x failure scenarios on %v (shape-aware translation)\n", r.Geom)
-	byFailure := make(map[string][]ShapeSweepPoint)
-	var order []string
-	for _, p := range r.Points {
-		if _, ok := byFailure[p.Failure]; !ok {
-			order = append(order, p.Failure)
-		}
-		byFailure[p.Failure] = append(byFailure[p.Failure], p)
-	}
-	death := func(y float64) string {
-		if y == 0 {
-			return "none"
-		}
-		return fmt.Sprintf("%.2fy", y)
-	}
-	for _, failure := range order {
-		fmt.Fprintf(&b, "\n[failure: %s]\n", failure)
-		tab := &report.Table{Header: []string{
-			"ladder", "rungs", "1st death", "2nd death", "3rd death", "deaths", "alive", "speedup@0", "speedup@end", "search/offload",
-		}}
-		for _, p := range byFailure[failure] {
-			tab.AddRow(
-				p.Ladder,
-				fmt.Sprintf("%d", p.Rungs),
-				death(p.FirstDeath), death(p.SecondDeath), death(p.ThirdDeath),
-				fmt.Sprintf("%d", p.TotalDeaths),
-				fmt.Sprintf("%.0f%%", 100*p.AliveFraction),
-				fmt.Sprintf("%.2f", p.InitialSpeedup),
-				fmt.Sprintf("%.2f", p.FinalSpeedup),
-				fmt.Sprintf("%.1fcy", p.SearchPerOffloadCycles),
-			)
-		}
-		b.WriteString(tab.String())
-	}
-	return b.String()
+// shapeColumns keys each point on its ladder and closes with its search
+// cost.
+var shapeColumns = gridColumns{
+	keys:     []string{"ladder", "rungs"},
+	csvKeys:  []string{"ladder", "rungs"},
+	extra:    []string{"search/offload"},
+	csvExtra: []string{"search_per_offload_cycles"},
 }
 
-// CSVRows flattens the grid for report.WriteCSV, matching CSVHeader.
-func (r *ShapeSweepResult) CSVRows() [][]string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Failure,
-			p.Ladder,
-			fmt.Sprintf("%d", p.Rungs),
-			fmt.Sprintf("%.6f", p.FirstDeath),
-			fmt.Sprintf("%.6f", p.SecondDeath),
-			fmt.Sprintf("%.6f", p.ThirdDeath),
-			fmt.Sprintf("%d", p.TotalDeaths),
-			fmt.Sprintf("%.6f", p.AliveFraction),
-			fmt.Sprintf("%.6f", p.InitialSpeedup),
-			fmt.Sprintf("%.6f", p.FinalSpeedup),
-			fmt.Sprintf("%.6f", p.SearchPerOffloadCycles),
-		})
+func (r *ShapeSweepResult) rows() []gridRow {
+	rows := make([]gridRow, len(r.Points))
+	for i, p := range r.Points {
+		keys := []string{p.Ladder, fmt.Sprintf("%d", p.Rungs)}
+		rows[i] = gridRow{failure: p.Failure, sweepOutcome: p.sweepOutcome, keys: keys, csvKeys: keys,
+			extra:    []string{fmt.Sprintf("%.1fcy", p.SearchPerOffloadCycles)},
+			csvExtra: []string{fmt.Sprintf("%.6f", p.SearchPerOffloadCycles)}}
 	}
 	return rows
 }
 
-// CSVHeader names the CSVRows columns.
-func (r *ShapeSweepResult) CSVHeader() []string {
-	return []string{
-		"failure", "ladder", "rungs",
-		"first_death_years", "second_death_years", "third_death_years",
-		"total_deaths", "alive_fraction", "initial_speedup", "final_speedup",
-		"search_per_offload_cycles",
-	}
+// Render prints the grid as a table, one block per failure scenario.
+func (r *ShapeSweepResult) Render() string {
+	title := fmt.Sprintf("Shape-ladder DSE - ladder variants x failure scenarios on %v (shape-aware translation)", r.Geom)
+	return shapeColumns.render(title, r.rows())
 }
+
+// CSVRows flattens the grid for report.WriteCSV, matching CSVHeader.
+func (r *ShapeSweepResult) CSVRows() [][]string { return csvRows(r.rows()) }
+
+// CSVHeader names the CSVRows columns.
+func (r *ShapeSweepResult) CSVHeader() []string { return shapeColumns.csvHeader() }
