@@ -131,7 +131,7 @@ func BenchmarkTable2Area(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md section 5).
+// Ablations.
 
 func ablationFlatness(b *testing.B, allocator string) FlatnessMetrics {
 	b.Helper()

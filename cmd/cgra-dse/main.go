@@ -139,8 +139,14 @@ func (fig6Report) CSVHeader() []string {
 func (r fig6Report) CSVRows() [][]string {
 	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
-		rows = append(rows, []string{p.Geom.String(), fmt.Sprint(p.Geom.Rows), fmt.Sprint(p.Geom.Cols),
-			fmt.Sprintf("%.6f", p.RelTime), fmt.Sprintf("%.6f", p.RelEnergy), fmt.Sprintf("%.6f", p.AvgUtil)})
+		rows = append(rows, []string{
+			p.Geom.String(),
+			fmt.Sprintf("%d", p.Geom.Rows),
+			fmt.Sprintf("%d", p.Geom.Cols),
+			fmt.Sprintf("%.6f", p.RelTime),
+			fmt.Sprintf("%.6f", p.RelEnergy),
+			fmt.Sprintf("%.6f", p.AvgUtil),
+		})
 	}
 	return rows
 }

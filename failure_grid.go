@@ -141,9 +141,11 @@ func (c gridColumns) render(title string, rows []gridRow) string {
 		tab := &report.Table{Header: header}
 		for _, row := range byFailure[failure] {
 			tab.AddRow(slices.Concat(row.keys, []string{
-				death(row.FirstDeath), death(row.SecondDeath), death(row.ThirdDeath), fmt.Sprint(row.TotalDeaths),
+				death(row.FirstDeath), death(row.SecondDeath), death(row.ThirdDeath),
+				fmt.Sprintf("%d", row.TotalDeaths),
 				fmt.Sprintf("%.0f%%", 100*row.AliveFraction),
-				fmt.Sprintf("%.2f", row.InitialSpeedup), fmt.Sprintf("%.2f", row.FinalSpeedup),
+				fmt.Sprintf("%.2f", row.InitialSpeedup),
+				fmt.Sprintf("%.2f", row.FinalSpeedup),
 			}, row.extra)...)
 		}
 		b.WriteString(tab.String())
@@ -165,7 +167,8 @@ func csvRows(rows []gridRow) [][]string {
 	out := make([][]string, 0, len(rows))
 	for _, row := range rows {
 		out = append(out, slices.Concat([]string{row.failure}, row.csvKeys, []string{
-			f(row.FirstDeath), f(row.SecondDeath), f(row.ThirdDeath), fmt.Sprint(row.TotalDeaths),
+			f(row.FirstDeath), f(row.SecondDeath), f(row.ThirdDeath),
+			fmt.Sprintf("%d", row.TotalDeaths),
 			f(row.AliveFraction), f(row.InitialSpeedup), f(row.FinalSpeedup),
 		}, row.csvExtra))
 	}
