@@ -109,6 +109,7 @@ var explorerColumns = gridColumns{
 	csvKeys: []string{"horizon_years", "period"},
 }
 
+// rows lays the points out in explorerColumns.
 func (r *ExplorerSweepResult) rows() []gridRow {
 	rows := make([]gridRow, len(r.Points))
 	for i, p := range r.Points {

@@ -105,6 +105,7 @@ var shapeColumns = gridColumns{
 	csvExtra: []string{"search_per_offload_cycles"},
 }
 
+// rows lays the points out in shapeColumns.
 func (r *ShapeSweepResult) rows() []gridRow {
 	rows := make([]gridRow, len(r.Points))
 	for i, p := range r.Points {
