@@ -92,7 +92,7 @@ var allocators = map[string]dse.AllocatorFactory{
 	"utilization-aware-horizontal": patterned(alloc.HorizontalOnly{}),
 	"utilization-aware-vertical":   patterned(alloc.VerticalOnly{}),
 	"utilization-aware-shuffled":   patterned(alloc.Shuffled{}),
-	"health-aware":                 func(g Geometry) Allocator { return alloc.NewHealthAware(g, 16) },
+	"health-aware":                 func(g Geometry) Allocator { return alloc.NewHealthAware(g) },
 	"explore":                      dse.ExploreFactory,
 	"wear-aware":                   dse.ExploreFactory,
 	"explorer":                     dse.ExploreFactory,

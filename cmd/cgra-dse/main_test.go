@@ -7,9 +7,10 @@ import (
 )
 
 // TestRunRejectsUnknownNames pins the CLI's error path: unknown allocator,
-// size, ladder and failure-pattern names, and a flag of a mode the run
-// does not select, must fail with a descriptive error (the process exits
-// non-zero), not panic mid-sweep or be silently ignored.
+// size, ladder and failure-pattern names, a sweep axis value given twice,
+// and a flag of a mode the run does not select, must fail with a
+// descriptive error (the process exits non-zero), not panic mid-sweep or
+// be silently ignored.
 func TestRunRejectsUnknownNames(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,6 +29,20 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 		{"zero horizon", []string{"-explorer-sweep", "-horizons", "1,0", "-periods", "16", "-size", "tiny"},
 			"finite and positive"},
 		{"bad period", []string{"-explorer-sweep", "-periods", "x"}, "bad integer"},
+		{"repeated failure", []string{"-explorer-sweep", "-failures", "quadrant,column,quadrant",
+			"-horizons", "0.25,4", "-periods", "4,64", "-years", "2", "-size", "tiny"}, `failure pattern "quadrant" is repeated`},
+		{"repeated failure in shape sweep", []string{"-shape-sweep", "-failures", "column,column", "-years", "2", "-size", "tiny"},
+			`failure pattern "column" is repeated`},
+		{"repeated horizon", []string{"-explorer-sweep", "-horizons", "1,1", "-size", "tiny"}, "horizon 1 is repeated"},
+		{"repeated parsed horizon", []string{"-explorer-sweep", "-horizons", "0.5,4,0.50", "-size", "tiny"},
+			"horizon 0.5 is repeated"},
+		{"repeated period", []string{"-explorer-sweep", "-periods", "4,16,4", "-size", "tiny"}, "period 4 is repeated"},
+		{"repeated ladder", []string{"-shape-sweep", "-ladders", "fine,halving,fine", "-size", "tiny"},
+			`ladder "fine" is repeated`},
+		{"bad period before repeated horizon", []string{"-explorer-sweep", "-horizons", "1,1", "-periods", "0", "-size", "tiny"},
+			"must be >= 1"},
+		{"bad failure before repeated ladder", []string{"-shape-sweep", "-failures", "mystery", "-ladders", "fine,fine"},
+			"unknown failure pattern"},
 		{"both sweeps", []string{"-explorer-sweep", "-shape-sweep"}, "mutually exclusive"},
 		{"allocator in shape sweep", []string{"-shape-sweep", "-allocator", "explore"},
 			"-allocator applies only to the Fig. 6 sweep"},

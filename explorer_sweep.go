@@ -3,6 +3,7 @@ package agingcgra
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"agingcgra/internal/alloc"
 	"agingcgra/internal/dbt"
@@ -74,13 +75,19 @@ func ExplorerSweep(opt ExplorerSweepOptions) (*ExplorerSweepResult, error) {
 	g := fabric.NewGeometry(sweepRows, sweepCols)
 	variants := func() ([]gridVariant[ExplorerSweepPoint], error) {
 		var vs []gridVariant[ExplorerSweepPoint]
-		for _, h := range opt.Horizons {
+		for i, h := range opt.Horizons {
 			if !(h > 0) || math.IsInf(h, 1) {
 				return nil, fmt.Errorf("agingcgra: explorer sweep horizon %v must be finite and positive", h)
 			}
-			for _, p := range opt.Periods {
+			if slices.Contains(opt.Horizons[:i], h) {
+				return nil, fmt.Errorf("agingcgra: explorer sweep horizon %v is repeated", h)
+			}
+			for j, p := range opt.Periods {
 				if p < 1 {
 					return nil, fmt.Errorf("agingcgra: explorer sweep period %d must be >= 1", p)
+				}
+				if slices.Contains(opt.Periods[:j], p) {
+					return nil, fmt.Errorf("agingcgra: explorer sweep period %d is repeated", p)
 				}
 				vs = append(vs, gridVariant[ExplorerSweepPoint]{
 					name: fmt.Sprintf("explore/h=%vy/p=%d", h, p),

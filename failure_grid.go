@@ -46,7 +46,8 @@ type gridVariant[P any] struct {
 // g, failures outermost, as one lifetime scenario batch: deterministic
 // point order, byte-identical results between serial and parallel runs.
 // variants is called once the first failure resolves, so a bad first
-// failure name is reported before a bad variant.
+// failure name is reported before a bad variant. A failure named twice is
+// an error: both copies would run and print every row twice.
 func runFailureGrid[P any](g fabric.Geometry, failures []string, size Size, maxYears float64, workers int,
 	variants func() ([]gridVariant[P], error)) ([]P, error) {
 	var vs []gridVariant[P]
@@ -55,6 +56,9 @@ func runFailureGrid[P any](g fabric.Geometry, failures []string, size Size, maxY
 		dead, err := fabric.PatternCells(failure, g)
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(failures[:i], failure) {
+			return nil, fmt.Errorf("agingcgra: failure pattern %q is repeated", failure)
 		}
 		if i == 0 {
 			if vs, err = variants(); err != nil {

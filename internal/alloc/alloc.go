@@ -160,24 +160,18 @@ func (Diagonal) Sequence(g fabric.Geometry) []fabric.Offset {
 	return out
 }
 
-// Shuffled visits every position once per epoch in a seeded pseudo-random
+// Shuffled visits every position once per epoch in a fixed pseudo-random
 // order: the "random allocation" strawman of Section III, made
 // deterministic.
-type Shuffled struct {
-	// Seed selects the permutation; zero gets a default.
-	Seed uint32
-}
+type Shuffled struct{}
 
 // Name implements Pattern.
-func (s Shuffled) Name() string { return "shuffled" }
+func (Shuffled) Name() string { return "shuffled" }
 
 // Sequence implements Pattern.
-func (s Shuffled) Sequence(g fabric.Geometry) []fabric.Offset {
+func (Shuffled) Sequence(g fabric.Geometry) []fabric.Offset {
 	out := RowMajor{}.Sequence(g)
-	state := s.Seed
-	if state == 0 {
-		state = 0x2545f491
-	}
+	state := uint32(0x2545f491)
 	next := func() uint32 {
 		state ^= state << 13
 		state ^= state >> 17

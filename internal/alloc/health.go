@@ -10,14 +10,12 @@ import (
 // rotating, it uses accumulated per-FU stress to pick the pivot that
 // minimises the projected worst-case stress. Because an exhaustive search
 // per execution would be costly in hardware, the search runs every
-// RecomputeEvery executions and the chosen pivot is held in between.
+// healthRecomputeEvery executions and the chosen pivot is held in between.
 type HealthAware struct {
-	geom   fabric.Geometry
-	stress []uint64 // physical per-cell stressed cycles, row-major
-	// recomputeEvery is the pivot re-evaluation period.
-	recomputeEvery uint64
-	count          uint64
-	current        fabric.Offset
+	geom    fabric.Geometry
+	stress  []uint64 // physical per-cell stressed cycles, row-major
+	count   uint64
+	current fabric.Offset
 	// health, when set, excludes placements touching dead cells from the
 	// pivot search; a health change forces an immediate recompute (the
 	// held pivot may have gone stale).
@@ -64,22 +62,18 @@ type ConfigRemapper interface {
 	RemapConfig(cfg *fabric.Config, off fabric.Offset, placed bool) (mapped *fabric.Config, mappedOff fabric.Offset, ok bool)
 }
 
-// NewHealthAware builds the stress-feedback allocator. recomputeEvery <= 0
-// defaults to 16.
-func NewHealthAware(g fabric.Geometry, recomputeEvery int) *HealthAware {
-	if recomputeEvery <= 0 {
-		recomputeEvery = 16
-	}
-	return &HealthAware{
-		geom:           g,
-		stress:         make([]uint64, g.NumFUs()),
-		recomputeEvery: uint64(recomputeEvery),
-	}
+// healthRecomputeEvery is HealthAware's pivot re-evaluation period in
+// executions.
+const healthRecomputeEvery = 16
+
+// NewHealthAware builds the stress-feedback allocator.
+func NewHealthAware(g fabric.Geometry) *HealthAware {
+	return &HealthAware{geom: g, stress: make([]uint64, g.NumFUs())}
 }
 
 // Name implements Allocator.
 func (h *HealthAware) Name() string {
-	return fmt.Sprintf("health-aware/every=%d", h.recomputeEvery)
+	return fmt.Sprintf("health-aware/every=%d", healthRecomputeEvery)
 }
 
 // SetHealth implements HealthSetter.
@@ -87,7 +81,7 @@ func (h *HealthAware) SetHealth(hm *fabric.Health) { h.health = hm }
 
 // Next implements Allocator.
 func (h *HealthAware) Next(cfg *fabric.Config) fabric.Offset {
-	if cfg != nil && (h.key.Update(h.health, nil, nil) || h.count%h.recomputeEvery == 0) {
+	if cfg != nil && (h.key.Update(h.health, nil, nil) || h.count%healthRecomputeEvery == 0) {
 		h.current = h.bestOffset(cfg)
 	}
 	h.count++

@@ -115,14 +115,15 @@ func TestControllerRotationBalancesStress(t *testing.T) {
 
 func TestControllerFeedsStressObserver(t *testing.T) {
 	g := fabric.NewGeometry(2, 4)
-	h := alloc.NewHealthAware(g, 1)
+	h := alloc.NewHealthAware(g)
 	ctrl, err := NewController(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallConfig(g)
 	offs := make(map[fabric.Offset]bool)
-	for i := 0; i < 8; i++ {
+	// Three recompute periods of the allocator's 16-execution hold.
+	for i := 0; i < 48; i++ {
 		off, _ := ctrl.Place(cfg)
 		offs[off] = true
 		ctrl.Commit(cfg, off, 10)
@@ -341,7 +342,7 @@ func TestPlaceMatchesReferenceWalk(t *testing.T) {
 		// the controller's geometry, not theirs.
 		"snake/built-for-8x4": func() alloc.Allocator { return alloc.NewUtilizationAware(fabric.NewGeometry(8, 4)) },
 		"snake/built-for-6x8": func() alloc.Allocator { return alloc.NewUtilizationAware(fabric.NewGeometry(6, 8)) },
-		"health-aware":        func() alloc.Allocator { return alloc.NewHealthAware(g, 4) },
+		"health-aware":        func() alloc.Allocator { return alloc.NewHealthAware(g) },
 		"explore":             func() alloc.Allocator { return explore.New(g) },
 	}
 	// Footprints of different sizes, one from a smaller remap shape, with

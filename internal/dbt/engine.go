@@ -111,14 +111,14 @@ type Options struct {
 	// ShapeTranslations is set.
 	Ladder fabric.ShapeLadder
 	// Recovery attaches the fault-injection and detection/recovery monitor
-	// (internal/recover). When set, every offload draws fault
-	// manifestations from the monitor's truth maps, sampled offloads are
-	// verified against the GPP reference, detected faults trigger bounded
-	// on-fabric retries and then GPP backoff, and the fail-stop latch
-	// routes everything to the GPP. In this regime Health should be the
-	// monitor's *observed* map, not ground truth — the whole point is that
-	// placement plans around what the runtime detected. Nil (the default)
-	// costs the fault-free path nothing.
+	// (internal/recover). When set, every offload runs through its Execute:
+	// fault manifestations are drawn from the monitor's truth maps, sampled
+	// offloads are verified against the GPP reference, detected faults
+	// trigger bounded on-fabric retries and then GPP backoff, and the
+	// fail-stop latch routes everything to the GPP. In this regime Health
+	// should be the monitor's *observed* map, not ground truth — the whole
+	// point is that placement plans around what the runtime detected. Nil
+	// (the default) costs the fault-free path nothing.
 	Recovery *recov.Monitor
 }
 
@@ -192,7 +192,8 @@ type Report struct {
 	// own translation-time ladder scans plus the allocator's pivot and
 	// rescue scans (searchcost.Instrumented), as deltas over this run — so
 	// the derived hardware-cost model can price the searches the hold
-	// periods and caches amortise.
+	// periods and caches amortise. A recovery monitor's checker and retry
+	// work is not in it: the monitor returns it per epoch (EndEpoch).
 	Search searchcost.Counts
 
 	// StressSum is the total FU-cycle product of this run: for every
@@ -441,12 +442,6 @@ func (e *Engine) RunStream(s *gpp.Stream, w *Words) (*Report, error) {
 	if instrumented != nil {
 		allocStart = instrumented.SearchCounts()
 	}
-	// Same delta convention for the recovery monitor's checker/retry work:
-	// the monitor persists across the engine's runs.
-	var monStart searchcost.Counts
-	if e.opts.Recovery != nil {
-		monStart = e.opts.Recovery.SearchCounts()
-	}
 	e.stream, e.pos, e.nextMissed = s, 0, false
 	for e.pos < len(s.Retires) {
 		if e.nextMissed {
@@ -472,9 +467,6 @@ func (e *Engine) RunStream(s *gpp.Stream, w *Words) (*Report, error) {
 	e.rep.Search = e.search
 	if instrumented != nil {
 		e.rep.Search.Add(instrumented.SearchCounts().Sub(allocStart))
-	}
-	if e.opts.Recovery != nil {
-		e.rep.Search.Add(e.opts.Recovery.SearchCounts().Sub(monStart))
 	}
 	e.rep.Cache = e.cache.Stats()
 	rep := e.rep
@@ -554,73 +546,25 @@ func (e *Engine) offload(cfg *fabric.Config) error {
 		e.rep.ReconfigEvents++
 	}
 
+	// The recovery monitor decides how many fabric executions the offload
+	// takes (retries after detected faults) and whether it backs off to the
+	// GPP, whose re-execution of the region is priced at the GPP timing
+	// model over the same instruction prefix. Every execution is a real one:
+	// stress, cycles and a fresh context transfer.
 	duration := offloadOverhead + mapped.ExecCyclesFirst(n)
-	if e.opts.Recovery != nil {
-		e.offloadWithRecovery(mapped, off, n, early, duration)
-		return nil
+	execs, toGPP := 1, false
+	if mon := e.opts.Recovery; mon != nil {
+		execs, toGPP = mon.Execute(mapped.Cells(), off, n, duration)
 	}
-
-	e.rep.CGRAInstrs += uint64(n)
-	e.rep.CGRAClasses.Add(ClassCounts(mapped.ClassCountsFirst(n)))
-	e.ctrl.Commit(mapped, off, duration)
-
-	e.rep.StressSum += uint64(len(mapped.Cells())) * duration
-	e.rep.CGRACycles += duration
-	e.rep.OverheadCycles += offloadOverhead
-	e.rep.Offloads++
-	if early {
-		e.rep.EarlyExits++
-	}
-	return nil
-}
-
-// offloadWithRecovery runs the fault-manifestation and detection loop of
-// one offload. The architectural result is already computed (the retire
-// stream was recorded on the GPP interpreter — the trace-driven split); what
-// faults corrupt is the *accounting* world: a faulty unchecked execution
-// commits as a silent escape, a detected one is retried on-fabric up to
-// MaxRetries (each retry a real execution: stress, cycles, a fresh context
-// transfer) and then abandoned to the GPP, whose re-execution cost is
-// attributed at the GPP timing model over the same instruction prefix.
-func (e *Engine) offloadWithRecovery(mapped *fabric.Config, off fabric.Offset, n int, early bool, duration uint64) {
-	mon := e.opts.Recovery
-	cells := mapped.Cells()
-	toGPP := false
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			mon.RecordRetry(duration)
-		}
+	for i := 0; i < execs; i++ {
 		e.ctrl.Commit(mapped, off, duration)
-		e.rep.StressSum += uint64(len(cells)) * duration
-		e.rep.CGRACycles += duration
-		e.rep.OverheadCycles += offloadOverhead
-		if attempt == 0 {
-			e.rep.Offloads++
-		}
-		faulted := mon.DrawExec(cells, off)
-		checked := attempt > 0 || mon.SampleCheck()
-		if !checked {
-			if faulted {
-				mon.RecordEscape()
-			}
-			break
-		}
-		mon.PriceCheck(n)
-		if !faulted {
-			if attempt > 0 {
-				mon.RecordRetrySuccess()
-			}
-			break
-		}
-		mon.RecordDetection(cells, off)
-		if attempt >= mon.MaxRetries() || mon.FabricDistrusted() {
-			mon.RecordBackoff()
-			toGPP = true
-			break
-		}
 	}
+	cycles := uint64(execs) * duration
+	e.rep.StressSum += uint64(len(mapped.Cells())) * cycles
+	e.rep.CGRACycles += cycles
+	e.rep.OverheadCycles += uint64(execs) * offloadOverhead
+	e.rep.Offloads++
 	if toGPP {
-		// The region's architectural work lands on the GPP re-execution.
 		e.rep.GPPInstrs += uint64(n)
 		e.rep.GPPClasses.Add(ClassCounts(mapped.ClassCountsFirst(n)))
 		e.rep.GPPCycles += e.gppCyclesFirst(mapped, n)
@@ -631,6 +575,7 @@ func (e *Engine) offloadWithRecovery(mapped *fabric.Config, off fabric.Offset, n
 	if early {
 		e.rep.EarlyExits++
 	}
+	return nil
 }
 
 // gppCyclesFirst prices the first n ops of a configuration at the GPP

@@ -101,7 +101,7 @@ func TestAllocatorsPreserveArchitecturalState(t *testing.T) {
 		alloc.Baseline{},
 		alloc.NewUtilizationAware(g),
 		alloc.NewUtilizationAware(g, WithDiagonal()),
-		alloc.NewHealthAware(g, 8),
+		alloc.NewHealthAware(g),
 	}
 	var want uint32
 	for i, a := range allocators {

@@ -596,12 +596,8 @@ func (e *Explorer) WorstYears(cfg *fabric.Config, off fabric.Offset) float64 {
 // cost model prices. The counters report the work the modeled hardware
 // search engine would issue — a full projection refresh per scan and one
 // evaluation per cell of every live candidate — invariant to the
-// simulator's descent and memoization. Explorations counts full scans
-// directly — the number the hold-period regression tests pin.
+// simulator's descent and memoization.
 func (e *Explorer) SearchCounts() searchcost.Counts { return e.counts }
-
-// Explorations returns how many full pivot scans ran so far.
-func (e *Explorer) Explorations() uint64 { return e.counts.PivotScans }
 
 var (
 	_ alloc.Allocator         = (*Explorer)(nil)

@@ -330,7 +330,7 @@ func TestHoldPeriodCountsCommittedExecutions(t *testing.T) {
 	// exploration for the whole (unchanged) health state. Per-proposal
 	// counting would have advanced the clock 9x per round and rescanned the
 	// unplaceable footprint on every proposal — hundreds of explorations.
-	if got := e.Explorations(); got != 4 {
+	if got := e.SearchCounts().PivotScans; got != 4 {
 		t.Errorf("%d explorations over %d rounds, want 4 (3 narrow re-explorations + 1 wide no-live scan)",
 			got, rounds)
 	}

@@ -57,7 +57,8 @@ func TestFaultsNeverTouchArchitecture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, mon.Stats()
+		st, _, _ := mon.EndEpoch()
+		return rep, st
 	}
 
 	for _, name := range []string{"crc32", "sha"} {

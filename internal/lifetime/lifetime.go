@@ -638,9 +638,7 @@ func Run(sc Scenario) (*Result, error) {
 			run, last = v.(*epochRun), v.(*epochRun)
 			lastKey = key
 		default:
-			statsBefore := recov.Stats{}
 			if mon != nil {
-				statsBefore = mon.Stats()
 				mon.BeginEpoch(epoch)
 			}
 			r, err := runEpoch(&sc, health, wear, mon)
@@ -651,13 +649,11 @@ func Run(sc Scenario) (*Result, error) {
 				// Probation runs at the epoch boundary, after the mix:
 				// quarantined cells are probed and false positives earn
 				// their way back before the next epoch places around them.
-				// The probe work lands outside any engine run, so its
-				// search-count delta is attributed to the epoch here.
-				sb := mon.SearchCounts()
-				mon.ProbeQuarantined()
-				r.search.Add(mon.SearchCounts().Sub(sb))
-				r.recovery = mon.Stats().Sub(statsBefore)
-				events = mon.TakeEvents()
+				// The monitor's checker, retry and probe work is the
+				// epoch's, outside any engine run's search counts.
+				var search searchcost.Counts
+				r.recovery, search, events = mon.EndEpoch()
+				r.search.Add(search)
 			}
 			run, last = r, r
 			lastKey = key

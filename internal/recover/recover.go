@@ -141,24 +141,6 @@ func (s *Stats) Add(other Stats) {
 	s.CleanProbes += other.CleanProbes
 }
 
-// Sub returns s minus other, for delta accounting across epochs.
-func (s Stats) Sub(other Stats) Stats {
-	return Stats{
-		FaultedExecs:             s.FaultedExecs - other.FaultedExecs,
-		CheckedExecs:             s.CheckedExecs - other.CheckedExecs,
-		DetectedFaults:           s.DetectedFaults - other.DetectedFaults,
-		SilentEscapes:            s.SilentEscapes - other.SilentEscapes,
-		Retries:                  s.Retries - other.Retries,
-		RetrySuccesses:           s.RetrySuccesses - other.RetrySuccesses,
-		GPPBackoffs:              s.GPPBackoffs - other.GPPBackoffs,
-		Quarantines:              s.Quarantines - other.Quarantines,
-		FalsePositiveQuarantines: s.FalsePositiveQuarantines - other.FalsePositiveQuarantines,
-		Reinstatements:           s.Reinstatements - other.Reinstatements,
-		Probes:                   s.Probes - other.Probes,
-		CleanProbes:              s.CleanProbes - other.CleanProbes,
-	}
-}
-
 // EventKind labels a quarantine-state transition.
 type EventKind int
 
@@ -168,10 +150,9 @@ const (
 	Reinstate
 )
 
-// Event is one quarantine-state transition, drained by the lifetime
-// simulator after each simulated epoch so it can cross-reference the
-// runtime's belief against ground truth (detection latency, false
-// positives).
+// Event is one quarantine-state transition. EndEpoch returns the epoch's
+// transitions so the lifetime simulator can cross-reference the runtime's
+// belief against ground truth (detection latency, false positives).
 type Event struct {
 	Kind EventKind
 	Cell fabric.Cell
@@ -208,9 +189,10 @@ type Monitor struct {
 	distrusted bool  // fail-stop latch
 
 	version uint64
-	stats   Stats
-	events  []Event
-	search  searchcost.Counts
+	// The activity since BeginEpoch, which EndEpoch returns.
+	stats  Stats
+	events []Event
+	search searchcost.Counts
 }
 
 // NewMonitor builds a monitor over the scenario's ground-truth maps. The
@@ -247,9 +229,6 @@ func (m *Monitor) Observed() *fabric.Health { return m.observed }
 // routes to the GPP.
 func (m *Monitor) FabricDistrusted() bool { return m.distrusted }
 
-// MaxRetries exposes the retry bound to the engine's offload loop.
-func (m *Monitor) MaxRetries() int { return m.policy.MaxRetries }
-
 // Version covers exactly the cross-epoch-persistent observable state:
 // observed health, suspect counters, probation streaks and the fail-stop
 // latch. Per-epoch draw counters and the Stats counters are excluded, so an
@@ -257,31 +236,61 @@ func (m *Monitor) MaxRetries() int { return m.policy.MaxRetries }
 // untouched and the lifetime memo can replay it.
 func (m *Monitor) Version() uint64 { return m.version }
 
-// Stats returns the cumulative activity counters.
-func (m *Monitor) Stats() Stats { return m.stats }
-
-// SearchCounts implements searchcost.Instrumented: the checker, retry and
-// probe work, priced by the derived cost model alongside the placement and
-// shape searches.
-func (m *Monitor) SearchCounts() searchcost.Counts { return m.search }
-
-// TakeEvents drains the quarantine-state transitions recorded since the
-// last call.
-func (m *Monitor) TakeEvents() []Event {
-	ev := m.events
-	m.events = nil
-	return ev
-}
-
-// BeginEpoch resets the per-epoch PRNG counters and sampling phase and
-// keys subsequent draws on the epoch index. The lifetime simulator calls it
-// before every simulated (non-replayed) epoch.
+// BeginEpoch resets the per-epoch PRNG counters, sampling phase and
+// activity tallies and keys subsequent draws on the epoch index. The
+// lifetime simulator calls it before every simulated (non-replayed) epoch.
 func (m *Monitor) BeginEpoch(epoch int) {
 	m.epoch = epoch
 	for i := range m.execDraws {
 		m.execDraws[i] = 0
 	}
 	m.checkPhase = 0
+	m.stats, m.search, m.events = Stats{}, searchcost.Counts{}, nil
+}
+
+// EndEpoch runs the epoch's probation (probeQuarantined) and returns the
+// activity since BeginEpoch: the Stats counters, the checker, retry and
+// probe work priced by the derived cost model alongside the placement and
+// shape searches, and the quarantine-state transitions in order.
+func (m *Monitor) EndEpoch() (Stats, searchcost.Counts, []Event) {
+	m.probeQuarantined()
+	return m.stats, m.search, m.events
+}
+
+// Execute runs one offload of n instructions and duration fabric cycles on
+// the virtual cells shifted by off, and returns how many fabric executions
+// it made and whether it backed off to the GPP. The architectural result is
+// already computed (the retire stream was recorded on the GPP interpreter
+// — the trace-driven split); what faults corrupt is the accounting world. A
+// faulty unchecked execution commits as a silent escape; a detected one is
+// retried on-fabric up to MaxRetries times, each retry a real execution
+// (stress, cycles, a fresh context transfer) and always verified, and then
+// abandoned to the GPP.
+func (m *Monitor) Execute(cells []fabric.Cell, off fabric.Offset, n int, duration uint64) (execs int, toGPP bool) {
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			m.recordRetry(duration)
+		}
+		faulted := m.drawExec(cells, off)
+		if attempt == 0 && !m.sampleCheck() {
+			if faulted {
+				m.stats.SilentEscapes++
+			}
+			return 1, false
+		}
+		m.priceCheck(n)
+		if !faulted {
+			if attempt > 0 {
+				m.stats.RetrySuccesses++
+			}
+			return attempt + 1, false
+		}
+		m.recordDetection(cells, off)
+		if attempt >= m.policy.MaxRetries || m.distrusted {
+			m.stats.GPPBackoffs++
+			return attempt + 1, true
+		}
+	}
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
@@ -304,13 +313,13 @@ func (m *Monitor) uniform(stream, cell, draw uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// DrawExec decides whether one fabric execution occupying the given virtual
+// drawExec decides whether one fabric execution occupying the given virtual
 // cells (shifted by off) manifests a fault: ground-truth-dead cells fault
 // deterministically — this is how the runtime discovers deaths without an
 // oracle — and live cells fault with their intermittent probability.
 // With no risky cell and no dead one, no cell of the geometry can fault:
 // the call returns at once, with no draw and no count.
-func (m *Monitor) DrawExec(cells []fabric.Cell, off fabric.Offset) bool {
+func (m *Monitor) drawExec(cells []fabric.Cell, off fabric.Offset) bool {
 	if (m.faults == nil || !m.faults.Risky()) && m.truth.DeadCount() == 0 {
 		return false
 	}
@@ -341,10 +350,10 @@ func (m *Monitor) DrawExec(cells []fabric.Cell, off fabric.Offset) bool {
 	return faulted
 }
 
-// SampleCheck advances the sampling phase and reports whether this offload
+// sampleCheck advances the sampling phase and reports whether this offload
 // is verified against the GPP reference (every CheckEvery-th offload,
 // starting with the first of each epoch).
-func (m *Monitor) SampleCheck() bool {
+func (m *Monitor) sampleCheck() bool {
 	m.checkPhase++
 	if m.policy.CheckEvery <= 1 {
 		return true
@@ -352,38 +361,28 @@ func (m *Monitor) SampleCheck() bool {
 	return m.checkPhase%uint64(m.policy.CheckEvery) == 1
 }
 
-// PriceCheck accounts one verification of n instructions: the event counts
+// priceCheck accounts one verification of n instructions: the event counts
 // the derived cost model prices as checker work.
-func (m *Monitor) PriceCheck(n int) {
+func (m *Monitor) priceCheck(n int) {
 	m.stats.CheckedExecs++
 	m.search.CheckerRuns++
 	m.search.CheckerInstrs += uint64(n)
 }
 
-// RecordEscape counts a faulty execution that was not sampled for
-// verification: a silent corruption committed to architectural state.
-func (m *Monitor) RecordEscape() { m.stats.SilentEscapes++ }
-
-// RecordRetry accounts one on-fabric re-execution of duration fabric
+// recordRetry accounts one on-fabric re-execution of duration fabric
 // cycles after a detection.
-func (m *Monitor) RecordRetry(duration uint64) {
+func (m *Monitor) recordRetry(duration uint64) {
 	m.stats.Retries++
 	m.search.RetryExecs++
 	m.search.RetryCycles += duration
 }
 
-// RecordRetrySuccess counts a retry whose verification came back clean.
-func (m *Monitor) RecordRetrySuccess() { m.stats.RetrySuccesses++ }
-
-// RecordBackoff counts an offload abandoned to the GPP after MaxRetries.
-func (m *Monitor) RecordBackoff() { m.stats.GPPBackoffs++ }
-
-// RecordDetection processes one verified-faulty execution: the checker
+// recordDetection processes one verified-faulty execution: the checker
 // cannot localise the corruption, so every cell of the footprint is blamed
 // — whole-footprint suspicion is what creates the false positives probation
 // later recovers. Cells crossing QuarantineAfter are killed in the observed
 // map; under FailStop the whole fabric is distrusted instead.
-func (m *Monitor) RecordDetection(cells []fabric.Cell, off fabric.Offset) {
+func (m *Monitor) recordDetection(cells []fabric.Cell, off fabric.Offset) {
 	m.stats.DetectedFaults++
 	if m.policy.FailStop {
 		if !m.distrusted {
@@ -414,14 +413,14 @@ func (m *Monitor) RecordDetection(cells []fabric.Cell, off fabric.Offset) {
 	}
 }
 
-// ProbeQuarantined runs each quarantined cell's probation test vectors for
+// probeQuarantined runs each quarantined cell's probation test vectors for
 // the epoch, in row-major order for determinism: ProbesPerEpoch draws per
 // cell, a faulty probe resets the clean streak, and ProbationProbes
 // consecutive clean probes reinstate the cell (Revive in the observed map,
 // suspicion cleared). Ground-truth-dead cells always probe faulty, so only
-// false positives can earn their way back. The lifetime simulator calls
-// this after each simulated epoch's workload mix.
-func (m *Monitor) ProbeQuarantined() {
+// false positives can earn their way back. EndEpoch runs it after the
+// epoch's workload mix.
+func (m *Monitor) probeQuarantined() {
 	if m.distrusted {
 		return
 	}

@@ -20,8 +20,6 @@
 // useful cycles.
 package searchcost
 
-import "agingcgra/internal/fabric"
-
 // Counts tallies the search work of one run (or one epoch): how many scans
 // each search family ran and how many elementary evaluations they issued.
 // All counters are exact event counts accumulated by the searching
@@ -229,23 +227,4 @@ func (c Cost) PerOffload(offloads uint64) Cost {
 		Cycles:   c.Cycles / float64(offloads),
 		EnergyNJ: c.EnergyNJ / float64(offloads),
 	}
-}
-
-// LadderScanBound returns the worst-case mapper probes of one
-// translation-time ladder scan on geometry g: every rung maps every trace
-// op against every cell of the rung. It bounds (and sanity-checks) the
-// counted LadderProbes per scan; the analytic form documents how the scan
-// scales with the ladder and the fabric.
-func LadderScanBound(l fabric.ShapeLadder, g fabric.Geometry, traceLen int) uint64 {
-	var total uint64
-	for _, s := range l.Shapes(g) {
-		total += uint64(traceLen) * uint64(s.NumFUs())
-	}
-	return total
-}
-
-// RemapScanBound returns the worst-case mapper probes of one (shape ×
-// anchor) rescue scan: the ladder bound multiplied by the anchor count.
-func RemapScanBound(l fabric.ShapeLadder, g fabric.Geometry, traceLen int) uint64 {
-	return LadderScanBound(l, g, traceLen) * uint64(g.NumFUs())
 }

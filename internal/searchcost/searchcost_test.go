@@ -1,10 +1,6 @@
 package searchcost
 
-import (
-	"testing"
-
-	"agingcgra/internal/fabric"
-)
+import "testing"
 
 func TestAssessPricesFamiliesIndependently(t *testing.T) {
 	m := Model{ScoreCycles: 1, ProjectCycles: 4, ProbeCycles: 2, EnergyPerCycleNJ: 0.5}
@@ -60,22 +56,5 @@ func TestPerOffloadAmortisation(t *testing.T) {
 	}
 	if got := c.PerOffload(0); got != c {
 		t.Errorf("zero offloads should return the undivided cost, got %+v", got)
-	}
-}
-
-// TestScanBounds pins the analytic worst cases against the ladder: the
-// full halving ladder on the BE design, a 32-op trace.
-func TestScanBounds(t *testing.T) {
-	g := fabric.NewGeometry(2, 16)
-	l := fabric.DefaultShapeLadder()
-	var want uint64
-	for _, s := range l.Shapes(g) {
-		want += 32 * uint64(s.NumFUs())
-	}
-	if got := LadderScanBound(l, g, 32); got != want {
-		t.Errorf("ladder bound %d, want %d", got, want)
-	}
-	if got := RemapScanBound(l, g, 32); got != want*uint64(g.NumFUs()) {
-		t.Errorf("remap bound %d, want %d", got, want*uint64(g.NumFUs()))
 	}
 }

@@ -196,37 +196,3 @@ func Histogram(xs []float64, n int, lo, hi float64) []HistogramBin {
 	}
 	return bins
 }
-
-// KDEPoint is one sample of a kernel density estimate.
-type KDEPoint struct {
-	X, Density float64
-}
-
-// KDE computes a Gaussian kernel density estimate of xs sampled at n
-// evenly spaced points over [lo, hi]. A non-positive bandwidth selects
-// Silverman's rule of thumb.
-func KDE(xs []float64, n int, lo, hi, bandwidth float64) []KDEPoint {
-	if len(xs) == 0 || n < 2 || hi <= lo {
-		return nil
-	}
-	h := bandwidth
-	if h <= 0 {
-		s := Summarize(xs)
-		h = 1.06 * s.StdDev * math.Pow(float64(len(xs)), -0.2)
-		if h <= 0 {
-			h = (hi - lo) / float64(n)
-		}
-	}
-	out := make([]KDEPoint, n)
-	norm := 1 / (float64(len(xs)) * h * math.Sqrt(2*math.Pi))
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		var d float64
-		for _, xi := range xs {
-			z := (x - xi) / h
-			d += math.Exp(-0.5 * z * z)
-		}
-		out[i] = KDEPoint{X: x, Density: d * norm}
-	}
-	return out
-}

@@ -84,45 +84,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestKDEIntegratesToOne(t *testing.T) {
-	xs := []float64{0.2, 0.3, 0.4, 0.41, 0.6}
-	pts := KDE(xs, 400, -1, 2, 0)
-	if len(pts) != 400 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	var integral float64
-	for i := 1; i < len(pts); i++ {
-		dx := pts[i].X - pts[i-1].X
-		integral += (pts[i].Density + pts[i-1].Density) / 2 * dx
-	}
-	if math.Abs(integral-1) > 0.02 {
-		t.Errorf("KDE integrates to %v, want ~1", integral)
-	}
-}
-
-func TestKDEPeaksNearData(t *testing.T) {
-	xs := []float64{0.5, 0.5, 0.5}
-	pts := KDE(xs, 101, 0, 1, 0.05)
-	best := 0
-	for i, p := range pts {
-		if p.Density > pts[best].Density {
-			best = i
-		}
-	}
-	if math.Abs(pts[best].X-0.5) > 0.02 {
-		t.Errorf("KDE peak at %v, want 0.5", pts[best].X)
-	}
-}
-
-func TestKDEDegenerate(t *testing.T) {
-	if KDE(nil, 10, 0, 1, 0) != nil {
-		t.Error("empty data must return nil")
-	}
-	if KDE([]float64{1}, 1, 0, 1, 0) != nil {
-		t.Error("n<2 must return nil")
-	}
-}
-
 // Property: histogram counts always total the sample count.
 func TestHistogramTotalProperty(t *testing.T) {
 	f := func(raw []float64) bool {

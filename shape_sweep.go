@@ -2,6 +2,7 @@ package agingcgra
 
 import (
 	"fmt"
+	"slices"
 
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/dse"
@@ -72,11 +73,16 @@ func ShapeSweep(opt ShapeSweepOptions) (*ShapeSweepResult, error) {
 	g := fabric.NewGeometry(sweepRows, sweepCols)
 	variants := func() ([]gridVariant[ShapeSweepPoint], error) {
 		var vs []gridVariant[ShapeSweepPoint]
+		var seen []string
 		for _, name := range opt.Ladders {
 			ladder, err := fabric.ShapeLadderByName(name)
 			if err != nil {
 				return nil, err
 			}
+			if slices.Contains(seen, ladder.Name) {
+				return nil, fmt.Errorf("agingcgra: shape sweep ladder %q is repeated", name)
+			}
+			seen = append(seen, ladder.Name)
 			vs = append(vs, gridVariant[ShapeSweepPoint]{
 				name:    "shapedbt/ladder=" + ladder.Name,
 				factory: dse.LadderRemapFactory(ladder),
